@@ -16,6 +16,8 @@ from .estimators import (
     make_blocks,
     make_threshold_plan,
     need_d,
+    projection_cutoff,
+    projection_gram,
     svd_adaptive,
     svd_projection,
     svd_projection_oracle,
@@ -60,7 +62,7 @@ from .jacobi import (
     jacobi_eval_all,
     jacobi_params,
 )
-from .losses import weighted_loss
+from .losses import grid_weights, weighted_loss
 from .models import (
     SequenceObservation,
     SvdModel,

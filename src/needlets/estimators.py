@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InvariantError
 from .frame import NeedletFrame, analyze, level_sigma, synthesize
-from .models import SequenceObservation, SvdModel
+from .losses import grid_weights
+from .models import SequenceObservation, SvdModel, eval_e
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -25,6 +26,8 @@ __all__ = [
     "need_d",
     "svd_projection",
     "svd_projection_oracle",
+    "projection_gram",
+    "projection_cutoff",
     "make_blocks",
     "AdaptiveSvdConfig",
     "make_adaptive_config",
@@ -130,6 +133,35 @@ def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np
     return fhat
 
 
+def projection_gram(e_vals: np.ndarray) -> np.ndarray:
+    """Gram matrix G = E W E^T of a (K, n) basis table under the weighted grid loss."""
+    return (e_vals * grid_weights(e_vals.shape[1])) @ e_vals.T
+
+
+def projection_cutoff(ybars, e_vals: np.ndarray, f_vals: np.ndarray, gram: np.ndarray) -> int:
+    """Cutoff N minimizing the summed weighted RMSE of the runs' partial sums.
+
+    ybars holds one naive inverse per row (R, K), e_vals is the (K, n) basis
+    table on the loss grid, f_vals the true grid values and gram is
+    projection_gram(e_vals). With c = E W f, the partial sum
+    S_N = sum_{m<=N} y_m e_m of a run satisfies
+
+        ||S_N - f||_w^2 = ||f||_w^2 + sum_{m<=N} y_m (y_m G_mm + 2 sum_{k<m} y_k G_mk - 2 c_m),
+
+    so all cutoffs of all runs cost one (R, K) @ (K, K) product and one
+    cumulative sum; no partial sum is formed on the grid. Ties go to the
+    smaller N.
+    """
+    y = np.atleast_2d(ybars)
+    wf = grid_weights(f_vals.shape[0]) * f_vals
+    terms = y * (y * np.diag(gram) + 2.0 * (y @ np.tril(gram, -1).T) - 2.0 * (e_vals @ wf))
+    sq_err = float(f_vals @ wf) + np.cumsum(terms, axis=1)
+    score = np.sqrt(np.maximum(sq_err, 0.0)).sum(axis=0)
+    if not np.all(np.isfinite(score)):
+        raise InvariantError("cutoff sweep produced a non-finite score")
+    return int(np.argmin(score))
+
+
 def svd_projection_oracle(
     model: SvdModel,
     obs: SequenceObservation,
@@ -139,26 +171,18 @@ def svd_projection_oracle(
 ) -> tuple[int, np.ndarray]:
     """Projection with the cutoff chosen a posteriori against the truth.
 
-    Sweeps every cutoff N = 0..kmax/2, measures the weighted RMSE of the
-    grid reconstruction against f_vals, and returns the minimizing cutoff
-    (ties to the smaller N) with its coefficient estimate. Pass the
-    (kmax+1, len(grid)) basis table e_vals when sweeping many runs on one
-    grid; it is recomputed otherwise.
+    Sweeps every cutoff N = 0..kmax/2 with projection_cutoff, i.e. by the
+    weighted RMSE of the grid reconstruction against f_vals, and returns
+    the minimizing cutoff (ties to the smaller N) with its coefficient
+    estimate. Pass the (kmax+1, len(grid)) basis table e_vals when sweeping
+    many runs on one grid; it is recomputed otherwise.
     """
-    from .losses import weighted_loss
-    from .models import eval_e
-
     top = obs.kmax // 2
     if e_vals is None:
         e_vals = eval_e(model, top, grid)
+    e_top = e_vals[: top + 1]
     ybar = obs.y[: top + 1] / model.b[: top + 1]
-    cum = np.cumsum(ybar[:, None] * e_vals[: top + 1], axis=0)
-    n_grid = grid.shape[0]
-    best_n, best_loss = 0, math.inf
-    for n_keep in range(top + 1):
-        loss = weighted_loss(f_vals, cum[n_keep], n_grid, 2)
-        if loss < best_loss:
-            best_n, best_loss = n_keep, loss
+    best_n = projection_cutoff(ybar, e_top, f_vals, projection_gram(e_top))
     return best_n, svd_projection(model, obs, best_n)
 
 

@@ -16,11 +16,14 @@ from needlets import (
     AdaptiveSvdConfig,
     InvariantError,
     KAPPA_DEFAULT,
+    SequenceObservation,
     analyze,
     make_adaptive_config,
     make_blocks,
     make_threshold_plan,
     need_d,
+    projection_cutoff,
+    projection_gram,
     sample_observation,
     svd_adaptive,
     svd_projection,
@@ -64,6 +67,17 @@ def test_need_d_noise_free_identity(frame8, wicksell512, rng):
     res = need_d(frame8, wicksell512, obs, plan)
     assert np.max(np.abs(res.coeffs - c[: frame8.budget])) < 1e-8
     assert len(res.beta) == frame8.j_max + 2
+
+
+def test_need_d_nan_observation_rejected(frame8, wicksell512, rng):
+    # one NaN used to flow through analyze and silently zero levels 1-2 of
+    # the estimate; it must now stop at the observation boundary
+    c = _signal(frame8)
+    y = sample_observation(wicksell512, c, 0.0, rng).y.copy()
+    y[3] = np.nan
+    plan = make_threshold_plan(frame8, wicksell512, 0.0)
+    with pytest.raises(ValueError, match=r"y\[3\] = nan"):
+        need_d(frame8, wicksell512, SequenceObservation(y, 0.0), plan)
 
 
 def test_need_d_threshold_is_hard(frame8, wicksell512, rng):
@@ -234,6 +248,16 @@ def test_projection_oracle_ties_break_to_smaller(wicksell512, rng):
     obs = sample_observation(wicksell512, np.zeros(513), 0.0, rng)
     n_star, _ = svd_projection_oracle(wicksell512, obs, np.zeros(32), grid)
     assert n_star == 0
+
+
+def test_projection_cutoff_rejects_non_finite_runs(wicksell512, rng):
+    # a NaN run would turn every cutoff score into NaN and argmin into 0
+    grid = (1.0 + np.arange(64)) / 64.0
+    e_vals = eval_e(wicksell512, 32, grid)
+    ybars = rng.standard_normal((3, 33))
+    ybars[1, 7] = np.nan
+    with pytest.raises(InvariantError):
+        projection_cutoff(ybars, e_vals, np.zeros(64), projection_gram(e_vals))
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from needlets import weighted_loss
+from needlets import grid_weights, weighted_loss
 
 
 def test_zero_for_perfect_fit():
@@ -38,8 +38,30 @@ def test_homogeneous_in_error():
         assert abs(two - 2.0 * one) < 1e-12
 
 
+@pytest.mark.parametrize("n", [64, 1000, 1024])
+def test_row_wise_matches_scalar_calls(n):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal(n)
+    stack = f + 0.1 * rng.standard_normal((7, n))
+    for p in (1, 2):
+        rows = weighted_loss(f, stack, n, p)
+        assert rows.shape == (7,)
+        np.testing.assert_array_equal(rows, [weighted_loss(f, g, n, p) for g in stack])
+
+
+def test_grid_weights_reproduce_squared_loss():
+    rng = np.random.default_rng(3)
+    f, g = rng.standard_normal((2, 256))
+    sq = float(grid_weights(256) @ (f - g) ** 2)
+    assert abs(sq - weighted_loss(f, g, 256, 2) ** 2) < 1e-13 * sq
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         weighted_loss(np.zeros(4), np.zeros(5), 4, 2)
     with pytest.raises(ValueError):
         weighted_loss(np.zeros(4), np.zeros(4), 4, 3)
+    with pytest.raises(ValueError):
+        weighted_loss(np.zeros(4), np.zeros((2, 5)), 4, 2)
+    with pytest.raises(ValueError):
+        weighted_loss(np.zeros(4), np.zeros((2, 2, 4)), 4, 2)

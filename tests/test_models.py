@@ -17,6 +17,7 @@ import pytest
 import scipy.integrate
 
 from needlets import (
+    SequenceObservation,
     UnresolvedIntegrandError,
     calibrate_epsilon,
     coeffs_from_function,
@@ -180,6 +181,25 @@ def test_observation_noise_free(wicksell512):
     c = np.ones(513)
     obs = sample_observation(wicksell512, c, 0.0, rng)
     np.testing.assert_array_equal(obs.y, forward(wicksell512, c))
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.01])
+def test_observation_rejects_bad_epsilon(eps):
+    with pytest.raises(ValueError, match=f"got {eps}"):
+        SequenceObservation(np.zeros(8), eps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_observation_rejects_non_finite_y(bad):
+    y = np.ones(8)
+    y[5] = bad
+    with pytest.raises(ValueError, match=rf"y\[5\] = {bad}"):
+        SequenceObservation(y, 0.01)
+
+
+def test_sample_observation_rejects_nan_epsilon(wicksell512):
+    with pytest.raises(ValueError, match="nan"):
+        sample_observation(wicksell512, np.ones(4), math.nan, np.random.default_rng(0))
 
 
 def test_calibration_scales_with_rsnr(wicksell512):

@@ -3,6 +3,10 @@
 Determinism contract: identical config and seed reproduce the report down to
 the CSV bytes. Exactness contract: with the noise forced to zero and an
 in-budget synthetic target every estimator is lossless to 1e-6.
+
+The projection cutoff sweep in `run_experiment` uses the Gram identity; the
+direct sweep it replaced (one cumulative table of partial sums on the grid
+per run) is kept here as the reference it must agree with.
 """
 
 import json
@@ -16,15 +20,22 @@ from needlets import (
     RateTarget,
     SimulationConfig,
     build_frame,
+    coeffs_from_function,
     emit_report,
+    eval_e,
     jacobi_basis,
     load_report,
     make_filter,
     make_profile,
     rate_study,
     run_experiment,
+    sample_observation,
+    target_breakpoints,
+    target_function,
+    weighted_loss,
     wicksell_model,
 )
+from needlets.simlab import _build_frame
 
 
 def _tiny_config(**kw):
@@ -136,6 +147,53 @@ def test_projection_cells_carry_n_star():
     proj = report.cell("heavisine", 5.0, "svd-proj")
     assert proj.n_star is not None and 0 <= proj.n_star <= 128
     assert report.cell("heavisine", 5.0, "needd").n_star is None
+
+
+def _reference_projection_cell(cfg, cell, f_coeffs=None):
+    """Direct cutoff sweep: every partial sum of every run on the grid."""
+    model = wicksell_model(kmax=_build_frame(cfg.frame).budget)
+    n = cfg.n
+    grid = np.arange(1, n + 1) / n
+    e_vals = eval_e(model, model.kmax, grid)
+    if f_coeffs is None:
+        f = target_function(cell.target)
+        f_coeffs = coeffs_from_function(model, f, model.kmax, target_breakpoints(cell.target))
+        true_vals = f(grid)
+    else:
+        true_vals = f_coeffs @ e_vals
+    tables = []
+    for seed in cell.seeds:
+        obs = sample_observation(model, f_coeffs, cell.epsilon, np.random.default_rng(seed))
+        tables.append(np.cumsum((obs.y / model.b)[:, None] * e_vals, axis=0))
+    score = sum(weighted_loss(true_vals, table, n, 2) for table in tables)
+    n_star = int(np.argmin(score))
+    l1 = np.array([weighted_loss(true_vals, t[n_star], n, 1) for t in tables])
+    rmse = np.array([weighted_loss(true_vals, t[n_star], n, 2) for t in tables])
+    return n_star, score, l1, rmse
+
+
+@pytest.mark.parametrize("seed", [4242, 17, 90210])
+def test_projection_sweep_matches_direct_reference(seed):
+    cfg = _tiny_config(seed=seed, runs=4, estimators=("svd-proj",))
+    cell = run_experiment(cfg).cell("heavisine", 5.0, "svd-proj")
+    n_star, _, l1, rmse = _reference_projection_cell(cfg, cell)
+    assert cell.n_star == n_star
+    np.testing.assert_allclose(cell.l1, l1, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cell.rmse, rmse, rtol=1e-12, atol=0)
+
+
+def test_projection_sweep_noise_free_ties_to_smallest_cutoff():
+    # every cutoff from the last nonzero coefficient on reconstructs the
+    # target exactly, so the scores tie and the smallest of them must win
+    cfg = _tiny_config(runs=2, epsilon_override=0.0, targets=("ramp",), estimators=("svd-proj",))
+    coeffs = np.zeros(129)
+    coeffs[:40] = np.linspace(1.0, 0.1, 40)
+    cell = run_experiment(cfg, coefficient_targets={"ramp": coeffs}).cell("ramp", 5.0, "svd-proj")
+    n_star, score, _, _ = _reference_projection_cell(cfg, cell, coeffs)
+    assert np.all(score[39:] == score[39])
+    assert n_star == 39
+    assert cell.n_star == 39
+    assert np.max(cell.rmse) < 1e-12 and np.max(cell.l1) < 1e-12
 
 
 def test_empty_report_headers_only(tmp_path):
