@@ -46,6 +46,7 @@ from .frame import (
     build_frame,
     coeff_function_norm,
     fourier_basis,
+    frame_invariants,
     frame_norm,
     jacobi_basis,
     level_frame_norms,

@@ -28,12 +28,13 @@ from .estimators import (
     svd_adaptive,
     svd_projection,
 )
-from .filters import POLYNOMIAL_SHAPE, check_partition, filter_a, make_filter, make_profile
+from .filters import POLYNOMIAL_SHAPE, filter_a, make_filter, make_profile
 from .frame import (
     NODES_EXACT,
     NODES_PAPER,
     build_frame,
     fourier_basis,
+    frame_invariants,
     jacobi_basis,
 )
 from .frameio import load_frame, save_frame
@@ -110,33 +111,9 @@ def _cmd_frame_build(args) -> int:
     return 0
 
 
-def _frame_checks(frame):
-    """(name, measured, tolerance) rows of the frame invariant suite."""
-    xi = np.linspace(1.0, float(2**frame.j_max), 4001)
-    rows = [("partition-of-unity", check_partition(frame.filt, xi), 1e-12)]
-
-    gram_defect = 0.0
-    zero_sum = 0.0
-    norm_excess = 0.0
-    for lev in frame.levels:
-        gram = lev.psi.T @ lev.psi
-        i = np.arange(lev.freq_lo, lev.freq_lo + lev.psi.shape[1])
-        a2 = filter_a(frame.filt, i / 2.0**lev.j) ** 2 if lev.j >= 0 else np.ones(1)
-        gram_defect = max(gram_defect, float(np.max(np.abs(gram - np.diag(a2)))))
-        if lev.j >= 0:
-            sqw = np.sqrt(lev.weights)
-            zero_sum = max(zero_sum, float(np.max(np.abs(sqw @ lev.psi))))
-        norms = np.sqrt(np.sum(lev.psi**2, axis=1))
-        norm_excess = max(norm_excess, float(np.max(norms)))
-    rows.append(("gram-diagonal", gram_defect, 1e-9))
-    rows.append(("zero-sum-per-frequency", zero_sum, 1e-10))
-    rows.append(("needlet-norm<=1", norm_excess, 1.0 + 1e-10))
-    return rows
-
-
 def _cmd_frame_check(args) -> int:
     frame = load_frame(args.path)
-    rows = _frame_checks(frame)
+    rows = frame_invariants(frame)
     failed = False
     print(f"frame {args.path}: basis={frame.basis.kind} j_max={frame.j_max} "
           f"nodes={frame.nodes_per_level}")

@@ -1,10 +1,13 @@
 """Exception types shared across the package.
 
 InvariantError marks violated mathematical contracts (the CLI maps it to
-exit code 2); plain ValueError keeps signalling bad arguments/config.
+exit code 2); plain ValueError keeps signalling bad arguments/config, and
+require_entries raises it for the first array entry that breaks a condition.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "InvariantError",
@@ -12,6 +15,7 @@ __all__ = [
     "NormResolutionError",
     "UnresolvedIntegrandError",
     "ProfileError",
+    "require_entries",
 ]
 
 
@@ -33,3 +37,19 @@ class UnresolvedIntegrandError(RuntimeError):
 
 class ProfileError(ValueError):
     """A cutoff profile is unusable (bad kind or broken monotonicity)."""
+
+
+def require_entries(values: np.ndarray, ok: np.ndarray, label: str, requirement: str) -> None:
+    """Raise ValueError naming the first entry of values where the mask ok is False.
+
+    The entry is shown by its full index, label[i] for a vector and
+    label[r, i] for a stack of runs, with its value and the bad count:
+    "observation y[3] = nan is not finite (1 of 8 entries are not)".
+    """
+    bad = np.argwhere(~ok)
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise ValueError(
+            f"{label}[{', '.join(map(str, idx))}] = {values[idx]} is not {requirement} "
+            f"({len(bad)} of {values.size} entries are not)"
+        )

@@ -4,6 +4,7 @@ Three families: hard-thresholded needlet coefficients of the naive inverse
 (need_d), fixed-cutoff SVD projection with an oracle variant that reads the
 truth, and a blockwise data-driven SVD filter. All consume a
 SequenceObservation and return coefficients in the model's SVD basis.
+need_d, svd_projection and svd_adaptive map a stack of runs (R, K) row by row.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ class NeedDResult:
     coeffs: np.ndarray
 
 
+def _require_same_basis(frame: NeedletFrame, model: SvdModel) -> None:
+    # a tight frame reconstructs on any index sequence, so a frame built on
+    # another basis would pass every numeric check with needlets localized
+    # in the wrong domain
+    if frame.basis != model.basis:
+        raise ValueError(f"frame basis {frame.basis} differs from model basis {model.basis}")
+
+
 def make_threshold_plan(
     frame: NeedletFrame,
     model: SvdModel,
@@ -83,6 +92,7 @@ def make_threshold_plan(
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    _require_same_basis(frame, model)
     if epsilon == 0.0:
         t_eps, j_top = 0.0, frame.j_max
     else:
@@ -105,12 +115,13 @@ def need_d(
     coefficient survives iff its magnitude reaches the plan's level
     threshold (the constant level included, at its own sigma).
     """
+    _require_same_basis(frame, model)
     budget = frame.budget
     if obs.kmax + 1 < budget:
         raise ValueError(f"need {budget} observed coefficients, got {obs.kmax + 1}")
     if model.kmax + 1 < budget:
         raise ValueError(f"model holds {model.kmax + 1} singular values, frame needs {budget}")
-    ybar = obs.y[:budget] / model.b[:budget]
+    ybar = obs.y[..., :budget] / model.b[:budget]
     beta = analyze(frame, ybar)
     kept = []
     for level_index, b in enumerate(beta):
@@ -127,9 +138,8 @@ def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np
     """Truncated naive inverse: fhat_i = Y_i/b_i for i <= n_keep, else 0."""
     if not 0 <= n_keep <= obs.kmax:
         raise ValueError(f"n_keep must be in 0..{obs.kmax}, got {n_keep}")
-    fhat = np.zeros(obs.kmax + 1)
-    sl = slice(0, n_keep + 1)
-    fhat[sl] = obs.y[sl] / model.b[sl]
+    fhat = np.zeros(obs.y.shape)
+    fhat[..., : n_keep + 1] = obs.y[..., : n_keep + 1] / model.b[: n_keep + 1]
     return fhat
 
 
@@ -287,19 +297,19 @@ def svd_adaptive(
             f"config built for epsilon {config.epsilon}, observation has {obs.epsilon}"
         )
     kmax = min(obs.kmax, model.kmax)
-    ybar = obs.y[: kmax + 1] / model.b[: kmax + 1]
-    lam = np.zeros(kmax + 1)
-    lam[0] = 1.0
+    ybar = obs.y[..., : kmax + 1] / model.b[: kmax + 1]
+    lam = np.zeros(ybar.shape)
+    lam[..., 0] = 1.0
     for j, (lo, hi) in enumerate(zip(config.boundaries[:-1], config.boundaries[1:])):
         lo, hi = int(lo), min(int(hi), kmax + 1)
         if hi <= lo:
             raise InvariantError(f"empty block [{lo}, {int(config.boundaries[j + 1])})")
-        block = ybar[lo:hi]
-        energy = float(np.sum(block * block))
-        if energy <= 0.0:
-            continue
+        block = ybar[..., lo:hi]
+        energy = np.sum(block * block, axis=-1, keepdims=True)
         penalty = config.sigma2[j] * (1.0 + config.delta[j] ** config.gamma)
-        lam[lo:hi] = max(0.0, 1.0 - penalty / energy)
+        # a block without energy keeps weight zero
+        ratio = np.divide(penalty, energy, out=np.full(energy.shape, np.inf), where=energy > 0.0)
+        lam[..., lo:hi] = np.maximum(0.0, 1.0 - ratio)
     if config.n_top < kmax:
-        lam[config.n_top + 1 :] = 0.0
+        lam[..., config.n_top + 1 :] = 0.0
     return lam * ybar

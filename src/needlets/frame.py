@@ -4,7 +4,8 @@ A frame holds, per dyadic level j, the coefficient matrix of its needlets
 in the underlying basis: psi[nu, i - freq_lo] = sqrt(weight_nu) *
 a(i / 2^j) * e_i(node_nu). Level -1 is the single constant needlet.
 Analysis and synthesis are exact finite sums over each level's frequency
-window (2^{j-1}, 2^{j+1}).
+window (2^{j-1}, 2^{j+1}), along the last axis of one vector (K,) or of
+a stack of runs (R, K).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantError, NormResolutionError
-from .filters import Filter, filter_a, profile_phi
+from .errors import InvariantError, NormResolutionError, require_entries
+from .filters import Filter, check_partition, filter_a, profile_phi
 from .jacobi import JacobiParams, gauss_jacobi_rule, generalized_weight, jacobi_eval_all, jacobi_params
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "level_sigma",
+    "frame_invariants",
     "frame_norm",
     "level_frame_norms",
     "coeff_function_norm",
@@ -54,6 +56,9 @@ class JacobiBasis:
     params: JacobiParams
 
     kind = "jacobi"
+
+    def __str__(self) -> str:
+        return f"JacobiBasis(alpha={self.params.alpha:g}, beta={self.params.beta:g})"
 
     def eval_all(self, kmax: int, x) -> np.ndarray:
         return jacobi_eval_all(self.params, kmax, x)
@@ -171,6 +176,11 @@ def _level_rule(basis, j: int, nodes_per_level: str) -> tuple[np.ndarray, np.nda
     return np.arange(n) / n, np.full(n, 1.0 / n)
 
 
+def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
+    """max |Psi^T Psi - diag(a^2)| of one level: its quadrature exactness defect."""
+    return float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
+
+
 def build_frame(
     basis: JacobiBasis | FourierBasis,
     filt: Filter,
@@ -209,8 +219,7 @@ def build_frame(
             raise InvariantError(f"level {j}: {exc}") from exc
         base_vals = basis.eval_all(hi, nodes)[lo:]
         psi = np.sqrt(weights)[:, None] * (avals[None, :] * base_vals.T)
-        gram = psi.T @ psi
-        defect = float(np.max(np.abs(gram - np.diag(avals**2))))
+        defect = _gram_defect(psi, avals)
         worst = max(worst, defect)
         if nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
             raise InvariantError(
@@ -225,21 +234,20 @@ def build_frame(
 
 def _check_coeffs(frame: NeedletFrame, f_coeffs) -> np.ndarray:
     f = np.asarray(f_coeffs, dtype=float)
-    if f.ndim != 1 or f.shape[0] < frame.budget:
+    if f.ndim not in (1, 2) or f.shape[-1] < frame.budget:
         raise ValueError(
-            f"coefficient vector must be 1-d with length >= {frame.budget}, "
+            f"coefficients must have shape (K,) or (R, K) with K >= {frame.budget}, "
             f"got shape {f.shape}"
         )
-    return f[: frame.budget]
+    f = f[..., : frame.budget]
+    require_entries(f, np.isfinite(f), "coefficient f", "finite")
+    return f
 
 
 def analyze(frame: NeedletFrame, f_coeffs) -> list[np.ndarray]:
     """Needlet coefficients beta_{j,eta} = sum_i f_i psi^i_{j,eta}, one array per level."""
     f = _check_coeffs(frame, f_coeffs)
-    out = []
-    for lev in frame.levels:
-        out.append(lev.psi @ f[lev.freq_lo : lev.freq_hi + 1])
-    return out
+    return [f[..., lev.freq_lo : lev.freq_hi + 1] @ lev.psi.T for lev in frame.levels]
 
 
 def synthesize(frame: NeedletFrame, beta: list[np.ndarray]) -> np.ndarray:
@@ -248,14 +256,16 @@ def synthesize(frame: NeedletFrame, beta: list[np.ndarray]) -> np.ndarray:
         raise ValueError(
             f"expected {len(frame.levels)} coefficient levels, got {len(beta)}"
         )
-    out = np.zeros(frame.budget)
+    runs = np.shape(beta[0])[:-1]
+    out = np.zeros(runs + (frame.budget,))
     for lev, b in zip(frame.levels, beta):
         b = np.asarray(b, dtype=float)
-        if b.shape != (lev.n_nodes,):
+        if b.shape != runs + (lev.n_nodes,):
             raise ValueError(
-                f"level {lev.j}: expected {lev.n_nodes} coefficients, got shape {b.shape}"
+                f"level {lev.j}: expected shape {runs + (lev.n_nodes,)}, got {b.shape}"
             )
-        out[lev.freq_lo : lev.freq_hi + 1] += lev.psi.T @ b
+        require_entries(b, np.isfinite(b), f"level {lev.j} beta", "finite")
+        out[..., lev.freq_lo : lev.freq_hi + 1] += b @ lev.psi
     return out
 
 
@@ -274,6 +284,25 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
         scaled = lev.psi / b[lev.freq_lo : lev.freq_hi + 1][None, :]
         out[li] = math.sqrt(float(np.max(np.sum(scaled**2, axis=1))))
     return out
+
+
+def frame_invariants(frame: NeedletFrame) -> list[tuple[str, float, float]]:
+    """(name, measured, tolerance) rows of the frame invariant suite."""
+    gram_defect = zero_sum = norm_max = 0.0
+    for lev in frame.levels:
+        i = np.arange(lev.freq_lo, lev.freq_hi + 1)
+        a = filter_a(frame.filt, i / 2.0**lev.j) if lev.j >= 0 else np.ones(1)
+        gram_defect = max(gram_defect, _gram_defect(lev.psi, a))
+        if lev.j >= 0:
+            zero_sum = max(zero_sum, float(np.max(np.abs(np.sqrt(lev.weights) @ lev.psi))))
+        norm_max = max(norm_max, float(np.max(np.sqrt(np.sum(lev.psi**2, axis=1)))))
+    xi = np.linspace(1.0, float(2**frame.j_max), 4001)
+    return [
+        ("partition-of-unity", check_partition(frame.filt, xi), 1e-12),
+        ("gram-diagonal", gram_defect, 1e-9),
+        ("zero-sum-per-frequency", zero_sum, 1e-10),
+        ("needlet-norm<=1", norm_max, 1.0 + 1e-10),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +406,7 @@ def level_frame_norms(frame: NeedletFrame, j: int, p: float) -> np.ndarray:
 def coeff_function_norm(frame: NeedletFrame, coeffs, p: float) -> float:
     """L_p norm of the function sum_i coeffs_i e_i under the family's measure."""
     f = _check_coeffs(frame, coeffs)
-    return float(_block_lp_norms(frame.basis, f[None, :], 0, frame.j_max, p)[0])
+    return float(_block_lp_norms(frame.basis, f.reshape(1, frame.budget), 0, frame.j_max, p)[0])
 
 
 def localization_check(frame: NeedletFrame, j: int, nu: int, l: int) -> float:
@@ -438,6 +467,6 @@ def best_approx_errors(frame: NeedletFrame, f_coeffs, p: float, j_range) -> np.n
             out[pos] = 0.0
             continue
         out[pos] = _block_lp_norms(
-            frame.basis, residual[None, :], 0, frame.j_max, p
+            frame.basis, residual.reshape(1, frame.budget), 0, frame.j_max, p
         )[0]
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnresolvedIntegrandError
+from .errors import UnresolvedIntegrandError, require_entries
 from .frame import FourierBasis, JacobiBasis, fourier_basis, jacobi_basis
 from .jacobi import jacobi_eval_all
 
@@ -48,7 +48,8 @@ class SvdModel:
 
     kind names the operator; domain selects the natural-domain evaluators
     ("wicksell": [0,1] with measure dx/(4x); "periodic": Lebesgue on [0,1]).
-    basis is the sequence-space family needlet frames are built on.
+    basis is the sequence-space family needlet frames are built on. Every
+    singular value must be finite and strictly positive.
     """
 
     kind: str
@@ -57,6 +58,10 @@ class SvdModel:
     basis: JacobiBasis | FourierBasis
     domain: str
 
+    def __post_init__(self) -> None:
+        b = np.asarray(self.b)
+        require_entries(b, np.isfinite(b) & (b > 0.0), "singular value b", "finite and > 0")
+
     @property
     def kmax(self) -> int:
         return self.b.shape[0] - 1
@@ -64,7 +69,7 @@ class SvdModel:
 
 @dataclass(frozen=True)
 class SequenceObservation:
-    """Observed coefficients Y_i = b_i f_i + eps xi_i with the noise amplitude."""
+    """Observed Y_i = b_i f_i + eps xi_i of one run (K,) or a stack of runs (R, K), with eps."""
 
     y: np.ndarray
     epsilon: float
@@ -72,17 +77,13 @@ class SequenceObservation:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        bad = np.flatnonzero(~np.isfinite(self.y))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"observation y[{i}] = {self.y[i]} is not finite "
-                f"({bad.size} of {self.y.size} entries are not)"
-            )
+        if np.ndim(self.y) not in (1, 2):
+            raise ValueError(f"observation must have shape (K,) or (R, K), got {np.shape(self.y)}")
+        require_entries(self.y, np.isfinite(self.y), "observation y", "finite")
 
     @property
     def kmax(self) -> int:
-        return self.y.shape[0] - 1
+        return self.y.shape[-1] - 1
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -23,8 +23,11 @@ Q carries an absolute rounding error of a small multiple of
 Q >= 0.013 while ||f||_w^2 is about 1, and the best and second-best cutoff
 scores of a setting differ by at least 1.4e-4 relative. The losses
 reported at the chosen cutoff are computed directly, not from Q.
-Each estimator's runs are scored together, with one (R, K) @ (K, n)
-product and the row-wise losses.weighted_loss.
+
+A setting's runs go through every estimator as one (R, K) stack (so do
+the rate study's runs at each noise level), with one seeded generator per
+run, and are scored with one (R, K) @ (K, n) product and the row-wise
+losses.weighted_loss.
 """
 
 from __future__ import annotations
@@ -45,11 +48,13 @@ from .estimators import (
     projection_cutoff,
     projection_gram,
     svd_adaptive,
+    svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, make_filter, make_profile
 from .frame import NODES_EXACT, NeedletFrame, build_frame, jacobi_basis
 from .losses import weighted_loss
 from .models import (
+    SequenceObservation,
     SvdModel,
     calibrate_epsilon,
     coeffs_from_function,
@@ -245,25 +250,27 @@ def _build_frame(spec: FrameSpec) -> NeedletFrame:
 
 
 def _pad(coeffs: np.ndarray, size: int) -> np.ndarray:
-    if coeffs.shape[0] > size:
+    if coeffs.shape[-1] > size:
         # only an identically-zero tail may be dropped; anything else would
         # silently change the target
-        if np.any(coeffs[size:]):
+        if np.any(coeffs[..., size:]):
             raise ValueError(
                 f"coefficient target has support beyond index {size - 1}, "
                 "outside the frame budget"
             )
-        return np.asarray(coeffs[:size], dtype=float)
-    out = np.zeros(size)
-    out[: coeffs.shape[0]] = coeffs
+        return np.asarray(coeffs[..., :size], dtype=float)
+    out = np.zeros(coeffs.shape[:-1] + (size,))
+    out[..., : coeffs.shape[-1]] = coeffs
     return out
 
 
-def _truncate(ybars: np.ndarray, top: int) -> np.ndarray:
-    """The runs' naive inverses with every coefficient past index top zeroed."""
-    out = ybars.copy()
-    out[:, top + 1 :] = 0.0
-    return out
+def _draw_runs(model, f_coeffs, epsilon, master_seed, runs, target_id, noise_id):
+    """Per-run seeds and the runs drawn from them, stacked as one (runs, K) observation."""
+    seeds = tuple(derive_seed(master_seed, r, target_id, noise_id) for r in range(runs))
+    y = np.stack([
+        sample_observation(model, f_coeffs, epsilon, np.random.default_rng(s)).y for s in seeds
+    ])
+    return seeds, SequenceObservation(y, float(epsilon))
 
 
 def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = None) -> SimulationReport:
@@ -298,15 +305,9 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
                 epsilon = config.epsilon_override
             else:
                 epsilon = calibrate_epsilon(model, f_coeffs, rsnr, n)
-            noise_id = f"rsnr={rsnr:g}"
-            seeds = tuple(
-                derive_seed(config.seed, r, target, noise_id) for r in range(config.runs)
+            seeds, obs = _draw_runs(
+                model, f_coeffs, epsilon, config.seed, config.runs, target, f"rsnr={rsnr:g}"
             )
-            obs_list = [
-                sample_observation(model, f_coeffs, epsilon, np.random.default_rng(s))
-                for s in seeds
-            ]
-            ybars = np.stack([obs.y / model.b for obs in obs_list])
 
             plan = None
             adapt_cfg = None
@@ -320,18 +321,15 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
             for estimator in config.estimators:
                 n_star = None
                 if estimator == "svd-proj":
-                    n_star = projection_cutoff(ybars, e_vals, true_vals, gram)
-                    coeffs = _truncate(ybars, n_star)
+                    n_star = projection_cutoff(obs.y / model.b, e_vals, true_vals, gram)
+                    coeffs = svd_projection(model, obs, n_star)
                 elif estimator == "needd":
-                    coeffs = np.stack([
-                        _pad(need_d(frame, model, obs, plan).coeffs, model.kmax + 1)
-                        for obs in obs_list
-                    ])
+                    coeffs = _pad(need_d(frame, model, obs, plan).coeffs, model.kmax + 1)
                 elif epsilon > 0.0:
-                    coeffs = np.stack([svd_adaptive(model, obs, adapt_cfg) for obs in obs_list])
+                    coeffs = svd_adaptive(model, obs, adapt_cfg)
                 else:
                     # zero-noise limit of the blockwise filter: unit weights up to the n/2 cap
-                    coeffs = _truncate(ybars, min(n // 2, model.kmax))
+                    coeffs = svd_projection(model, obs, min(n // 2, model.kmax))
                 fhat_vals = coeffs @ e_vals
                 l1 = weighted_loss(true_vals, fhat_vals, n, 1)
                 rmse = weighted_loss(true_vals, fhat_vals, n, 2)
@@ -402,12 +400,11 @@ def rate_study(
     means = []
     for epsilon in eps:
         plan = make_threshold_plan(frame, model, epsilon, kappa=kappa)
-        coeffs = []
-        for r in range(runs):
-            seed = derive_seed(master_seed, r, f"rate-{model.kind}", f"eps={epsilon:g}")
-            obs = sample_observation(model, f_coeffs, epsilon, np.random.default_rng(seed))
-            coeffs.append(_pad(need_d(frame, model, obs, plan).coeffs, model.kmax + 1))
-        means.append(float(np.mean(weighted_loss(true_vals, np.stack(coeffs) @ e_vals, n, 2))))
+        _, obs = _draw_runs(
+            model, f_coeffs, epsilon, master_seed, runs, f"rate-{model.kind}", f"eps={epsilon:g}"
+        )
+        coeffs = _pad(need_d(frame, model, obs, plan).coeffs, model.kmax + 1)
+        means.append(float(np.mean(weighted_loss(true_vals, coeffs @ e_vals, n, 2))))
 
     if any(m <= 0.0 for m in means):
         raise InvariantError("degenerate fit: a mean RMSE vanished, log is undefined")

@@ -18,6 +18,9 @@ from needlets import (
     KAPPA_DEFAULT,
     SequenceObservation,
     analyze,
+    build_frame,
+    derive_seed,
+    fourier_basis,
     make_adaptive_config,
     make_blocks,
     make_threshold_plan,
@@ -28,6 +31,7 @@ from needlets import (
     svd_adaptive,
     svd_projection,
     svd_projection_oracle,
+    synthesize,
     wicksell_model,
     eval_e,
 )
@@ -78,6 +82,53 @@ def test_need_d_nan_observation_rejected(frame8, wicksell512, rng):
     plan = make_threshold_plan(frame8, wicksell512, 0.0)
     with pytest.raises(ValueError, match=r"y\[3\] = nan"):
         need_d(frame8, wicksell512, SequenceObservation(y, 0.0), plan)
+
+
+def test_need_d_rejects_frame_on_another_basis(frame8, filt, wicksell512, rng):
+    # a Fourier frame reconstructs Wicksell coefficients exactly, but its
+    # needlets are localized on the circle, not on the Wicksell domain
+    fourier = build_frame(fourier_basis(), filt, j_max=frame8.j_max)
+    with pytest.raises(ValueError, match=r"FourierBasis\(\) differs from model basis JacobiBasis\(alpha=0, beta=1\)"):
+        make_threshold_plan(fourier, wicksell512, 0.01)
+    obs = sample_observation(wicksell512, _signal(frame8), 0.01, rng)
+    plan = make_threshold_plan(frame8, wicksell512, 0.01)
+    with pytest.raises(ValueError, match="FourierBasis.*JacobiBasis"):
+        need_d(fourier, wicksell512, obs, plan)
+
+
+def test_run_stack_rows_match_single_runs(frame8, wicksell512):
+    # an (R, K) observation goes through every estimator in one call; row r
+    # must be what the single-run call on run r returns
+    eps = 0.01
+    c = _signal(frame8)
+    single = [
+        sample_observation(wicksell512, c, eps, np.random.default_rng(derive_seed(7, r, "t", "n")))
+        for r in range(20)
+    ]
+    stack = SequenceObservation(np.stack([o.y for o in single]), eps)
+    assert stack.kmax == 512 and stack.y.shape == (20, 513)
+
+    ybars = stack.y[:, : frame8.budget] / wicksell512.b[: frame8.budget]
+    beta = analyze(frame8, ybars)
+    back = synthesize(frame8, beta)
+    for r, ybar in enumerate(ybars):
+        for level, row in zip(beta, analyze(frame8, ybar)):
+            np.testing.assert_allclose(level[r], row, rtol=1e-12, atol=1e-12 * np.max(np.abs(row)))
+        want = synthesize(frame8, [level[r] for level in beta])
+        np.testing.assert_allclose(back[r], want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    plan = make_threshold_plan(frame8, wicksell512, eps)
+    cfg = make_adaptive_config(wicksell512, eps, 1024)
+    res = need_d(frame8, wicksell512, stack, plan)
+    adapt = svd_adaptive(wicksell512, stack, cfg)
+    proj = svd_projection(wicksell512, stack, 40)
+    for r, obs in enumerate(single):
+        one = need_d(frame8, wicksell512, obs, plan)
+        for level, row in zip(res.beta, one.beta):
+            np.testing.assert_array_equal(level[r] != 0.0, row != 0.0)
+        np.testing.assert_allclose(res.coeffs[r], one.coeffs, rtol=1e-12, atol=1e-12 * np.max(np.abs(one.coeffs)))
+        np.testing.assert_array_equal(adapt[r], svd_adaptive(wicksell512, obs, cfg))
+        np.testing.assert_array_equal(proj[r], svd_projection(wicksell512, obs, 40))
 
 
 def test_need_d_threshold_is_hard(frame8, wicksell512, rng):

@@ -88,6 +88,30 @@ def test_coefficient_shape_errors(frame7):
     beta[3] = beta[3][:-2]
     with pytest.raises(ValueError):
         synthesize(frame7, beta)
+    with pytest.raises(ValueError):
+        analyze(frame7, np.zeros((2, 3, 256)))
+    # a stack of runs must be a stack on every level
+    beta = analyze(frame7, np.zeros((4, 256)))
+    beta[2] = beta[2][0]
+    with pytest.raises(ValueError, match="level 1"):
+        synthesize(frame7, beta)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_rejected(frame7, bad):
+    f = np.ones(256)
+    f[17] = bad
+    with pytest.raises(ValueError, match=rf"f\[17\] = {bad}"):
+        analyze(frame7, f)
+    runs = np.ones((3, 256))
+    runs[2, 17] = bad
+    with pytest.raises(ValueError, match=rf"f\[2, 17\] = {bad}"):
+        analyze(frame7, runs)
+    beta = analyze(frame7, np.ones(256))
+    beta[4] = beta[4].copy()
+    beta[4][5] = bad
+    with pytest.raises(ValueError, match=rf"level 3 beta\[5\] = {bad}"):
+        synthesize(frame7, beta)
 
 
 def test_exact_mode_defect_small_paper_mode_larger():

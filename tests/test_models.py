@@ -18,6 +18,7 @@ import scipy.integrate
 
 from needlets import (
     SequenceObservation,
+    SvdModel,
     UnresolvedIntegrandError,
     calibrate_epsilon,
     coeffs_from_function,
@@ -28,6 +29,7 @@ from needlets import (
     eval_g,
     forward,
     function_from_coeffs,
+    jacobi_basis,
     sample_observation,
     target_breakpoints,
     target_function,
@@ -59,6 +61,14 @@ def test_singular_values_closed_form(wicksell512):
     # b_k (1+k)^{1/2} is constant: the decay exponent is exactly 1/2
     np.testing.assert_allclose(b * np.sqrt(1.0 + np.arange(513)), math.pi / 16.0, rtol=1e-14)
     assert wicksell512.nu == 0.5
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+def test_svd_model_rejects_bad_singular_values(bad):
+    b = np.ones(6)
+    b[4] = bad
+    with pytest.raises(ValueError, match=rf"b\[4\] = {bad}"):
+        SvdModel("bad", b, 0.5, jacobi_basis(0.0, 1.0), "wicksell")
 
 
 def test_direct_model_flat():
@@ -195,6 +205,11 @@ def test_observation_rejects_non_finite_y(bad):
     y[5] = bad
     with pytest.raises(ValueError, match=rf"y\[5\] = {bad}"):
         SequenceObservation(y, 0.01)
+    # in a stack of runs the message names the run, then the index
+    runs = np.ones((3, 8))
+    runs[2, 5] = bad
+    with pytest.raises(ValueError, match=rf"y\[2, 5\] = {bad}"):
+        SequenceObservation(runs, 0.01)
 
 
 def test_sample_observation_rejects_nan_epsilon(wicksell512):
