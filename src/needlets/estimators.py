@@ -4,7 +4,8 @@ Three families: hard-thresholded needlet coefficients of the naive inverse
 (need_d), fixed-cutoff SVD projection with an oracle variant that reads the
 truth, and a blockwise data-driven SVD filter. All consume a
 SequenceObservation and return coefficients in the model's SVD basis.
-need_d, svd_projection and svd_adaptive map a stack of runs (R, K) row by row.
+need_d, svd_projection and svd_adaptive map a stack of runs (R, K) row by row;
+svd_projection_oracle gives a stack one cutoff from its runs' summed scores.
 """
 
 from __future__ import annotations
@@ -75,12 +76,26 @@ def _require_same_basis(frame: NeedletFrame, model: SvdModel) -> None:
         raise ValueError(f"frame basis {frame.basis} differs from model basis {model.basis}")
 
 
+def _threshold_schedule(
+    frame: NeedletFrame, model: SvdModel, epsilon: float, kappa: float
+) -> tuple[float, int]:
+    """(t_eps, j_top) of make_threshold_plan; they vary with epsilon, sigma does not."""
+    if not 0.0 <= epsilon < 1.0:
+        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if epsilon == 0.0:
+        return 0.0, frame.j_max
+    t_eps = epsilon * math.sqrt(math.log(1.0 / epsilon))
+    j_raw = math.floor(math.log2(t_eps ** (-2.0 / (1.0 + 2.0 * model.nu))))
+    return float(t_eps), int(min(j_raw, frame.j_max))
+
+
 def make_threshold_plan(
     frame: NeedletFrame,
     model: SvdModel,
     epsilon: float,
     kappa: float = KAPPA_DEFAULT,
-    log_base: float = math.e,
 ) -> ThresholdPlan:
     """Resolve t_eps = eps*sqrt(log(1/eps)), the top level, and level deviations.
 
@@ -88,19 +103,9 @@ def make_threshold_plan(
     crossover for ill-posedness degree nu), capped by the frame. epsilon = 0
     degenerates to interpolation: zero threshold, every level kept.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    t_eps, j_top = _threshold_schedule(frame, model, epsilon, kappa)
     _require_same_basis(frame, model)
-    if epsilon == 0.0:
-        t_eps, j_top = 0.0, frame.j_max
-    else:
-        t_eps = epsilon * math.sqrt(_log(1.0 / epsilon, log_base))
-        j_raw = math.floor(math.log2(t_eps ** (-2.0 / (1.0 + 2.0 * model.nu))))
-        j_top = min(j_raw, frame.j_max)
-    sigma = level_sigma(frame, model.b)
-    return ThresholdPlan(float(kappa), float(t_eps), int(j_top), sigma)
+    return ThresholdPlan(float(kappa), t_eps, j_top, level_sigma(frame, model.b))
 
 
 def need_d(
@@ -184,14 +189,16 @@ def svd_projection_oracle(
     Sweeps every cutoff N = 0..kmax/2 with projection_cutoff, i.e. by the
     weighted RMSE of the grid reconstruction against f_vals, and returns
     the minimizing cutoff (ties to the smaller N) with its coefficient
-    estimate. Pass the (kmax+1, len(grid)) basis table e_vals when sweeping
-    many runs on one grid; it is recomputed otherwise.
+    estimate. A stack of runs (R, K) gets one cutoff, from the summed scores
+    of its runs, and one estimate per row. Pass the (kmax+1, len(grid))
+    basis table e_vals when sweeping many runs on one grid; it is
+    recomputed otherwise.
     """
     top = obs.kmax // 2
     if e_vals is None:
         e_vals = eval_e(model, top, grid)
     e_top = e_vals[: top + 1]
-    ybar = obs.y[: top + 1] / model.b[: top + 1]
+    ybar = obs.y[..., : top + 1] / model.b[: top + 1]
     best_n = projection_cutoff(ybar, e_top, f_vals, projection_gram(e_top))
     return best_n, svd_projection(model, obs, best_n)
 

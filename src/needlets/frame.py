@@ -430,19 +430,13 @@ def localization_check(frame: NeedletFrame, j: int, nu: int, l: int) -> float:
     return float(np.max(np.abs(vals) * envelope * np.sqrt(omega)) / 2.0 ** (j / 2.0))
 
 
-def besov_seq_norm(
-    frame: NeedletFrame,
-    beta: list[np.ndarray],
-    bp: BesovParams,
-    p_for_psi_norms: float | None = None,
-) -> float:
+def besov_seq_norm(frame: NeedletFrame, beta: list[np.ndarray], bp: BesovParams) -> float:
     """Sequence norm || (2^{js} (sum_eta |beta|^pi ||psi||_pi^pi)^{1/pi})_j ||_{l_r}."""
     if len(beta) != len(frame.levels):
         raise ValueError(f"expected {len(frame.levels)} levels, got {len(beta)}")
-    pi_norm = bp.pi if p_for_psi_norms is None else p_for_psi_norms
     terms = np.empty(len(frame.levels))
     for li, lev in enumerate(frame.levels):
-        norms = level_frame_norms(frame, lev.j, pi_norm)
+        norms = level_frame_norms(frame, lev.j, bp.pi)
         inner = float(np.sum(np.abs(np.asarray(beta[li])) ** bp.pi * norms**bp.pi))
         terms[li] = 2.0 ** (lev.j * bp.s) * inner ** (1.0 / bp.pi)
     if math.isinf(bp.r):

@@ -1,5 +1,9 @@
 """Orthonormal Jacobi polynomials and Gauss-Jacobi quadrature rules.
 
+Rule nodes are eigenvalues of the Jacobi matrix, Newton-polished on the
+orthonormal recurrence; weights are Christoffel weights
+w = 1 / sum_{k<N} Pi_k(node)^2.
+
 Everything is normalized against the probability measure
 dgamma_{alpha,beta}(x) = c_norm (1-x)^alpha (1+x)^beta dx on [-1, 1],
 so Pi_0 = 1 and quadrature weights sum to 1.
@@ -11,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NodeSolveError
 
@@ -118,51 +122,43 @@ def _eval_with_derivative(
     p = (x - diag[0]) / off[0]
     d_prev = np.zeros_like(x)
     d = np.full_like(x, 1.0 / off[0])
-    kernel = 1.0 + p * p
+    kernel = np.ones_like(x)
     for k in range(1, n):
+        kernel += p * p
         p_next = ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
         d_next = (p + (x - diag[k]) * d - off[k - 1] * d_prev) / off[k]
         p_prev, p = p, p_next
         d_prev, d = d, d_next
-        if k < n - 1:
-            kernel += p * p
     return p, d, kernel
 
 
-def gauss_jacobi_rule(params: JacobiParams, N: int, polish: bool = True) -> QuadratureRule:
+def gauss_jacobi_rule(params: JacobiParams, N: int) -> QuadratureRule:
     """N-node Gauss-Jacobi rule, exact on polynomials of degree <= 2N-1.
 
-    Nodes are the zeros of Pi_N via the symmetric tridiagonal eigenproblem,
-    optionally Newton-polished to 1e-14; weights come from the Christoffel
-    identity w = 1 / sum_{k<N} Pi_k(node)^2. Raises NodeSolveError rather
-    than returning an uncertified rule.
+    Nodes are the zeros of Pi_N: eigenvalues of the symmetric tridiagonal
+    Jacobi matrix, Newton-polished to 1e-14. Weights are Christoffel weights
+    w = 1 / sum_{k<N} Pi_k(node)^2. Raises NodeSolveError rather than
+    returning an uncertified rule.
     """
     _check_exponents(params.alpha, params.beta)
     if N < 1:
         raise ValueError(f"rule order must be >= 1, got {N}")
     diag, off = _recurrence(params, N + 1)
-    if N == 1:
-        nodes = np.array([diag[0]])
-        weights = np.array([1.0])
-        return _certify(QuadratureRule(N, nodes, weights, params))
-    nodes, vecs = eigh_tridiagonal(diag[:N], off[: N - 1])
-    weights = vecs[0] ** 2
-    if polish:
-        for it in range(60):
-            p, dp, _ = _eval_with_derivative(diag, off, N, nodes)
-            step = p / dp
-            nodes = nodes - step
-            if np.max(np.abs(step)) <= 1e-14:
-                break
-        else:
-            worst = int(np.argmax(np.abs(step)))
-            raise NodeSolveError(
-                f"Newton polish did not converge for node {worst} of the order-{N} rule"
-            )
-        _, _, kernel = _eval_with_derivative(diag, off, N, nodes)
-        weights = 1.0 / kernel
+    nodes = eigvalsh_tridiagonal(diag[:N], off[: N - 1])
+    for it in range(60):
+        p, dp, _ = _eval_with_derivative(diag, off, N, nodes)
+        step = p / dp
+        nodes = nodes - step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    else:
+        worst = int(np.argmax(np.abs(step)))
+        raise NodeSolveError(
+            f"Newton polish did not converge for node {worst} of the order-{N} rule"
+        )
+    _, _, kernel = _eval_with_derivative(diag, off, N, nodes)
     # store in strictly decreasing order (theta = arccos increasing)
-    rule = QuadratureRule(N, nodes[::-1].copy(), weights[::-1].copy(), params)
+    rule = QuadratureRule(N, nodes[::-1].copy(), 1.0 / kernel[::-1], params)
     return _certify(rule)
 
 

@@ -42,6 +42,8 @@ import numpy as np
 from .errors import InvariantError
 from .estimators import (
     KAPPA_DEFAULT,
+    ThresholdPlan,
+    _threshold_schedule,
     make_adaptive_config,
     make_threshold_plan,
     need_d,
@@ -51,7 +53,7 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, make_filter, make_profile
-from .frame import NODES_EXACT, NeedletFrame, build_frame, jacobi_basis
+from .frame import NODES_EXACT, NeedletFrame, build_frame, jacobi_basis, level_sigma
 from .losses import weighted_loss
 from .models import (
     SequenceObservation,
@@ -397,9 +399,12 @@ def rate_study(
     e_vals = eval_e(model, model.kmax, grid)
     true_vals = f_coeffs @ e_vals
 
+    # level deviations depend on (frame, model) only, not on the noise level
+    sigma = level_sigma(frame, model.b)
     means = []
     for epsilon in eps:
-        plan = make_threshold_plan(frame, model, epsilon, kappa=kappa)
+        t_eps, j_top = _threshold_schedule(frame, model, epsilon, kappa)
+        plan = ThresholdPlan(float(kappa), t_eps, j_top, sigma)
         _, obs = _draw_runs(
             model, f_coeffs, epsilon, master_seed, runs, f"rate-{model.kind}", f"eps={epsilon:g}"
         )

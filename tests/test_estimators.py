@@ -301,6 +301,29 @@ def test_projection_oracle_ties_break_to_smaller(wicksell512, rng):
     assert n_star == 0
 
 
+def test_projection_oracle_on_run_stack(wicksell512):
+    # a stack of runs gets one cutoff, the one projection_cutoff picks from
+    # the same rows, and each row of the estimate is that cutoff's projection
+    eps = 0.02
+    grid = (1.0 + np.arange(128)) / 128.0
+    e_vals = eval_e(wicksell512, 512, grid)
+    c = np.zeros(513)
+    c[:10] = np.random.default_rng(5).standard_normal(10)
+    f_vals = c @ e_vals
+    single = [
+        sample_observation(wicksell512, c, eps, np.random.default_rng(derive_seed(3, r, "o", "n")))
+        for r in range(5)
+    ]
+    stack = SequenceObservation(np.stack([o.y for o in single]), eps)
+    n_star, fhat = svd_projection_oracle(wicksell512, stack, f_vals, grid, e_vals)
+    e_top = e_vals[:257]
+    ybars = stack.y[:, :257] / wicksell512.b[:257]
+    assert n_star == projection_cutoff(ybars, e_top, f_vals, projection_gram(e_top))
+    assert fhat.shape == (5, 513)
+    for r, obs in enumerate(single):
+        np.testing.assert_array_equal(fhat[r], svd_projection(wicksell512, obs, n_star))
+
+
 def test_projection_cutoff_rejects_non_finite_runs(wicksell512, rng):
     # a NaN run would turn every cutoff score into NaN and argmin into 0
     grid = (1.0 + np.arange(64)) / 64.0

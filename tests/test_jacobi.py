@@ -66,6 +66,11 @@ def test_rule_matches_scipy(alpha, beta):
     # scipy uses the unnormalized weight; ours integrates a probability measure
     np.testing.assert_allclose(rule.nodes, x[::-1], rtol=0, atol=1e-13)
     np.testing.assert_allclose(rule.weights, w[::-1] * params.c_norm, rtol=1e-13)
+    # at high order only the nodes are compared: scipy's own weights drift
+    # by up to 6e-7 relative at N = 2048
+    big = gauss_jacobi_rule(params, 1024)
+    x_big, _ = scipy.special.roots_jacobi(1024, alpha, beta)
+    np.testing.assert_allclose(big.nodes, x_big[::-1], rtol=0, atol=1e-15)
 
 
 def test_c_norm_is_reciprocal_mass():
@@ -83,6 +88,12 @@ def test_gram_orthonormality(alpha, beta):
     vals = jacobi_eval_all(params, 40, rule.nodes)
     gram = (vals * rule.weights) @ vals.T
     assert np.max(np.abs(gram - np.eye(41))) < 1e-9
+    # an N-node rule integrates Pi_j Pi_k exactly for every j, k < N
+    n = 1024
+    rule = gauss_jacobi_rule(params, n)
+    vals = jacobi_eval_all(params, n - 1, rule.nodes)
+    gram = (vals * rule.weights) @ vals.T
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
 
 def test_eval_normalization_and_endpoint():
