@@ -62,6 +62,7 @@ from .jacobi import (
     generalized_weight,
     jacobi_eval_all,
     jacobi_params,
+    jacobi_weighted_sums,
 )
 from .losses import grid_weights, weighted_loss
 from .models import (

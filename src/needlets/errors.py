@@ -46,10 +46,11 @@ def require_entries(values: np.ndarray, ok: np.ndarray, label: str, requirement:
     label[r, i] for a stack of runs, with its value and the bad count:
     "observation y[3] = nan is not finite (1 of 8 entries are not)".
     """
+    if ok.all():
+        return
     bad = np.argwhere(~ok)
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        raise ValueError(
-            f"{label}[{', '.join(map(str, idx))}] = {values[idx]} is not {requirement} "
-            f"({len(bad)} of {values.size} entries are not)"
-        )
+    idx = tuple(int(i) for i in bad[0])
+    raise ValueError(
+        f"{label}[{', '.join(map(str, idx))}] = {values[idx]} is not {requirement} "
+        f"({len(bad)} of {values.size} entries are not)"
+    )

@@ -88,6 +88,22 @@ class FourierBasis:
             out[1:] = vals.reshape((kmax,) + xs.shape)
         return out
 
+    def trapezoid_coeffs(self, kmax: int, values) -> np.ndarray:
+        """Trapezoid-rule <f, e_k>, k = 0..kmax, from samples f(s/n), s = 0..n-1.
+
+        sum_s f(s/n) exp(-2 pi i m s/n) / n is rfft(f)[m] / n: sqrt2 times its
+        real part and its negated imaginary part are the cos and sin sums at
+        flat indices 2m-1 and 2m. This equals eval_all(kmax, s/n) @ f / n up
+        to rounding while the top frequency (kmax+1)//2 stays below n/2.
+        """
+        vals = np.asarray(values, dtype=float)
+        spec = np.fft.rfft(vals)[: (kmax + 1) // 2 + 1] / vals.shape[0]
+        out = np.empty(2 * spec.shape[0] - 1)
+        out[0] = spec[0].real
+        out[1::2] = math.sqrt(2.0) * spec[1:].real
+        out[2::2] = -math.sqrt(2.0) * spec[1:].imag
+        return out[: kmax + 1]
+
 
 def jacobi_basis(alpha: float, beta: float) -> JacobiBasis:
     """Jacobi basis family with probability normalization."""

@@ -6,8 +6,9 @@ kind and order, node mode, top level, recorded exactness defect), then one
 dense block per level holding nodes, weights, and the needlet coefficient
 matrix as raw 64-bit floats. Loading rebuilds the filter and basis from the
 stored parameters and takes the level blocks verbatim, so a round trip is
-bit-exact; any structural mismatch raises ValueError rather than returning
-a partially read frame.
+bit-exact; any structural mismatch, and any non-finite psi entry, node
+outside (-1, 1) or non-positive weight, raises ValueError naming the level
+and entry rather than returning a partially read or corrupt frame.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import struct
 
 import numpy as np
 
+from .errors import require_entries
 from .filters import POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL, make_filter, make_profile
 from .frame import (
     NODES_EXACT,
@@ -114,6 +116,11 @@ def load_frame(path) -> NeedletFrame:
         weights = np.frombuffer(raw, dtype="<f8").copy()
         raw, offset = _take(buf, offset, 8 * n_nodes * n_freq)
         psi = np.frombuffer(raw, dtype="<f8").copy().reshape(n_nodes, n_freq)
+        require_entries(nodes, np.abs(nodes) < 1.0, f"level {j} nodes", "inside (-1, 1)")
+        require_entries(
+            weights, np.isfinite(weights) & (weights > 0.0), f"level {j} weights", "finite and > 0"
+        )
+        require_entries(psi, np.isfinite(psi), f"level {j} psi", "finite")
         levels.append(FrameLevel(j, nodes, weights, freq_lo, psi))
         expected_j += 1
     if offset != len(buf):

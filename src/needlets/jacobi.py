@@ -25,6 +25,7 @@ __all__ = [
     "NodeSolveError",
     "jacobi_params",
     "jacobi_eval_all",
+    "jacobi_weighted_sums",
     "generalized_weight",
     "gauss_jacobi_rule",
 ]
@@ -111,6 +112,36 @@ def jacobi_eval_all(params: JacobiParams, kmax: int, x) -> np.ndarray:
     out[1] = (xs - diag[0]) / off[0]
     for k in range(1, kmax):
         out[k + 1] = ((xs - diag[k]) * out[k] - off[k - 1] * out[k - 1]) / off[k]
+    return out
+
+
+def jacobi_weighted_sums(params: JacobiParams, kmax: int, x, v) -> np.ndarray:
+    """Sums out[k] = sum_i Pi_k(x_i) v_i for k = 0..kmax.
+
+    Equal to jacobi_eval_all(params, kmax, x) @ v up to rounding, but the
+    recurrence runs once over the points and each degree is reduced against
+    v as it is formed, so no (kmax+1) x len(x) table is ever held.
+    """
+    _check_exponents(params.alpha, params.beta)
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    xs = np.asarray(x, dtype=float)
+    vs = np.asarray(v, dtype=float)
+    if xs.ndim != 1 or vs.shape != xs.shape:
+        raise ValueError(f"need points and values of one shape (n,), got {xs.shape}, {vs.shape}")
+    if np.any(np.abs(xs) > 1.0):
+        raise ValueError("evaluation points must lie in [-1, 1]")
+    out = np.empty(kmax + 1)
+    out[0] = vs.sum()
+    if kmax == 0:
+        return out
+    diag, off = _recurrence(params, kmax + 1)
+    p_prev = np.ones_like(xs)
+    p = (xs - diag[0]) / off[0]
+    out[1] = p @ vs
+    for k in range(1, kmax):
+        p_prev, p = p, ((xs - diag[k]) * p - off[k - 1] * p_prev) / off[k]
+        out[k + 1] = p @ vs
     return out
 
 

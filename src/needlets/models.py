@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnresolvedIntegrandError, require_entries
 from .frame import FourierBasis, JacobiBasis, fourier_basis, jacobi_basis
-from .jacobi import jacobi_eval_all
+from .jacobi import jacobi_eval_all, jacobi_weighted_sums
 
 __all__ = [
     "SvdModel",
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 _WICKSELL_SCALE = math.pi / 16.0
-# quadrature nodes per basis-table block in coeffs_from_function: blocks of
-# 1024-2048 pay the per-degree Python recurrence too often, while 8192 nodes
-# or the whole table run slower out of cache (timed on the four targets)
-QUAD_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -169,17 +165,22 @@ def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:
 def _piece_nodes(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w on [0,1] with sum w g(x) ~ integral g(x) dx.
 
-    Built as composite Gauss-Legendre in the angle phi = arccos(x), split at
-    the breakpoints. The angle substitution is what makes high-degree
-    polynomials in 2x^2-1 integrable with uniform panels: their oscillations
-    cluster toward x = 1 in x but are evenly spaced in phi.
+    Built as composite 32-point Gauss-Legendre in the angle phi = arccos(x),
+    split at the breakpoints. The angle substitution is what makes
+    high-degree polynomials in 2x^2-1 integrable with equal panels: their
+    oscillations cluster toward x = 1 in x but are evenly spaced in phi.
+    The quarter circle [0, pi/2] would take ceil(order/32) panels; each
+    piece takes that count in proportion to its width in phi, rounded up
+    and at least one, so no panel is wider than on the unsplit interval and
+    a narrow piece costs one panel instead of a full set.
     """
     inner = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
     cuts = [0.0, *(math.acos(b) for b in reversed(inner)), math.pi / 2.0]
     bx, bw = np.polynomial.legendre.leggauss(32)
-    n_panels = max(1, math.ceil(order / 32))
+    quarter_panels = max(1, math.ceil(order / 32))
     xs, ws = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):
+        n_panels = max(1, math.ceil(quarter_panels * (b - a) / (math.pi / 2.0)))
         h = (b - a) / n_panels
         starts = a + np.arange(n_panels) * h
         phi = (starts[:, None] + (bx[None, :] + 1.0) * (h / 2.0)).ravel()
@@ -194,35 +195,25 @@ def coeffs_from_function(model: SvdModel, f, kmax: int, breakpoints=()) -> np.nd
 
     Wicksell integrals are computed in the x-domain, where
     integral f e_k dmu = integral_0^1 f(x) Pi_k(2x^2-1) x dx has a smooth
-    integrand; pass breakpoints at known jumps/kinks of f. The periodic
-    case uses the plain trapezoid rule at 8*kmax points. Both paths verify
+    integrand; pass breakpoints at known jumps/kinks of f. The rule is
+    _piece_nodes' composite Gauss-Legendre in arccos(x), and the sums over
+    its nodes are taken degree by degree along the Jacobi recurrence
+    (jacobi_weighted_sums), so no basis table is formed. The periodic case
+    uses the trapezoid rule at 8*kmax equispaced points, whose Fourier sums
+    are one real FFT (FourierBasis.trapezoid_coeffs). Both paths verify
     stability under order doubling (1e-6 relative) and raise
-    UnresolvedIntegrandError otherwise. The basis is evaluated QUAD_BLOCK
-    nodes at a time and the block products are accumulated, so memory stays
-    at (kmax+1) x QUAD_BLOCK values however many nodes the rule has.
+    UnresolvedIntegrandError otherwise.
     """
     if kmax < 0 or kmax > model.kmax:
         raise ValueError(f"kmax must be in 0..{model.kmax}, got {kmax}")
 
-    def _blocked_dot(table, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # sum_i table(x)[:, i] v_i without holding the whole (kmax+1, len(x)) table
-        out = np.zeros(kmax + 1)
-        for start in range(0, x.shape[0], QUAD_BLOCK):
-            block = slice(start, start + QUAD_BLOCK)
-            out += table(x[block]) @ v[block]
-        return out
-
     def _wicksell_pass(order: int) -> np.ndarray:
         x, w = _piece_nodes(breakpoints, order)
         v = np.asarray(f(x), dtype=float) * x * w
-        return _blocked_dot(
-            lambda xb: jacobi_eval_all(model.basis.params, kmax, 2.0 * xb * xb - 1.0), x, v
-        )
+        return jacobi_weighted_sums(model.basis.params, kmax, 2.0 * x * x - 1.0, v)
 
     def _periodic_pass(order: int) -> np.ndarray:
-        x = np.arange(order) / order
-        v = np.asarray(f(x), dtype=float)
-        return _blocked_dot(lambda xb: model.basis.eval_all(kmax, xb), x, v) / order
+        return model.basis.trapezoid_coeffs(kmax, f(np.arange(order) / order))
 
     one_pass = _wicksell_pass if model.domain == "wicksell" else _periodic_pass
     order = max(4 * kmax, 256) if model.domain == "wicksell" else 8 * max(kmax, 1)
@@ -270,13 +261,15 @@ def sample_observation(
     return SequenceObservation(_freeze(y), float(epsilon))
 
 
-def calibrate_epsilon(model: SvdModel, f_coeffs, rsnr: float, n: int) -> float:
+def calibrate_epsilon(model: SvdModel, f_coeffs, rsnr, n: int) -> float | np.ndarray:
     """Noise amplitude from a root signal-to-noise ratio on the n-point grid.
 
     sigma = sd(Kf on grid)/rsnr with equal grid weights, then eps = sigma/sqrt(n)
-    (the regression/white-noise calibration).
+    (the regression/white-noise calibration). rsnr may be one ratio or an
+    array of them; the result has its shape, and sd(Kf) is computed once,
+    so each entry equals the scalar call's bit for bit.
     """
-    if rsnr <= 0:
+    if np.any(np.asarray(rsnr) <= 0):
         raise ValueError(f"rsnr must be positive, got {rsnr}")
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")

@@ -302,11 +302,12 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
         else:
             raise ValueError(f"unknown target {target!r} and no coefficients supplied")
 
-        for rsnr in config.rsnr:
-            if config.epsilon_override is not None:
-                epsilon = config.epsilon_override
-            else:
-                epsilon = calibrate_epsilon(model, f_coeffs, rsnr, n)
+        if config.epsilon_override is not None:
+            epsilons = [config.epsilon_override] * len(config.rsnr)
+        else:
+            # sd(Kf) depends on the target only: one grid synthesis for all rsnr
+            epsilons = calibrate_epsilon(model, f_coeffs, np.asarray(config.rsnr), n).tolist()
+        for rsnr, epsilon in zip(config.rsnr, epsilons):
             seeds, obs = _draw_runs(
                 model, f_coeffs, epsilon, config.seed, config.runs, target, f"rsnr={rsnr:g}"
             )

@@ -12,6 +12,7 @@ from needlets import (
     make_profile,
     save_frame,
 )
+from needlets.frameio import _HEADER, _LEVEL
 
 
 @pytest.fixture(scope="module")
@@ -99,4 +100,33 @@ def test_reject_bad_enum_code(small_frame, tmp_path):
     blob[6] = 7  # basis code byte
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
+        load_frame(path)
+
+
+@pytest.mark.parametrize(
+    "field, entry, value, message",
+    [
+        ("psi", (12, 4), np.nan, r"level 3 psi\[12, 4\] = nan is not finite"),
+        ("nodes", (5,), 1.5, r"level 3 nodes\[5\] = 1.5 is not inside \(-1, 1\)"),
+        ("weights", (0,), np.inf, r"level 3 weights\[0\] = inf is not finite and > 0"),
+        ("weights", (7,), -0.25, r"level 3 weights\[7\] = -0.25 is not finite and > 0"),
+    ],
+    ids=["psi-nan", "node-outside", "weight-inf", "weight-negative"],
+)
+def test_reject_bad_level_entries(small_frame, tmp_path, field, entry, value, message):
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    # each level block is a shape record, then nodes, weights and psi as float64;
+    # levels -1..2 come before level 3
+    offset = _HEADER.size + _LEVEL.size + sum(
+        _LEVEL.size + 8 * lev.n_nodes * (2 + lev.psi.shape[1]) for lev in small_frame.levels[:4]
+    )
+    lev = small_frame.level(3)
+    start = {"nodes": 0, "weights": lev.n_nodes, "psi": 2 * lev.n_nodes}[field]
+    flat = np.ravel_multi_index(entry, lev.psi.shape if field == "psi" else (lev.n_nodes,))
+    blob = bytearray(path.read_bytes())
+    at = offset + 8 * (start + flat)
+    blob[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=message):
         load_frame(path)

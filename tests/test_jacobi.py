@@ -14,7 +14,13 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from needlets import gauss_jacobi_rule, generalized_weight, jacobi_eval_all, jacobi_params
+from needlets import (
+    gauss_jacobi_rule,
+    generalized_weight,
+    jacobi_eval_all,
+    jacobi_params,
+    jacobi_weighted_sums,
+)
 
 PARAM_GRID = [(0.0, 0.0), (0.0, 1.0), (0.5, -0.3), (2.0, 3.0)]
 
@@ -116,6 +122,29 @@ def test_eval_matches_scipy_normalized():
         # differ by exactly that constant
         want = scipy.special.eval_jacobi(k, 0.0, 1.0, x) * math.sqrt(k + 1.0)
         np.testing.assert_allclose(vals[k], want, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.5, 0.5)])
+@pytest.mark.parametrize("kmax", [0, 1, 2, 64, 512])
+def test_weighted_sums_match_table_product(alpha, beta, kmax):
+    params = jacobi_params(alpha, beta)
+    rng = np.random.default_rng(kmax)
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 2000), [-1.0, 1.0]])
+    v = rng.standard_normal(t.shape[0])
+    want = jacobi_eval_all(params, kmax, t) @ v
+    got = jacobi_weighted_sums(params, kmax, t, v)
+    assert got.shape == (kmax + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_weighted_sums_reject_bad_input():
+    params = jacobi_params(0.0, 1.0)
+    with pytest.raises(ValueError):
+        jacobi_weighted_sums(params, -1, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError):
+        jacobi_weighted_sums(params, 4, np.zeros(3), np.ones(4))
+    with pytest.raises(ValueError):
+        jacobi_weighted_sums(params, 4, np.array([0.0, 1.5]), np.ones(2))
 
 
 def test_interlacing():

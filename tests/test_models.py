@@ -35,6 +35,8 @@ from needlets import (
     target_function,
     wicksell_model,
 )
+from needlets.jacobi import jacobi_eval_all
+from needlets.models import _piece_nodes
 
 
 def _kernel_oracle(model, f_coeffs, y):
@@ -173,6 +175,67 @@ def test_coeffs_need_breakpoints_for_jumps(wicksell512):
     assert np.isfinite(c).all() and abs(c[0]) > 0.01
 
 
+def _uniform_piece_nodes(breakpoints, order):
+    # the earlier rule: ceil(order/32) panels on every piece, however narrow
+    inner = sorted(b for b in breakpoints if 0.0 < b < 1.0)
+    cuts = [0.0, *(math.acos(b) for b in reversed(inner)), math.pi / 2.0]
+    bx, bw = np.polynomial.legendre.leggauss(32)
+    n_panels = math.ceil(order / 32)
+    xs, ws = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        h = (b - a) / n_panels
+        phi = (a + (np.arange(n_panels)[:, None] + (bx[None, :] + 1.0) / 2.0) * h).ravel()
+        xs.append(np.cos(phi))
+        ws.append(np.sin(phi) * np.tile(bw * (h / 2.0), n_panels))
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@pytest.mark.parametrize("breakpoints", [(0.5, 0.5 + 1e-7), (0.999,)])
+def test_narrow_piece_gets_one_panel(wicksell512, breakpoints):
+    lo, hi = (*breakpoints, 1.0)[:2]
+    x, w = _piece_nodes(breakpoints, 256)
+    assert np.count_nonzero((x > lo) & (x < hi)) == 32
+    assert abs(w.sum() - 1.0) < 1e-14
+    # a step with a jump at every breakpoint, against the uniform-panel rule
+    levels = np.array([1.0, -3.0, 2.0])
+    f = lambda x: levels[np.searchsorted(breakpoints, np.asarray(x))]
+    kmax = 64
+    c = coeffs_from_function(wicksell512, f, kmax, breakpoints)
+    order = 2 * max(4 * kmax, 256)
+    xu, wu = _uniform_piece_nodes(breakpoints, order)
+    want = jacobi_eval_all(wicksell512.basis.params, kmax, 2.0 * xu * xu - 1.0) @ (f(xu) * xu * wu)
+    assert np.max(np.abs(c - want)) < 1e-10
+
+
+def test_panels_follow_piece_width():
+    x, w = _piece_nodes(target_breakpoints("blocks"), 2048)
+    # 64 panels on the quarter circle, plus at most one per piece from rounding up
+    assert x.shape[0] <= 32 * (64 + 12)
+    assert abs(w.sum() - 1.0) < 1e-14
+
+
+def test_periodic_coeffs_by_fft():
+    kmax = 17
+    model = deconvolution_model(1.0 / (1.0 + np.arange(kmax + 1.0)), kmax)
+    cos3 = coeffs_from_function(model, lambda x: math.sqrt(2.0) * np.cos(6.0 * math.pi * x), kmax)
+    sin5 = coeffs_from_function(model, lambda x: math.sqrt(2.0) * np.sin(10.0 * math.pi * x), kmax)
+    for c, k in ((cos3, 5), (sin5, 10)):
+        want = np.zeros(kmax + 1)
+        want[k] = 1.0
+        assert np.max(np.abs(c - want)) < 1e-12
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal(8), rng.standard_normal(8)
+    m = np.arange(8)
+    f = lambda x: np.exp(np.cos(2.0 * math.pi * x)) + (
+        a @ np.cos(2.0 * math.pi * np.outer(m, x)) + b @ np.sin(2.0 * math.pi * np.outer(m, x))
+    )
+    order = 16 * kmax  # the fine pass of the order-doubling check
+    x = np.arange(order) / order
+    want = model.basis.eval_all(kmax, x) @ f(x) / order
+    got = coeffs_from_function(model, f, kmax)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
 def test_observation_statistics(wicksell512):
     rng = np.random.default_rng(42)
     c = np.zeros(513)
@@ -229,6 +292,11 @@ def test_calibration_scales_with_rsnr(wicksell512):
     assert abs(e5 - 2.0 * e10) < 1e-18
     # frozen regression value for the default table's center cell
     assert abs(e5 - 0.000959795384166067) < 1e-12
+    # an array of ratios calibrates once and gives each scalar call's value exactly
+    many = calibrate_epsilon(wicksell512, c, np.array([3.0, 5.0, 10.0]), 1024)
+    assert many.tolist() == [calibrate_epsilon(wicksell512, c, r, 1024) for r in (3.0, 5.0, 10.0)]
+    with pytest.raises(ValueError, match="rsnr must be positive"):
+        calibrate_epsilon(wicksell512, c, np.array([3.0, 0.0]), 1024)
 
 
 def test_calibration_rejects_constant_image(wicksell512):
