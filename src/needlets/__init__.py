@@ -36,7 +36,6 @@ from .frame import (
     NODES_EXACT,
     NODES_PAPER,
     BesovParams,
-    FourierBasis,
     FrameLevel,
     JacobiBasis,
     NeedletFrame,
@@ -45,7 +44,6 @@ from .frame import (
     besov_seq_norm,
     build_frame,
     coeff_function_norm,
-    fourier_basis,
     frame_invariants,
     frame_norm,
     jacobi_basis,
@@ -70,7 +68,6 @@ from .models import (
     SvdModel,
     calibrate_epsilon,
     coeffs_from_function,
-    deconvolution_model,
     derive_seed,
     direct_model,
     eval_e,

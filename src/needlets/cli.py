@@ -29,16 +29,9 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, filter_a, make_filter, make_profile
-from .frame import (
-    NODES_EXACT,
-    NODES_PAPER,
-    build_frame,
-    fourier_basis,
-    frame_invariants,
-    jacobi_basis,
-)
+from .frame import NODES_EXACT, NODES_PAPER, build_frame, frame_invariants, jacobi_basis
 from .frameio import load_frame, save_frame
-from .jacobi import gauss_jacobi_rule, jacobi_params
+from .jacobi import gauss_jacobi_rule, jacobi_eval_all, jacobi_params
 from .models import SequenceObservation, direct_model, eval_e, wicksell_model
 from .simlab import (
     RateTarget,
@@ -94,15 +87,9 @@ def _cmd_filter_plot(args) -> int:
     return 0
 
 
-def _basis_from_args(args):
-    if args.basis == "jacobi":
-        return jacobi_basis(args.alpha, args.beta)
-    return fourier_basis()
-
-
 def _cmd_frame_build(args) -> int:
     filt = make_filter(make_profile(POLYNOMIAL_SHAPE, args.m))
-    frame = build_frame(_basis_from_args(args), filt, args.jmax, args.nodes_per_level)
+    frame = build_frame(jacobi_basis(args.alpha, args.beta), filt, args.jmax, args.nodes_per_level)
     save_frame(frame, args.out)
     print(
         f"wrote {args.out}: basis={frame.basis.kind} j_max={frame.j_max} "
@@ -131,15 +118,12 @@ def _cmd_frame_render(args) -> int:
         frame = load_frame(args.frame)
     else:
         filt = make_filter(make_profile(POLYNOMIAL_SHAPE, args.m))
-        frame = build_frame(_basis_from_args(args), filt, args.jmax, args.nodes_per_level)
+        frame = build_frame(jacobi_basis(args.alpha, args.beta), filt, args.jmax, args.nodes_per_level)
     lev = frame.level(args.j)
     if not 1 <= args.nu <= lev.n_nodes:
         raise ValueError(f"nu must be in 1..{lev.n_nodes} at level {args.j}")
-    if frame.basis.kind == "jacobi":
-        x = np.linspace(-1.0, 1.0, args.points)
-    else:
-        x = np.arange(args.points) / args.points
-    table = frame.basis.eval_all(lev.freq_hi, x)[lev.freq_lo :]
+    x = np.linspace(-1.0, 1.0, args.points)
+    table = jacobi_eval_all(frame.basis.params, lev.freq_hi, x)[lev.freq_lo :]
     psi_vals = lev.psi[args.nu - 1] @ table
     _write_csv(
         args.out,
@@ -345,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _frame_build_args(p) -> None:
-    p.add_argument("--basis", choices=("jacobi", "fourier"), default="jacobi")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--jmax", type=int, default=7)

@@ -37,16 +37,15 @@ SMOOTH_EXPONENTIAL = "smooth-exponential"
 class CutoffProfile:
     """Cutoff phi: 1 on [0,1/2], 0 on [1,inf), monotone transition between.
 
-    For the polynomial-shape kind the transition is the unique degree-(2m+1)
-    polynomial with phi(1/2)=1, phi(1)=0 and m vanishing derivatives at both
-    ends; poly_coeffs holds its coefficients in u = 2 xi - 1, ascending order.
-    The smooth-exponential kind uses the classical exp(-1/t) glue and ignores
-    poly_coeffs.
+    For the polynomial-shape kind the transition in u = 2 xi - 1 is
+    1 - I_u(m+1, m+1), one minus the Beta(m+1, m+1) CDF: the unique
+    degree-(2m+1) polynomial with phi(1/2)=1, phi(1)=0 and m vanishing
+    derivatives at both ends. The smooth-exponential kind uses the classical
+    exp(-1/t) glue and ignores m.
     """
 
     kind: str
     m: int
-    poly_coeffs: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -61,28 +60,12 @@ class Filter:
     support_floor: float
 
 
-def _smoothstep_coeffs(m: int) -> np.ndarray:
-    """Coefficients (ascending, degree 2m+1) of S_m with S_m' ~ u^m (1-u)^m.
-
-    S_m(0) = 0, S_m(1) = 1, and the first m derivatives vanish at both ends;
-    this is the unique polynomial of degree 2m+1 with those properties.
-    """
-    coeffs = np.zeros(2 * m + 2)
-    for i in range(m + 1):
-        coeffs[m + i + 1] = math.comb(m, i) * (-1.0) ** i / (m + i + 1)
-    total = coeffs.sum()
-    return coeffs / total
-
-
 def make_profile(kind: str, m: int) -> CutoffProfile:
     """Build a cutoff profile of the requested kind and smoothness order."""
     if m < 1:
         raise ValueError(f"smoothness order m must be >= 1, got {m}")
-    if kind == POLYNOMIAL_SHAPE:
-        step = _smoothstep_coeffs(m)
-        return CutoffProfile(kind, m, tuple(step.tolist()))
-    if kind == SMOOTH_EXPONENTIAL:
-        return CutoffProfile(kind, m, ())
+    if kind in (POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL):
+        return CutoffProfile(kind, m)
     raise ProfileError(f"unsupported profile kind: {kind!r}")
 
 

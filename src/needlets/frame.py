@@ -22,12 +22,10 @@ from .jacobi import JacobiParams, gauss_jacobi_rule, generalized_weight, jacobi_
 
 __all__ = [
     "JacobiBasis",
-    "FourierBasis",
     "FrameLevel",
     "NeedletFrame",
     "BesovParams",
     "jacobi_basis",
-    "fourier_basis",
     "build_frame",
     "analyze",
     "synthesize",
@@ -60,58 +58,10 @@ class JacobiBasis:
     def __str__(self) -> str:
         return f"JacobiBasis(alpha={self.params.alpha:g}, beta={self.params.beta:g})"
 
-    def eval_all(self, kmax: int, x) -> np.ndarray:
-        return jacobi_eval_all(self.params, kmax, x)
-
-
-@dataclass(frozen=True)
-class FourierBasis:
-    """Real orthonormal Fourier basis on the periodic unit interval.
-
-    Flat index: e_0 = 1, e_{2m-1} = sqrt2 cos(2 pi m x), e_{2m} =
-    sqrt2 sin(2 pi m x); filters and singular values act on this index.
-    """
-
-    kind = "fourier-periodic"
-
-    def eval_all(self, kmax: int, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float)
-        out = np.empty((kmax + 1,) + xs.shape)
-        out[0] = 1.0
-        if kmax >= 1:
-            idx = np.arange(1, kmax + 1)
-            freqs = (idx + 1) // 2
-            angles = 2.0 * math.pi * freqs[:, None] * xs[None, ...]
-            vals = np.where(
-                (idx % 2 == 1)[:, None], np.cos(angles), np.sin(angles)
-            ) * math.sqrt(2.0)
-            out[1:] = vals.reshape((kmax,) + xs.shape)
-        return out
-
-    def trapezoid_coeffs(self, kmax: int, values) -> np.ndarray:
-        """Trapezoid-rule <f, e_k>, k = 0..kmax, from samples f(s/n), s = 0..n-1.
-
-        sum_s f(s/n) exp(-2 pi i m s/n) / n is rfft(f)[m] / n: sqrt2 times its
-        real part and its negated imaginary part are the cos and sin sums at
-        flat indices 2m-1 and 2m. This equals eval_all(kmax, s/n) @ f / n up
-        to rounding while the top frequency (kmax+1)//2 stays below n/2.
-        """
-        vals = np.asarray(values, dtype=float)
-        spec = np.fft.rfft(vals)[: (kmax + 1) // 2 + 1] / vals.shape[0]
-        out = np.empty(2 * spec.shape[0] - 1)
-        out[0] = spec[0].real
-        out[1::2] = math.sqrt(2.0) * spec[1:].real
-        out[2::2] = -math.sqrt(2.0) * spec[1:].imag
-        return out[: kmax + 1]
-
 
 def jacobi_basis(alpha: float, beta: float) -> JacobiBasis:
     """Jacobi basis family with probability normalization."""
     return JacobiBasis(jacobi_params(alpha, beta))
-
-
-def fourier_basis() -> FourierBasis:
-    return FourierBasis()
 
 
 @dataclass(frozen=True)
@@ -141,7 +91,7 @@ class FrameLevel:
 class NeedletFrame:
     """Immutable needlet frame; levels[0] is j = -1, levels[j+1] is level j."""
 
-    basis: JacobiBasis | FourierBasis
+    basis: JacobiBasis
     filt: Filter
     j_max: int
     nodes_per_level: str
@@ -183,13 +133,10 @@ def _window(j: int) -> tuple[int, int]:
     return lo, 2 ** (j + 1) - 1
 
 
-def _level_rule(basis, j: int, nodes_per_level: str) -> tuple[np.ndarray, np.ndarray]:
-    if basis.kind == "jacobi":
-        n = 2 ** (j + 1) if nodes_per_level == NODES_EXACT else 2**j
-        rule = gauss_jacobi_rule(basis.params, n)
-        return rule.nodes, rule.weights
-    n = 2 ** (j + 2) if nodes_per_level == NODES_EXACT else 2 ** (j + 1)
-    return np.arange(n) / n, np.full(n, 1.0 / n)
+def _level_rule(basis: JacobiBasis, j: int, nodes_per_level: str) -> tuple[np.ndarray, np.ndarray]:
+    n = 2 ** (j + 1) if nodes_per_level == NODES_EXACT else 2**j
+    rule = gauss_jacobi_rule(basis.params, n)
+    return rule.nodes, rule.weights
 
 
 def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
@@ -198,7 +145,7 @@ def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
 
 
 def build_frame(
-    basis: JacobiBasis | FourierBasis,
+    basis: JacobiBasis,
     filt: Filter,
     j_max: int,
     nodes_per_level: str = NODES_EXACT,
@@ -233,7 +180,7 @@ def build_frame(
             nodes, weights = _level_rule(basis, j, nodes_per_level)
         except InvariantError as exc:
             raise InvariantError(f"level {j}: {exc}") from exc
-        base_vals = basis.eval_all(hi, nodes)[lo:]
+        base_vals = jacobi_eval_all(basis.params, hi, nodes)[lo:]
         psi = np.sqrt(weights)[:, None] * (avals[None, :] * base_vals.T)
         defect = _gram_defect(psi, avals)
         worst = max(worst, defect)
@@ -293,8 +240,8 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
     b = np.asarray(singular_values, dtype=float)
     if b.ndim != 1 or b.shape[0] < frame.budget:
         raise ValueError(f"need {frame.budget} singular values, got shape {b.shape}")
-    if np.any(b[: frame.budget] <= 0.0):
-        raise ValueError("singular values must be strictly positive")
+    b = b[: frame.budget]
+    require_entries(b, np.isfinite(b) & (b > 0.0), "singular value b", "finite and > 0")
     out = np.empty(len(frame.levels))
     for li, lev in enumerate(frame.levels):
         scaled = lev.psi / b[lev.freq_lo : lev.freq_hi + 1][None, :]
@@ -341,43 +288,37 @@ def _panels(length: float, n_panels: int, q: int = 16) -> tuple[np.ndarray, np.n
     return s, w
 
 
-def _measure_nodes(basis, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integration nodes x and measure weights for the family's natural domain."""
-    if basis.kind == "jacobi":
-        theta, w = _panels(math.pi, n_panels)
-        a, b = basis.params.alpha, basis.params.beta
-        half = theta / 2.0
-        density = (
-            basis.params.c_norm
-            * (2.0 * np.sin(half) ** 2) ** a
-            * (2.0 * np.cos(half) ** 2) ** b
-            * np.sin(theta)
-        )
-        return np.cos(theta), w * density
-    x, w = _panels(1.0, n_panels)
-    return x, w
+def _measure_nodes(basis: JacobiBasis, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integration nodes x = cos(theta) and weights of the Jacobi measure on [-1, 1]."""
+    theta, w = _panels(math.pi, n_panels)
+    a, b = basis.params.alpha, basis.params.beta
+    half = theta / 2.0
+    density = (
+        basis.params.c_norm
+        * (2.0 * np.sin(half) ** 2) ** a
+        * (2.0 * np.cos(half) ** 2) ** b
+        * np.sin(theta)
+    )
+    return np.cos(theta), w * density
 
 
-def _dense_grid(basis, j: int) -> np.ndarray:
-    scale = 2 ** max(j, 0)
-    if basis.kind == "jacobi":
-        return np.cos(np.linspace(0.0, math.pi, 256 * scale + 1))
-    return np.linspace(0.0, 1.0, 256 * scale + 1)
+def _dense_grid(j: int) -> np.ndarray:
+    return np.cos(np.linspace(0.0, math.pi, 256 * 2 ** max(j, 0) + 1))
 
 
-def _block_values(basis, block: np.ndarray, lo: int, x: np.ndarray) -> np.ndarray:
+def _block_values(basis: JacobiBasis, block: np.ndarray, lo: int, x: np.ndarray) -> np.ndarray:
     hi = lo + block.shape[1] - 1
-    return block @ basis.eval_all(hi, x)[lo:]
+    return block @ jacobi_eval_all(basis.params, hi, x)[lo:]
 
 
 def _block_lp_norms(
-    basis, block: np.ndarray, lo: int, j: int, p: float, rtol: float = 1e-3
+    basis: JacobiBasis, block: np.ndarray, lo: int, j: int, p: float, rtol: float = 1e-3
 ) -> np.ndarray:
     """L_p norms under the family measure for each row of a coefficient block."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if math.isinf(p):
-        vals = _block_values(basis, block, lo, _dense_grid(basis, j))
+        vals = _block_values(basis, block, lo, _dense_grid(j))
         return np.max(np.abs(vals), axis=1)
     n_panels = 8 * 2 ** max(j, 0)
     prev = None
@@ -432,8 +373,6 @@ def localization_check(frame: NeedletFrame, j: int, nu: int, l: int) -> float:
         raise ValueError(f"decay order l must be >= 1, got {l}")
     if j == -1:
         return 1.0
-    if frame.basis.kind != "jacobi":
-        raise ValueError("localization envelope is defined for the Jacobi family")
     lev = frame.level(j)
     if not 1 <= nu <= lev.n_nodes:
         raise ValueError(f"nu must be in 1..{lev.n_nodes}, got {nu}")

@@ -1,14 +1,15 @@
 """Binary persistence for needlet frames.
 
 Container layout (version 1, everything little-endian): magic "NDLT",
-format version, the build parameters (basis family and exponents, cutoff
-kind and order, node mode, top level, recorded exactness defect), then one
-dense block per level holding nodes, weights, and the needlet coefficient
-matrix as raw 64-bit floats. Loading rebuilds the filter and basis from the
-stored parameters and takes the level blocks verbatim, so a round trip is
-bit-exact; any structural mismatch, and any non-finite psi entry, node
-outside (-1, 1) or non-positive weight, raises ValueError naming the level
-and entry rather than returning a partially read or corrupt frame.
+format version, the build parameters (basis family code and Jacobi
+exponents, cutoff kind and order, node mode, top level, recorded exactness
+defect), then one dense block per level holding nodes, weights, and the
+needlet coefficient matrix as raw 64-bit floats. The only basis family code
+is 0 (Jacobi). Loading rebuilds the filter and basis from the stored
+parameters and takes the level blocks verbatim, so a round trip is
+bit-exact; any unknown code or structural mismatch, and any non-finite psi
+entry, node outside (-1, 1) or non-positive weight, raises ValueError naming
+the level and entry rather than returning a partially read or corrupt frame.
 """
 
 from __future__ import annotations
@@ -19,21 +20,14 @@ import numpy as np
 
 from .errors import require_entries
 from .filters import POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL, make_filter, make_profile
-from .frame import (
-    NODES_EXACT,
-    NODES_PAPER,
-    FrameLevel,
-    NeedletFrame,
-    fourier_basis,
-    jacobi_basis,
-)
+from .frame import NODES_EXACT, NODES_PAPER, FrameLevel, NeedletFrame, jacobi_basis
 
 __all__ = ["FORMAT_VERSION", "save_frame", "load_frame"]
 
 _MAGIC = b"NDLT"
 FORMAT_VERSION = 1
 
-_BASIS_CODES = {"jacobi": 0, "fourier-periodic": 1}
+_BASIS_CODES = {"jacobi": 0}
 _PROFILE_CODES = {POLYNOMIAL_SHAPE: 0, SMOOTH_EXPONENTIAL: 1}
 _NODE_CODES = {NODES_EXACT: 0, NODES_PAPER: 1}
 
@@ -43,17 +37,12 @@ _LEVEL = struct.Struct("<iiii")
 
 def save_frame(frame: NeedletFrame, path) -> None:
     """Write the frame to path in container version 1."""
-    basis_kind = frame.basis.kind
-    if basis_kind == "jacobi":
-        alpha, beta = frame.basis.params.alpha, frame.basis.params.beta
-    else:
-        alpha = beta = 0.0
     header = _HEADER.pack(
         _MAGIC,
         FORMAT_VERSION,
-        _BASIS_CODES[basis_kind],
-        alpha,
-        beta,
+        _BASIS_CODES[frame.basis.kind],
+        frame.basis.params.alpha,
+        frame.basis.params.beta,
         _PROFILE_CODES[frame.filt.profile.kind],
         frame.filt.profile.m,
         _NODE_CODES[frame.nodes_per_level],
@@ -95,7 +84,7 @@ def load_frame(path) -> NeedletFrame:
         raise ValueError(f"not a frame container (magic {magic!r})")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported frame container version {version}")
-    basis_kind = _decode(_BASIS_CODES, basis_code, "basis")
+    _decode(_BASIS_CODES, basis_code, "basis")
     profile_kind = _decode(_PROFILE_CODES, profile_code, "profile")
     nodes_mode = _decode(_NODE_CODES, node_code, "node-mode")
     if n_levels != j_max + 2:
@@ -126,6 +115,5 @@ def load_frame(path) -> NeedletFrame:
     if offset != len(buf):
         raise ValueError(f"{len(buf) - offset} trailing bytes after the last level")
 
-    basis = jacobi_basis(alpha, beta) if basis_kind == "jacobi" else fourier_basis()
     filt = make_filter(make_profile(profile_kind, m))
-    return NeedletFrame(basis, filt, j_max, nodes_mode, tuple(levels), defect)
+    return NeedletFrame(jacobi_basis(alpha, beta), filt, j_max, nodes_mode, tuple(levels), defect)

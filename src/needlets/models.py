@@ -4,7 +4,8 @@ An SvdModel packages the singular values b_k of a compact operator with
 the orthonormal bases diagonalizing it: observations live on the
 coefficients, Y_k = b_k f_k + eps xi_k, while e_k / g_k map coefficient
 sequences back to the natural domain. The Wicksell unfolding operator and
-periodic deconvolution are provided.
+the identity on its Jacobi(0,1) basis are provided; both act on the domain
+[0, 1] with measure dx/(4x).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnresolvedIntegrandError, require_entries
-from .frame import FourierBasis, JacobiBasis, fourier_basis, jacobi_basis
+from .frame import JacobiBasis, jacobi_basis
 from .jacobi import jacobi_eval_all, jacobi_weighted_sums
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "SequenceObservation",
     "wicksell_model",
     "direct_model",
-    "deconvolution_model",
     "eval_e",
     "eval_g",
     "coeffs_from_function",
@@ -42,17 +42,15 @@ _WICKSELL_SCALE = math.pi / 16.0
 class SvdModel:
     """Singular values, ill-posedness degree, and basis evaluators of one operator.
 
-    kind names the operator; domain selects the natural-domain evaluators
-    ("wicksell": [0,1] with measure dx/(4x); "periodic": Lebesgue on [0,1]).
-    basis is the sequence-space family needlet frames are built on. Every
-    singular value must be finite and strictly positive.
+    kind names the operator; basis is the sequence-space family needlet
+    frames are built on. Every singular value must be finite and strictly
+    positive.
     """
 
     kind: str
     b: np.ndarray
     nu: float
-    basis: JacobiBasis | FourierBasis
-    domain: str
+    basis: JacobiBasis
 
     def __post_init__(self) -> None:
         b = np.asarray(self.b)
@@ -94,47 +92,23 @@ def wicksell_model(kmax: int = 512) -> SvdModel:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     k = np.arange(kmax + 1, dtype=float)
     b = _WICKSELL_SCALE / np.sqrt(1.0 + k)
-    return SvdModel("wicksell", _freeze(b), 0.5, jacobi_basis(0.0, 1.0), "wicksell")
+    return SvdModel("wicksell", _freeze(b), 0.5, jacobi_basis(0.0, 1.0))
 
 
 def direct_model(kmax: int = 512) -> SvdModel:
     """Identity operator on the Wicksell basis (b_k = 1, nu = 0), for rate comparisons."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    return SvdModel(
-        "direct", _freeze(np.ones(kmax + 1)), 0.0, jacobi_basis(0.0, 1.0), "wicksell"
-    )
-
-
-def deconvolution_model(kernel_spectrum, kmax: int) -> SvdModel:
-    """Periodic deconvolution: b_k = |gamma_hat_k| on the flat Fourier index.
-
-    nu is estimated by ordinary least squares of log b_k against log k over
-    k = 1..kmax and stored for level selection only. A zero spectral value
-    inside the budget makes the problem non-invertible and raises.
-    """
-    spectrum = np.asarray(kernel_spectrum, dtype=float)
-    if kmax < 1 or spectrum.shape[0] < kmax + 1:
-        raise ValueError(f"need kernel spectrum up to index {kmax}")
-    b = np.abs(spectrum[: kmax + 1])
-    if np.any(b == 0.0):
-        dead = int(np.flatnonzero(b == 0.0)[0])
-        raise ValueError(f"kernel spectrum vanishes at index {dead}: not invertible")
-    logs_k = np.log(np.arange(1, kmax + 1, dtype=float))
-    logs_b = np.log(b[1:])
-    slope = float(np.polyfit(logs_k, logs_b, 1)[0])
-    return SvdModel("deconvolution", _freeze(b), -slope, fourier_basis(), "periodic")
+    return SvdModel("direct", _freeze(np.ones(kmax + 1)), 0.0, jacobi_basis(0.0, 1.0))
 
 
 def eval_e(model: SvdModel, kmax: int, x) -> np.ndarray:
     """Values e_0(x)..e_kmax(x) of the natural-domain SVD basis, shape (kmax+1, ...)."""
     xs = np.asarray(x, dtype=float)
-    if model.domain == "wicksell":
-        if np.any((xs < 0.0) | (xs > 1.0)):
-            raise ValueError("Wicksell domain is [0, 1]")
-        t = 2.0 * xs * xs - 1.0
-        return 4.0 * xs * xs * jacobi_eval_all(model.basis.params, kmax, t)
-    return model.basis.eval_all(kmax, xs)
+    if np.any((xs < 0.0) | (xs > 1.0)):
+        raise ValueError("Wicksell domain is [0, 1]")
+    t = 2.0 * xs * xs - 1.0
+    return 4.0 * xs * xs * jacobi_eval_all(model.basis.params, kmax, t)
 
 
 def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:
@@ -146,20 +120,18 @@ def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:
     it is verified in closed form for k = 0, 1 in the tests.
     """
     ys = np.asarray(y, dtype=float)
-    if model.domain == "wicksell":
-        if np.any((ys < -1.0) | (ys > 1.0)):
-            raise ValueError("image domain is [-1, 1]")
-        m_top = 2 * kmax + 1
-        u_prev = np.ones_like(ys)
-        u = 2.0 * ys
-        out = np.empty((kmax + 1,) + ys.shape)
-        out[0] = u
-        for m in range(1, m_top):
-            u_prev, u = u, 2.0 * ys * u - u_prev
-            if m % 2 == 0:
-                out[(m + 1) // 2] = u
-        return 2.0 * out
-    return model.basis.eval_all(kmax, ys)
+    if np.any((ys < -1.0) | (ys > 1.0)):
+        raise ValueError("image domain is [-1, 1]")
+    m_top = 2 * kmax + 1
+    u_prev = np.ones_like(ys)
+    u = 2.0 * ys
+    out = np.empty((kmax + 1,) + ys.shape)
+    out[0] = u
+    for m in range(1, m_top):
+        u_prev, u = u, 2.0 * ys * u - u_prev
+        if m % 2 == 0:
+            out[(m + 1) // 2] = u
+    return 2.0 * out
 
 
 def _piece_nodes(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,30 +165,24 @@ def _piece_nodes(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
 def coeffs_from_function(model: SvdModel, f, kmax: int, breakpoints=()) -> np.ndarray:
     """Coefficients f_k = <f, e_k> under the model's natural measure.
 
-    Wicksell integrals are computed in the x-domain, where
+    The integrals are computed in the x-domain, where
     integral f e_k dmu = integral_0^1 f(x) Pi_k(2x^2-1) x dx has a smooth
     integrand; pass breakpoints at known jumps/kinks of f. The rule is
     _piece_nodes' composite Gauss-Legendre in arccos(x), and the sums over
     its nodes are taken degree by degree along the Jacobi recurrence
-    (jacobi_weighted_sums), so no basis table is formed. The periodic case
-    uses the trapezoid rule at 8*kmax equispaced points, whose Fourier sums
-    are one real FFT (FourierBasis.trapezoid_coeffs). Both paths verify
-    stability under order doubling (1e-6 relative) and raise
-    UnresolvedIntegrandError otherwise.
+    (jacobi_weighted_sums), so no basis table is formed. The result is
+    verified stable under order doubling (1e-6 relative), and
+    UnresolvedIntegrandError is raised otherwise.
     """
     if kmax < 0 or kmax > model.kmax:
         raise ValueError(f"kmax must be in 0..{model.kmax}, got {kmax}")
 
-    def _wicksell_pass(order: int) -> np.ndarray:
+    def one_pass(order: int) -> np.ndarray:
         x, w = _piece_nodes(breakpoints, order)
         v = np.asarray(f(x), dtype=float) * x * w
         return jacobi_weighted_sums(model.basis.params, kmax, 2.0 * x * x - 1.0, v)
 
-    def _periodic_pass(order: int) -> np.ndarray:
-        return model.basis.trapezoid_coeffs(kmax, f(np.arange(order) / order))
-
-    one_pass = _wicksell_pass if model.domain == "wicksell" else _periodic_pass
-    order = max(4 * kmax, 256) if model.domain == "wicksell" else 8 * max(kmax, 1)
+    order = max(4 * kmax, 256)
     coarse = one_pass(order)
     fine = one_pass(2 * order)
     scale = max(float(np.max(np.abs(fine))), 1.0)

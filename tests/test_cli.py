@@ -84,6 +84,19 @@ def test_frame_check_catches_inexact_quadrature(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_frame_basis_is_jacobi_only(tmp_path, capsys):
+    # there is no basis flag: --alpha/--beta pick the Jacobi exponents
+    frame_path = tmp_path / "f.ndlt"
+    assert run_cli("frame", "build", "--basis", "jacobi", "--jmax", "2", "--out", str(frame_path)) == 1
+    assert run_cli("frame", "build", "--jmax", "2", "--out", str(frame_path)) == 0
+    blob = bytearray(frame_path.read_bytes())
+    blob[6] = 1  # basis code byte
+    frame_path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run_cli("frame", "check", str(frame_path)) == 1
+    assert "unknown basis code 1" in capsys.readouterr().err
+
+
 def test_model_dump(capsys):
     assert run_cli("model", "dump", "--kind", "wicksell", "--kmax", "3") == 0
     lines = capsys.readouterr().out.strip().splitlines()

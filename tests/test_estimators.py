@@ -20,7 +20,7 @@ from needlets import (
     analyze,
     build_frame,
     derive_seed,
-    fourier_basis,
+    jacobi_basis,
     make_adaptive_config,
     make_blocks,
     make_threshold_plan,
@@ -85,15 +85,17 @@ def test_need_d_nan_observation_rejected(frame8, wicksell512, rng):
 
 
 def test_need_d_rejects_frame_on_another_basis(frame8, filt, wicksell512, rng):
-    # a Fourier frame reconstructs Wicksell coefficients exactly, but its
-    # needlets are localized on the circle, not on the Wicksell domain
-    fourier = build_frame(fourier_basis(), filt, j_max=frame8.j_max)
-    with pytest.raises(ValueError, match=r"FourierBasis\(\) differs from model basis JacobiBasis\(alpha=0, beta=1\)"):
-        make_threshold_plan(fourier, wicksell512, 0.01)
+    # a Legendre frame is tight on coefficient sequences too and passes every
+    # numeric check, but its needlets are localized for the Legendre basis,
+    # not for the model's Jacobi(0,1) e_k
+    legendre = build_frame(jacobi_basis(0.0, 0.0), filt, j_max=frame8.j_max)
+    mismatch = r"JacobiBasis\(alpha=0, beta=0\) differs from model basis JacobiBasis\(alpha=0, beta=1\)"
+    with pytest.raises(ValueError, match=mismatch):
+        make_threshold_plan(legendre, wicksell512, 0.01)
     obs = sample_observation(wicksell512, _signal(frame8), 0.01, rng)
     plan = make_threshold_plan(frame8, wicksell512, 0.01)
-    with pytest.raises(ValueError, match="FourierBasis.*JacobiBasis"):
-        need_d(fourier, wicksell512, obs, plan)
+    with pytest.raises(ValueError, match=mismatch):
+        need_d(legendre, wicksell512, obs, plan)
 
 
 def test_run_stack_rows_match_single_runs(frame8, wicksell512):

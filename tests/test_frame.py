@@ -13,7 +13,6 @@ from needlets import (
     InvariantError,
     analyze,
     build_frame,
-    fourier_basis,
     jacobi_basis,
     level_sigma,
     make_filter,
@@ -54,16 +53,6 @@ def test_tight_frame_parseval_and_roundtrip(frame7):
         assert abs(energy - norm2) <= 1e-8 * norm2
         back = synthesize(frame7, beta)
         assert np.max(np.abs(back - f)) <= 1e-8 * np.max(np.abs(f))
-
-
-def test_fourier_frame_tight():
-    filt = make_filter(make_profile("polynomial-shape", 2))
-    frame = build_frame(fourier_basis(), filt, j_max=5)
-    rng = np.random.default_rng(11)
-    f = np.zeros(frame.budget)
-    f[: frame.exact_dim] = rng.standard_normal(frame.exact_dim)
-    back = synthesize(frame, analyze(frame, f))
-    assert np.max(np.abs(back - f)) <= 1e-10
 
 
 def test_zero_sum_and_norms(frame7):
@@ -159,6 +148,13 @@ def test_level_sigma_scaling(frame8):
 def test_level_sigma_rejects_bad_b(frame7):
     with pytest.raises(ValueError):
         level_sigma(frame7, np.ones(10))
+    # a NaN sigma would silently zero need_d's coefficients at its levels,
+    # since |beta| >= nan is false
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        b = np.ones(frame7.budget)
+        b[3] = bad
+        with pytest.raises(ValueError, match=rf"singular value b\[3\] = {bad}"):
+            level_sigma(frame7, b)
 
 
 @settings(max_examples=15, deadline=None)

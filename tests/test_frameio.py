@@ -5,7 +5,6 @@ import pytest
 
 from needlets import (
     build_frame,
-    fourier_basis,
     jacobi_basis,
     load_frame,
     make_filter,
@@ -39,13 +38,14 @@ def test_round_trip_jacobi(small_frame, tmp_path):
     _assert_frames_equal(small_frame, load_frame(path))
 
 
-def test_round_trip_fourier(tmp_path):
+def test_round_trip_paper_nodes(tmp_path):
     filt = make_filter(make_profile("smooth-exponential", 1))
-    frame = build_frame(fourier_basis(), filt, j_max=3, nodes_per_level="paper")
+    frame = build_frame(jacobi_basis(0.5, 0.5), filt, j_max=3, nodes_per_level="paper")
     path = tmp_path / "frame.ndlt"
     save_frame(frame, path)
     back = load_frame(path)
     _assert_frames_equal(frame, back)
+    assert back.basis == frame.basis
     assert back.filt.profile.kind == "smooth-exponential"
 
 
@@ -100,6 +100,17 @@ def test_reject_bad_enum_code(small_frame, tmp_path):
     blob[6] = 7  # basis code byte
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
+        load_frame(path)
+
+
+def test_reject_basis_code_1(small_frame, tmp_path):
+    # 0 (Jacobi) is the only basis family code; 1 names no family
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    blob = bytearray(path.read_bytes())
+    blob[6] = 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="unknown basis code 1"):
         load_frame(path)
 
 

@@ -22,7 +22,6 @@ from needlets import (
     UnresolvedIntegrandError,
     calibrate_epsilon,
     coeffs_from_function,
-    deconvolution_model,
     derive_seed,
     direct_model,
     eval_e,
@@ -70,7 +69,7 @@ def test_svd_model_rejects_bad_singular_values(bad):
     b = np.ones(6)
     b[4] = bad
     with pytest.raises(ValueError, match=rf"b\[4\] = {bad}"):
-        SvdModel("bad", b, 0.5, jacobi_basis(0.0, 1.0), "wicksell")
+        SvdModel("bad", b, 0.5, jacobi_basis(0.0, 1.0))
 
 
 def test_direct_model_flat():
@@ -214,28 +213,6 @@ def test_panels_follow_piece_width():
     assert abs(w.sum() - 1.0) < 1e-14
 
 
-def test_periodic_coeffs_by_fft():
-    kmax = 17
-    model = deconvolution_model(1.0 / (1.0 + np.arange(kmax + 1.0)), kmax)
-    cos3 = coeffs_from_function(model, lambda x: math.sqrt(2.0) * np.cos(6.0 * math.pi * x), kmax)
-    sin5 = coeffs_from_function(model, lambda x: math.sqrt(2.0) * np.sin(10.0 * math.pi * x), kmax)
-    for c, k in ((cos3, 5), (sin5, 10)):
-        want = np.zeros(kmax + 1)
-        want[k] = 1.0
-        assert np.max(np.abs(c - want)) < 1e-12
-    rng = np.random.default_rng(7)
-    a, b = rng.standard_normal(8), rng.standard_normal(8)
-    m = np.arange(8)
-    f = lambda x: np.exp(np.cos(2.0 * math.pi * x)) + (
-        a @ np.cos(2.0 * math.pi * np.outer(m, x)) + b @ np.sin(2.0 * math.pi * np.outer(m, x))
-    )
-    order = 16 * kmax  # the fine pass of the order-doubling check
-    x = np.arange(order) / order
-    want = model.basis.eval_all(kmax, x) @ f(x) / order
-    got = coeffs_from_function(model, f, kmax)
-    assert np.max(np.abs(got - want)) < 1e-13
-
-
 def test_observation_statistics(wicksell512):
     rng = np.random.default_rng(42)
     c = np.zeros(513)
@@ -302,17 +279,6 @@ def test_calibration_scales_with_rsnr(wicksell512):
 def test_calibration_rejects_constant_image(wicksell512):
     with pytest.raises(ValueError):
         calibrate_epsilon(wicksell512, np.zeros(513), 5.0, 1024)
-
-
-def test_deconvolution_model():
-    k = np.arange(33.0)
-    m = deconvolution_model(1.0 / (1.0 + k), 32)
-    assert abs(m.b[5] - 1.0 / 6.0) < 1e-15
-    assert 0.5 < m.nu < 1.1
-    flat = deconvolution_model(np.ones(33), 32)
-    assert abs(flat.nu) < 1e-12
-    with pytest.raises(ValueError):
-        deconvolution_model([1.0, 0.5, 0.0], 2)
 
 
 def test_domain_validation(wicksell512):
