@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import ProfileError
 
@@ -31,6 +30,9 @@ __all__ = [
 
 POLYNOMIAL_SHAPE = "polynomial-shape"
 SMOOTH_EXPONENTIAL = "smooth-exponential"
+# the polynomial shape sums C(2m+1, k) t^k (1-t)^(2m+1-k) in doubles, and
+# C(2m+1, m+1) leaves double range above m = 513
+M_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,10 @@ class Filter:
 
 def make_profile(kind: str, m: int) -> CutoffProfile:
     """Build a cutoff profile of the requested kind and smoothness order."""
-    if m < 1:
-        raise ValueError(f"smoothness order m must be >= 1, got {m}")
+    if not (1 <= m <= M_MAX and m == int(m)):
+        raise ValueError(f"smoothness order m must be an integer in [1, {M_MAX}], got {m}")
     if kind in (POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL):
-        return CutoffProfile(kind, m)
+        return CutoffProfile(kind, int(m))
     raise ProfileError(f"unsupported profile kind: {kind!r}")
 
 
@@ -78,10 +80,8 @@ def profile_phi(profile: CutoffProfile, xi) -> np.ndarray:
     if np.any(mid):
         um = u[mid]
         if profile.kind == POLYNOMIAL_SHAPE:
-            # the transition polynomial is the Beta(m+1, m+1) CDF; evaluating
-            # it through betainc at 1-u gives 1-S(u) without the cancellation
-            # that breaks monotonicity for m >= 4 under direct polyval
-            vals = scipy.special.betainc(profile.m + 1, profile.m + 1, 1.0 - um)
+            # phi = 1 - S(u) = S(1-u), with S the Beta(m+1, m+1) CDF
+            vals = _beta_cdf(profile.m, 1.0 - um)
         elif profile.kind == SMOOTH_EXPONENTIAL:
             h0 = np.exp(-1.0 / um)
             h1 = np.exp(-1.0 / (1.0 - um))
@@ -90,6 +90,22 @@ def profile_phi(profile: CutoffProfile, xi) -> np.ndarray:
             raise ProfileError(f"unsupported profile kind: {profile.kind!r}")
         out[mid] = vals
     return out.reshape(arr.shape) if arr.ndim else out[0]
+
+
+def _beta_cdf(m: int, x: np.ndarray) -> np.ndarray:
+    """I_x(m+1, m+1) for x in [0, 1], as a binomial tail.
+
+    I_x(m+1, m+1) = sum_{k=m+1}^{2m+1} C(2m+1, k) x^k (1-x)^(2m+1-k). The
+    sum runs at t = min(x, 1-x), where it is at most 1/2 and all its terms
+    are positive, and I_x = 1 - I_{1-x} reflects it above 1/2; a direct
+    polynomial in x cancels and loses monotonicity from m = 4 on.
+    """
+    n = 2 * m + 1
+    t = np.minimum(x, 1.0 - x)
+    k = np.arange(m + 1, n + 1)
+    coef = np.array([math.comb(n, i) for i in range(m + 1, n + 1)], dtype=float)
+    tail = (coef * t[:, None] ** k * (1.0 - t[:, None]) ** (n - k)).sum(axis=1)
+    return np.where(x <= 0.5, tail, 1.0 - tail)
 
 
 def make_filter(profile: CutoffProfile) -> Filter:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InvariantError, NormResolutionError, require_entries
 from .filters import Filter, check_partition, filter_a, profile_phi
@@ -274,7 +275,7 @@ def frame_invariants(frame: NeedletFrame) -> list[tuple[str, float, float]]:
 
 @lru_cache(maxsize=8)
 def _gl_base(q: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(q)
+    x, w = leggauss(q)
     return x, w
 
 

@@ -1,8 +1,11 @@
 """Orthonormal Jacobi polynomials and Gauss-Jacobi quadrature rules.
 
-Rule nodes are eigenvalues of the Jacobi matrix, Newton-polished on the
-orthonormal recurrence; weights are Christoffel weights
-w = 1 / sum_{k<N} Pi_k(node)^2.
+Rule nodes are zeros of Pi_N, Newton-polished on the orthonormal recurrence
+with the derivative from a closed-form Jacobi identity. Newton starts from
+the eigenvalues of the dense Jacobi matrix up to order 64 and from Hale &
+Townsend's asymptotic guesses above (interior formula plus Bessel-zero
+formulas at both ends); weights are Christoffel weights
+w = 1 / sum_{k<N} Pi_k(node)^2. Only numpy is needed.
 
 Everything is normalized against the probability measure
 dgamma_{alpha,beta}(x) = c_norm (1-x)^alpha (1+x)^beta dx on [-1, 1],
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NodeSolveError
 
@@ -54,18 +56,24 @@ def jacobi_params(alpha: float, beta: float) -> JacobiParams:
     """Build JacobiParams, computing c_norm = 1 / integral (1-x)^a (1+x)^b dx."""
     _check_exponents(alpha, beta)
     # log of 2^(a+b+1) * B(a+1, b+1), kept in log space for large exponents
-    log_mass = (
-        (alpha + beta + 1.0) * math.log(2.0)
-        + math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(alpha + beta + 2.0)
-    )
-    return JacobiParams(float(alpha), float(beta), math.exp(-log_mass))
+    try:
+        log_mass = (
+            (alpha + beta + 1.0) * math.log(2.0)
+            + math.lgamma(alpha + 1.0)
+            + math.lgamma(beta + 1.0)
+            - math.lgamma(alpha + beta + 2.0)
+        )
+        c_norm = math.exp(-log_mass)
+    except OverflowError:
+        c_norm = math.inf
+    if not 0.0 < c_norm < math.inf:
+        raise ValueError(f"the weight's mass is not representable for exponents ({alpha}, {beta})")
+    return JacobiParams(float(alpha), float(beta), c_norm)
 
 
 def _check_exponents(alpha: float, beta: float) -> None:
-    if not (alpha > -0.5 and beta > -0.5):
-        raise ValueError(f"need alpha > -1/2 and beta > -1/2, got ({alpha}, {beta})")
+    if not (-0.5 < alpha < math.inf and -0.5 < beta < math.inf):
+        raise ValueError(f"need finite alpha > -1/2 and beta > -1/2, got ({alpha}, {beta})")
 
 
 def _recurrence(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,49 +153,123 @@ def jacobi_weighted_sums(params: JacobiParams, kmax: int, x, v) -> np.ndarray:
     return out
 
 
-def _eval_with_derivative(
-    diag: np.ndarray, off: np.ndarray, n: int, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p_n(x), p_n'(x) and sum_{k<n} p_k(x)^2 from the orthonormal recurrence."""
+# orders up to this take eigenvalues of the dense Jacobi matrix as Newton
+# starting points; above it the asymptotic guesses are used, which at small
+# order and large exponents can start two nodes in one root's basin
+DENSE_MAX = 64
+# nodes nearest each end that take the Bessel-zero guess
+EDGE_NODES = 10
+
+
+def _interior_thetas(a: float, b: float, n: int) -> np.ndarray:
+    """Tricomi/Gatteschi-Pittaluga guesses theta_1 < ... < theta_n, x_k = cos(theta_k)."""
+    r = 2.0 * n + a + b + 1.0
+    t = (2.0 * np.arange(1, n + 1) + a - 0.5) * (np.pi / r)
+    half = np.tan(0.5 * t)
+    return t + ((0.25 - a * a) / half - (0.25 - b * b) * half) / (r * r)
+
+
+def _edge_thetas(a: float, b: float, n: int) -> np.ndarray:
+    """Gatteschi guesses for the EDGE_NODES zeros nearest x = 1, x_k = cos(theta_k).
+
+    The Bessel zeros j_{a,k} come from McMahon's expansion.
+    """
+    mu = 4.0 * a * a
+    w = 8.0 * (np.arange(1, EDGE_NODES + 1) + 0.5 * a - 0.25) * np.pi
+    bessel = (
+        0.125 * w
+        - (mu - 1.0) / w
+        - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * w**3)
+        - 32.0 * (mu - 1.0) * (83.0 * mu**2 - 982.0 * mu + 3779.0) / (15.0 * w**5)
+        - 64.0
+        * (mu - 1.0)
+        * (6949.0 * mu**3 - 153855.0 * mu**2 + 1585743.0 * mu - 6277237.0)
+        / (105.0 * w**7)
+    )
+    rho = n + 0.5 * (a + b + 1.0)
+    phi = bessel / rho
+    corr = (a * a - 0.25) * (1.0 - phi / np.tan(phi)) / (2.0 * phi) - 0.25 * (
+        a * a - b * b
+    ) * np.tan(0.5 * phi)
+    return phi + corr / (rho * rho)
+
+
+def _initial_nodes(params: JacobiParams, diag: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
+    """Increasing starting points for the Newton polish of the zeros of Pi_n."""
+    if n <= DENSE_MAX:
+        # eigvalsh reads the lower triangle only
+        return np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[: n - 1], -1))
+    a, b = params.alpha, params.beta
+    # index k = 1..n counts from x = 1; each half takes the interior guess
+    # expanded about its own end, and the end nodes take the Bessel guesses
+    near_one = _interior_thetas(a, b, n)
+    near_minus_one = _interior_thetas(b, a, n)[::-1]
+    x = np.where(near_one <= 0.5 * np.pi, np.cos(near_one), -np.cos(near_minus_one))
+    x[:EDGE_NODES] = np.cos(_edge_thetas(a, b, n))
+    x[-EDGE_NODES:] = -np.cos(_edge_thetas(b, a, n))[::-1]
+    return x[::-1]
+
+
+def _top_values(diag: np.ndarray, off: np.ndarray, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_{n-1}(x) and p_n(x) from the orthonormal recurrence."""
     p_prev = np.ones_like(x)
     p = (x - diag[0]) / off[0]
-    d_prev = np.zeros_like(x)
-    d = np.full_like(x, 1.0 / off[0])
+    for k in range(1, n):
+        p_prev, p = p, ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
+    return p_prev, p
+
+
+def _christoffel_sum(diag: np.ndarray, off: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
+    """sum_{k<n} p_k(x)^2, adding p_1^2, p_2^2, ... to 1 in turn."""
+    p_prev = np.ones_like(x)
+    p = (x - diag[0]) / off[0]
     kernel = np.ones_like(x)
     for k in range(1, n):
         kernel += p * p
-        p_next = ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
-        d_next = (p + (x - diag[k]) * d - off[k - 1] * d_prev) / off[k]
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-    return p, d, kernel
+        p_prev, p = p, ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
+    return kernel
 
 
 def gauss_jacobi_rule(params: JacobiParams, N: int) -> QuadratureRule:
     """N-node Gauss-Jacobi rule, exact on polynomials of degree <= 2N-1.
 
-    Nodes are the zeros of Pi_N: eigenvalues of the symmetric tridiagonal
-    Jacobi matrix, Newton-polished to 1e-14. Weights are Christoffel weights
-    w = 1 / sum_{k<N} Pi_k(node)^2. Raises NodeSolveError rather than
-    returning an uncertified rule.
+    Nodes are the zeros of Pi_N, Newton-polished to 1e-14. Newton starts
+    from the eigenvalues of the dense Jacobi matrix for N <= 64, and above
+    that from asymptotic guesses (Hale & Townsend, SIAM J. Sci. Comput.
+    35(2), 2013): Tricomi's interior formula with the Gatteschi-Pittaluga
+    correction, and Gatteschi's Bessel-zero formula for the 10 nodes nearest
+    each end. Each Newton pass runs the recurrence for values only and takes
+    the derivative from the Jacobi identity, with s = alpha + beta,
+    (1 - x^2) p_N' = N (alpha - beta - (2N+s) x) p_N / (2N+s)
+                     + sqrt(b_N) (2N+s+1) p_{N-1}.
+    Weights are Christoffel weights w = 1 / sum_{k<N} Pi_k(node)^2. Raises
+    NodeSolveError rather than returning an uncertified rule.
     """
     _check_exponents(params.alpha, params.beta)
     if N < 1:
         raise ValueError(f"rule order must be >= 1, got {N}")
     diag, off = _recurrence(params, N + 1)
-    nodes = eigvalsh_tridiagonal(diag[:N], off[: N - 1])
-    for it in range(60):
-        p, dp, _ = _eval_with_derivative(diag, off, N, nodes)
-        step = p / dp
-        nodes = nodes - step
-        if np.max(np.abs(step)) <= 1e-14:
+    twice_n_s = 2.0 * N + params.alpha + params.beta
+    lead = N * (params.alpha - params.beta) / twice_n_s
+    tail = off[N - 1] * (twice_n_s + 1.0)
+    nodes = _initial_nodes(params, diag, off, N)
+    # a node leaves the polish once its own step is <= 1e-14
+    active = np.arange(N)
+    for _ in range(60):
+        x = nodes[active]
+        p_prev, p = _top_values(diag, off, N, x)
+        step = p * (1.0 - x * x) / ((lead - N * x) * p + tail * p_prev)
+        nodes[active] = x - step
+        moving = np.abs(step) > 1e-14
+        if not moving.any():
             break
+        active = active[moving]
     else:
-        worst = int(np.argmax(np.abs(step)))
+        worst = int(active[np.argmax(np.abs(step[moving]))])
         raise NodeSolveError(
             f"Newton polish did not converge for node {worst} of the order-{N} rule"
         )
-    _, _, kernel = _eval_with_derivative(diag, off, N, nodes)
+    kernel = _christoffel_sum(diag, off, N, nodes)
     # store in strictly decreasing order (theta = arccos increasing)
     rule = QuadratureRule(N, nodes[::-1].copy(), 1.0 / kernel[::-1], params)
     return _certify(rule)

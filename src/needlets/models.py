@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import UnresolvedIntegrandError, require_entries
 from .frame import JacobiBasis, jacobi_basis
@@ -148,7 +149,7 @@ def _piece_nodes(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
     """
     inner = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
     cuts = [0.0, *(math.acos(b) for b in reversed(inner)), math.pi / 2.0]
-    bx, bw = np.polynomial.legendre.leggauss(32)
+    bx, bw = leggauss(32)
     quarter_panels = max(1, math.ceil(order / 32))
     xs, ws = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):

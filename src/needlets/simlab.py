@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import InvariantError
 from .estimators import (
@@ -270,7 +271,7 @@ def _draw_runs(model, f_coeffs, epsilon, master_seed, runs, target_id, noise_id)
     """Per-run seeds and the runs drawn from them, stacked as one (runs, K) observation."""
     seeds = tuple(derive_seed(master_seed, r, target_id, noise_id) for r in range(runs))
     y = np.stack([
-        sample_observation(model, f_coeffs, epsilon, np.random.default_rng(s)).y for s in seeds
+        sample_observation(model, f_coeffs, epsilon, default_rng(s)).y for s in seeds
     ])
     return seeds, SequenceObservation(y, float(epsilon))
 

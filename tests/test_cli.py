@@ -8,14 +8,20 @@ installed console script.
 import csv
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import needlets
 from needlets import forward, wicksell_model
-from needlets.cli import main
+from needlets.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args):
@@ -37,6 +43,11 @@ def test_quad_dump_stdout(capsys):
     _, node, weight = lines[1].split(",")
     assert abs(float(node) - 1.0 / 3.0) < 1e-14
     assert abs(float(weight) - 1.0) < 1e-14
+
+
+def test_quad_dump_rejects_infinite_exponent(capsys):
+    assert run_cli("quad", "dump", "--alpha", "0", "--beta", "inf", "--n", "4") == 1
+    assert "(0.0, inf)" in capsys.readouterr().err
 
 
 def test_filter_plot(tmp_path):
@@ -237,3 +248,35 @@ def test_console_script_installed():
     )
     assert r.returncode == 0
     assert r.stdout.strip().splitlines()[1] == "0,1"
+
+
+def _readme_usage_lines():
+    """Every `needlets ...` command of the README's command-line block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        line.strip()
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("needlets ")
+    ]
+
+
+def test_readme_usage_lines_parse():
+    lines = _readme_usage_lines()
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README usage line does not parse: {line}")
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test oracle only; the command line must start without it
+    env = dict(os.environ, PYTHONPATH=str(Path(needlets.__file__).resolve().parents[1]))
+    code = "import sys, needlets.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

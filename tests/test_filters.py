@@ -6,9 +6,11 @@ values exactly representable and good freeze targets.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +66,18 @@ def test_phi_monotone(profile2):
     assert np.all(np.diff(vals) <= 0)
 
 
+@pytest.mark.parametrize("m", range(1, 33))
+def test_phi_matches_scipy_betainc(m):
+    # the transition is phi(xi) = I_{1-u}(m+1, m+1) with u = 2 xi - 1; the
+    # package sums it as a binomial tail, scipy is the independent oracle
+    profile = make_profile("polynomial-shape", m)
+    xi = np.linspace(0.5, 1.0, 200001)
+    vals = profile_phi(profile, xi)
+    want = scipy.special.betainc(m + 1, m + 1, 1.0 - (2.0 * xi - 1.0))
+    assert np.max(np.abs(vals - want)) <= 2e-15
+    assert np.all(np.diff(vals) <= 0)
+
+
 def test_a_support_and_midpoint(filt2):
     xi = np.array([0.49, 0.5, 2.0, 2.01, 3.0])
     np.testing.assert_allclose(filter_a(filt2, xi), 0.0, rtol=0, atol=0)
@@ -111,6 +125,12 @@ def test_profile_errors():
         make_profile("triangle", 2)
     with pytest.raises(ValueError):
         make_profile("polynomial-shape", 0)
+    # the binomial-tail coefficients leave double range above m = 513, and
+    # the tail is defined for integer m only
+    for m in (513, 10**4, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"got {m}")):
+            make_profile("polynomial-shape", m)
+    assert make_filter(make_profile("polynomial-shape", 512)).support_floor > 0.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ which integrates every polynomial the smaller rule claims exactly.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from needlets import (
     jacobi_params,
     jacobi_weighted_sums,
 )
+from needlets.jacobi import _recurrence
 
 PARAM_GRID = [(0.0, 0.0), (0.0, 1.0), (0.5, -0.3), (2.0, 3.0)]
 
@@ -77,6 +79,52 @@ def test_rule_matches_scipy(alpha, beta):
     big = gauss_jacobi_rule(params, 1024)
     x_big, _ = scipy.special.roots_jacobi(1024, alpha, beta)
     np.testing.assert_allclose(big.nodes, x_big[::-1], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha,beta", PARAM_GRID)
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 64, 65, 257, 4096])
+def test_rule_nodes_match_scipy_across_orders(alpha, beta, n):
+    # both sides of the dense/asymptotic crossover at 64, up to the largest
+    # rule a jmax-11 frame builds; weights only at small order (see above)
+    params = jacobi_params(alpha, beta)
+    rule = gauss_jacobi_rule(params, n)
+    x, w = scipy.special.roots_jacobi(n, alpha, beta)
+    np.testing.assert_allclose(rule.nodes, x[::-1], rtol=0, atol=1e-14)
+    if n <= 12:
+        np.testing.assert_allclose(rule.weights, w[::-1] * params.c_norm, rtol=1e-13)
+
+
+def _dense_eigenvalues(params, n):
+    # eigenvalues of the dense symmetric Jacobi matrix, largest first
+    diag, off = _recurrence(params, n)
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(-0.4, 9.5),
+    beta=st.floats(-0.4, 9.5),
+    n=st.integers(1, 300),
+)
+def test_rule_matches_dense_eigenvalues(alpha, beta, n):
+    # gauss_jacobi_rule raises NodeSolveError unless the rule certifies
+    params = jacobi_params(alpha, beta)
+    rule = gauss_jacobi_rule(params, n)
+    np.testing.assert_allclose(rule.nodes, _dense_eigenvalues(params, n), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,n",
+    [(9.5, beta, n) for beta in (-0.4, 0.0, 3.0, 9.5) for n in range(5, 12)]
+    + [(alpha, beta, n) for alpha, beta in ((9.5, 9.5), (-0.4, 9.5), (9.5, -0.4), (0.0, 1.0)) for n in (64, 65)],
+)
+def test_rule_at_large_exponents_and_crossover(alpha, beta, n):
+    # at alpha = 9.5 and N = 5..11 the asymptotic guesses near the two ends
+    # overlap and two of them converge to one root; 64/65 is where the
+    # dense starting points hand over to the asymptotic ones
+    params = jacobi_params(alpha, beta)
+    rule = gauss_jacobi_rule(params, n)
+    np.testing.assert_allclose(rule.nodes, _dense_eigenvalues(params, n), rtol=0, atol=1e-14)
 
 
 def test_c_norm_is_reciprocal_mass():
@@ -172,6 +220,17 @@ def test_invalid_parameters_rejected():
         jacobi_params(0.0, -0.6)
     with pytest.raises(ValueError):
         gauss_jacobi_rule(jacobi_params(0.0, 1.0), 0)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [(0.0, math.inf), (math.inf, 1.0), (math.nan, 0.0), (0.0, 1e308), (1e200, 1.0)],
+)
+def test_nonfinite_and_unrepresentable_exponents_rejected(alpha, beta):
+    # infinite or NaN exponents, and exponents whose weight mass overflows
+    # or underflows, raise a ValueError naming the pair
+    with pytest.raises(ValueError, match=re.escape(f"({alpha}, {beta})")):
+        jacobi_params(alpha, beta)
 
 
 @settings(max_examples=25, deadline=None)
