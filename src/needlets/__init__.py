@@ -37,7 +37,6 @@ from .frame import (
     NODES_PAPER,
     BesovParams,
     FrameLevel,
-    JacobiBasis,
     NeedletFrame,
     analyze,
     best_approx_errors,
@@ -46,7 +45,6 @@ from .frame import (
     coeff_function_norm,
     frame_invariants,
     frame_norm,
-    jacobi_basis,
     level_frame_norms,
     level_sigma,
     localization_check,
@@ -54,12 +52,12 @@ from .frame import (
 )
 from .frameio import FORMAT_VERSION, load_frame, save_frame
 from .jacobi import (
-    JacobiParams,
+    JacobiBasis,
     QuadratureRule,
     gauss_jacobi_rule,
     generalized_weight,
+    jacobi_basis,
     jacobi_eval_all,
-    jacobi_params,
     jacobi_weighted_sums,
 )
 from .losses import grid_weights, weighted_loss

@@ -29,11 +29,12 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, filter_a, make_filter, make_profile
-from .frame import NODES_EXACT, NODES_PAPER, build_frame, frame_invariants, jacobi_basis
+from .frame import NODES_EXACT, NODES_PAPER, frame_invariants
 from .frameio import load_frame, save_frame
-from .jacobi import gauss_jacobi_rule, jacobi_eval_all, jacobi_params
+from .jacobi import gauss_jacobi_rule, jacobi_basis, jacobi_eval_all
 from .models import SequenceObservation, direct_model, eval_e, wicksell_model
 from .simlab import (
+    FrameSpec,
     RateTarget,
     SimulationConfig,
     emit_report,
@@ -63,7 +64,7 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_quad_dump(args) -> int:
-    rule = gauss_jacobi_rule(jacobi_params(args.alpha, args.beta), args.n)
+    rule = gauss_jacobi_rule(jacobi_basis(args.alpha, args.beta), args.n)
     _write_csv(
         args.out,
         ["index", "node", "weight"],
@@ -87,12 +88,15 @@ def _cmd_filter_plot(args) -> int:
     return 0
 
 
+def _frame_spec(args) -> FrameSpec:
+    return FrameSpec(args.alpha, args.beta, args.jmax, args.m, args.nodes_per_level)
+
+
 def _cmd_frame_build(args) -> int:
-    filt = make_filter(make_profile(POLYNOMIAL_SHAPE, args.m))
-    frame = build_frame(jacobi_basis(args.alpha, args.beta), filt, args.jmax, args.nodes_per_level)
+    frame = _frame_spec(args).build()
     save_frame(frame, args.out)
     print(
-        f"wrote {args.out}: basis={frame.basis.kind} j_max={frame.j_max} "
+        f"wrote {args.out}: basis=jacobi j_max={frame.j_max} "
         f"budget={frame.budget} defect={frame.exactness_defect:.3g}"
     )
     return 0
@@ -102,7 +106,7 @@ def _cmd_frame_check(args) -> int:
     frame = load_frame(args.path)
     rows = frame_invariants(frame)
     failed = False
-    print(f"frame {args.path}: basis={frame.basis.kind} j_max={frame.j_max} "
+    print(f"frame {args.path}: basis=jacobi j_max={frame.j_max} "
           f"nodes={frame.nodes_per_level}")
     for name, value, tol in rows:
         ok = value <= tol
@@ -114,16 +118,12 @@ def _cmd_frame_check(args) -> int:
 
 
 def _cmd_frame_render(args) -> int:
-    if args.frame is not None:
-        frame = load_frame(args.frame)
-    else:
-        filt = make_filter(make_profile(POLYNOMIAL_SHAPE, args.m))
-        frame = build_frame(jacobi_basis(args.alpha, args.beta), filt, args.jmax, args.nodes_per_level)
+    frame = load_frame(args.frame) if args.frame is not None else _frame_spec(args).build()
     lev = frame.level(args.j)
     if not 1 <= args.nu <= lev.n_nodes:
         raise ValueError(f"nu must be in 1..{lev.n_nodes} at level {args.j}")
     x = np.linspace(-1.0, 1.0, args.points)
-    table = jacobi_eval_all(frame.basis.params, lev.freq_hi, x)[lev.freq_lo :]
+    table = jacobi_eval_all(frame.basis, lev.freq_hi, x)[lev.freq_lo :]
     psi_vals = lev.psi[args.nu - 1] @ table
     _write_csv(
         args.out,
@@ -216,9 +216,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rates(args) -> int:
     config = _load_config(args.config)
-    from .simlab import _build_frame  # shares the frame construction with simulate
-
-    frame = _build_frame(config.frame)
+    frame = config.frame.build()
     eps_list = tuple(args.eps) if args.eps else RATE_EPS_DEFAULT
     coeffs = np.exp(-np.arange(64) / 4.0)
     coeffs /= math.sqrt(float(np.sum(coeffs**2)))

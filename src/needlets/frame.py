@@ -12,21 +12,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import InvariantError, NormResolutionError, require_entries
 from .filters import Filter, check_partition, filter_a, profile_phi
-from .jacobi import JacobiParams, gauss_jacobi_rule, generalized_weight, jacobi_eval_all, jacobi_params
+from .jacobi import (
+    JacobiBasis,
+    gauss_jacobi_rule,
+    gauss_legendre_panels,
+    generalized_weight,
+    jacobi_eval_all,
+)
 
 __all__ = [
-    "JacobiBasis",
     "FrameLevel",
     "NeedletFrame",
     "BesovParams",
-    "jacobi_basis",
     "build_frame",
     "analyze",
     "synthesize",
@@ -46,23 +48,6 @@ NODES_EXACT = "exact"
 NODES_PAPER = "paper"
 
 _SELF_CHECK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class JacobiBasis:
-    """Orthonormal Jacobi polynomials on [-1, 1] under dgamma_{alpha,beta}."""
-
-    params: JacobiParams
-
-    kind = "jacobi"
-
-    def __str__(self) -> str:
-        return f"JacobiBasis(alpha={self.params.alpha:g}, beta={self.params.beta:g})"
-
-
-def jacobi_basis(alpha: float, beta: float) -> JacobiBasis:
-    """Jacobi basis family with probability normalization."""
-    return JacobiBasis(jacobi_params(alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -136,7 +121,7 @@ def _window(j: int) -> tuple[int, int]:
 
 def _level_rule(basis: JacobiBasis, j: int, nodes_per_level: str) -> tuple[np.ndarray, np.ndarray]:
     n = 2 ** (j + 1) if nodes_per_level == NODES_EXACT else 2**j
-    rule = gauss_jacobi_rule(basis.params, n)
+    rule = gauss_jacobi_rule(basis, n)
     return rule.nodes, rule.weights
 
 
@@ -181,7 +166,7 @@ def build_frame(
             nodes, weights = _level_rule(basis, j, nodes_per_level)
         except InvariantError as exc:
             raise InvariantError(f"level {j}: {exc}") from exc
-        base_vals = jacobi_eval_all(basis.params, hi, nodes)[lo:]
+        base_vals = jacobi_eval_all(basis, hi, nodes)[lo:]
         psi = np.sqrt(weights)[:, None] * (avals[None, :] * base_vals.T)
         defect = _gram_defect(psi, avals)
         worst = max(worst, defect)
@@ -273,29 +258,13 @@ def frame_invariants(frame: NeedletFrame) -> list[tuple[str, float, float]]:
 # natural-domain integration of needlet functions
 
 
-@lru_cache(maxsize=8)
-def _gl_base(q: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(q)
-    return x, w
-
-
-def _panels(length: float, n_panels: int, q: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0, length]."""
-    bx, bw = _gl_base(q)
-    h = length / n_panels
-    starts = np.arange(n_panels) * h
-    s = (starts[:, None] + (bx[None, :] + 1.0) * (h / 2.0)).ravel()
-    w = np.tile(bw * (h / 2.0), n_panels)
-    return s, w
-
-
 def _measure_nodes(basis: JacobiBasis, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Integration nodes x = cos(theta) and weights of the Jacobi measure on [-1, 1]."""
-    theta, w = _panels(math.pi, n_panels)
-    a, b = basis.params.alpha, basis.params.beta
+    theta, w = gauss_legendre_panels(0.0, math.pi, n_panels, 16)
+    a, b = basis.alpha, basis.beta
     half = theta / 2.0
     density = (
-        basis.params.c_norm
+        basis.c_norm
         * (2.0 * np.sin(half) ** 2) ** a
         * (2.0 * np.cos(half) ** 2) ** b
         * np.sin(theta)
@@ -309,7 +278,7 @@ def _dense_grid(j: int) -> np.ndarray:
 
 def _block_values(basis: JacobiBasis, block: np.ndarray, lo: int, x: np.ndarray) -> np.ndarray:
     hi = lo + block.shape[1] - 1
-    return block @ jacobi_eval_all(basis.params, hi, x)[lo:]
+    return block @ jacobi_eval_all(basis, hi, x)[lo:]
 
 
 def _block_lp_norms(
@@ -382,7 +351,7 @@ def localization_check(frame: NeedletFrame, j: int, nu: int, l: int) -> float:
     vals = _block_values(frame.basis, lev.psi[nu - 1 : nu], lev.freq_lo, x)[0]
     theta_nu = math.acos(float(lev.nodes[nu - 1]))
     envelope = (1.0 + 2.0**j * np.abs(theta - theta_nu)) ** l
-    omega = generalized_weight(frame.basis.params, 2**j, x)
+    omega = generalized_weight(frame.basis, 2**j, x)
     return float(np.max(np.abs(vals) * envelope * np.sqrt(omega)) / 2.0 ** (j / 2.0))
 
 

@@ -20,14 +20,15 @@ import numpy as np
 
 from .errors import require_entries
 from .filters import POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL, make_filter, make_profile
-from .frame import NODES_EXACT, NODES_PAPER, FrameLevel, NeedletFrame, jacobi_basis
+from .frame import NODES_EXACT, NODES_PAPER, FrameLevel, NeedletFrame
+from .jacobi import jacobi_basis
 
 __all__ = ["FORMAT_VERSION", "save_frame", "load_frame"]
 
 _MAGIC = b"NDLT"
 FORMAT_VERSION = 1
 
-_BASIS_CODES = {"jacobi": 0}
+_JACOBI_CODE = 0
 _PROFILE_CODES = {POLYNOMIAL_SHAPE: 0, SMOOTH_EXPONENTIAL: 1}
 _NODE_CODES = {NODES_EXACT: 0, NODES_PAPER: 1}
 
@@ -40,9 +41,9 @@ def save_frame(frame: NeedletFrame, path) -> None:
     header = _HEADER.pack(
         _MAGIC,
         FORMAT_VERSION,
-        _BASIS_CODES[frame.basis.kind],
-        frame.basis.params.alpha,
-        frame.basis.params.beta,
+        _JACOBI_CODE,
+        frame.basis.alpha,
+        frame.basis.beta,
         _PROFILE_CODES[frame.filt.profile.kind],
         frame.filt.profile.m,
         _NODE_CODES[frame.nodes_per_level],
@@ -84,7 +85,8 @@ def load_frame(path) -> NeedletFrame:
         raise ValueError(f"not a frame container (magic {magic!r})")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported frame container version {version}")
-    _decode(_BASIS_CODES, basis_code, "basis")
+    if basis_code != _JACOBI_CODE:
+        raise ValueError(f"unknown basis code {basis_code} in frame container")
     profile_kind = _decode(_PROFILE_CODES, profile_code, "profile")
     nodes_mode = _decode(_NODE_CODES, node_code, "node-mode")
     if n_levels != j_max + 2:

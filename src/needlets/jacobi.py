@@ -9,37 +9,78 @@ w = 1 / sum_{k<N} Pi_k(node)^2. Only numpy is needed.
 
 Everything is normalized against the probability measure
 dgamma_{alpha,beta}(x) = c_norm (1-x)^alpha (1+x)^beta dx on [-1, 1],
-so Pi_0 = 1 and quadrature weights sum to 1.
+so Pi_0 = 1 and quadrature weights sum to 1. A JacobiBasis carries the
+exponents and c_norm; every table, weighted sum and rule runs the one
+recurrence generator _orthonormal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NodeSolveError
 
 __all__ = [
-    "JacobiParams",
+    "JacobiBasis",
     "QuadratureRule",
     "NodeSolveError",
-    "jacobi_params",
+    "MAX_EXPONENT",
+    "jacobi_basis",
     "jacobi_eval_all",
     "jacobi_weighted_sums",
     "generalized_weight",
     "gauss_jacobi_rule",
+    "gauss_legendre_panels",
 ]
+
+# c_norm sums lgamma terms that cancel as the exponents grow: its relative
+# error is 1e-13 at alpha = beta = 1e3 and 1e-10 at 1e5, so larger
+# exponents are refused rather than given a silently wrong normalization
+MAX_EXPONENT = 1000.0
 
 
 @dataclass(frozen=True)
-class JacobiParams:
-    """Jacobi weight exponents plus the probability-measure normalization."""
+class JacobiBasis:
+    """Orthonormal Jacobi polynomials on [-1, 1] under dgamma_{alpha,beta}.
+
+    c_norm = 1 / integral (1-x)^alpha (1+x)^beta dx is computed from the
+    exponents at construction, which refuses any pair outside
+    (-1/2, MAX_EXPONENT], so every instance is a valid family.
+    """
 
     alpha: float
     beta: float
-    c_norm: float
+    c_norm: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        a, b = self.alpha, self.beta
+        if not (-0.5 < a <= MAX_EXPONENT and -0.5 < b <= MAX_EXPONENT):
+            raise ValueError(
+                f"need -1/2 < alpha, beta <= {MAX_EXPONENT:g}, got ({a}, {b})"
+            )
+        # log of 2^(a+b+1) * B(a+1, b+1); within the bounds it lies in
+        # (-3, 691), so c_norm is a normal float
+        log_mass = (
+            (a + b + 1.0) * math.log(2.0)
+            + math.lgamma(a + 1.0)
+            + math.lgamma(b + 1.0)
+            - math.lgamma(a + b + 2.0)
+        )
+        object.__setattr__(self, "c_norm", math.exp(-log_mass))
+
+    def __str__(self) -> str:
+        return f"JacobiBasis(alpha={self.alpha:g}, beta={self.beta:g})"
+
+
+def jacobi_basis(alpha: float, beta: float) -> JacobiBasis:
+    """Jacobi basis family with probability normalization."""
+    return JacobiBasis(float(alpha), float(beta))
 
 
 @dataclass(frozen=True)
@@ -49,40 +90,16 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    params: JacobiParams
+    basis: JacobiBasis
 
 
-def jacobi_params(alpha: float, beta: float) -> JacobiParams:
-    """Build JacobiParams, computing c_norm = 1 / integral (1-x)^a (1+x)^b dx."""
-    _check_exponents(alpha, beta)
-    # log of 2^(a+b+1) * B(a+1, b+1), kept in log space for large exponents
-    try:
-        log_mass = (
-            (alpha + beta + 1.0) * math.log(2.0)
-            + math.lgamma(alpha + 1.0)
-            + math.lgamma(beta + 1.0)
-            - math.lgamma(alpha + beta + 2.0)
-        )
-        c_norm = math.exp(-log_mass)
-    except OverflowError:
-        c_norm = math.inf
-    if not 0.0 < c_norm < math.inf:
-        raise ValueError(f"the weight's mass is not representable for exponents ({alpha}, {beta})")
-    return JacobiParams(float(alpha), float(beta), c_norm)
-
-
-def _check_exponents(alpha: float, beta: float) -> None:
-    if not (-0.5 < alpha < math.inf and -0.5 < beta < math.inf):
-        raise ValueError(f"need finite alpha > -1/2 and beta > -1/2, got ({alpha}, {beta})")
-
-
-def _recurrence(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _recurrence(basis: JacobiBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal a_0..a_{n-1} and off-diagonal sqrt(b_1)..sqrt(b_{n-1}) of the Jacobi matrix.
 
     Orthonormal three-term recurrence under the probability measure:
     sqrt(b_{k+1}) p_{k+1}(x) = (x - a_k) p_k(x) - sqrt(b_k) p_{k-1}(x).
     """
-    a, b = params.alpha, params.beta
+    a, b = basis.alpha, basis.beta
     s = a + b
     diag = np.empty(n)
     diag[0] = (b - a) / (s + 2.0)
@@ -101,36 +118,46 @@ def _recurrence(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def jacobi_eval_all(params: JacobiParams, kmax: int, x) -> np.ndarray:
+def _orthonormal(diag: np.ndarray, off: np.ndarray, n: int, x: np.ndarray):
+    """Yield Pi_0(x), ..., Pi_n(x) along the orthonormal three-term recurrence.
+
+    diag and off are _recurrence's coefficients, at least n of each.
+    """
+    p_prev = np.ones_like(x)
+    yield p_prev
+    if n == 0:
+        return
+    p = (x - diag[0]) / off[0]
+    yield p
+    for k in range(1, n):
+        p_prev, p = p, ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
+        yield p
+
+
+def jacobi_eval_all(basis: JacobiBasis, kmax: int, x) -> np.ndarray:
     """Values Pi_0(x)..Pi_kmax(x) of the orthonormal Jacobi polynomials.
 
     x may be a scalar or an array; the result has shape (kmax+1,) + shape(x).
     """
-    _check_exponents(params.alpha, params.beta)
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     xs = np.asarray(x, dtype=float)
     if np.any(np.abs(xs) > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
     out = np.empty((kmax + 1,) + xs.shape)
-    out[0] = 1.0
-    if kmax == 0:
-        return out
-    diag, off = _recurrence(params, kmax + 1)
-    out[1] = (xs - diag[0]) / off[0]
-    for k in range(1, kmax):
-        out[k + 1] = ((xs - diag[k]) * out[k] - off[k - 1] * out[k - 1]) / off[k]
+    diag, off = _recurrence(basis, kmax + 1)
+    for k, p in enumerate(_orthonormal(diag, off, kmax, xs)):
+        out[k] = p
     return out
 
 
-def jacobi_weighted_sums(params: JacobiParams, kmax: int, x, v) -> np.ndarray:
+def jacobi_weighted_sums(basis: JacobiBasis, kmax: int, x, v) -> np.ndarray:
     """Sums out[k] = sum_i Pi_k(x_i) v_i for k = 0..kmax.
 
-    Equal to jacobi_eval_all(params, kmax, x) @ v up to rounding, but the
+    Equal to jacobi_eval_all(basis, kmax, x) @ v up to rounding, but the
     recurrence runs once over the points and each degree is reduced against
     v as it is formed, so no (kmax+1) x len(x) table is ever held.
     """
-    _check_exponents(params.alpha, params.beta)
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     xs = np.asarray(x, dtype=float)
@@ -139,18 +166,9 @@ def jacobi_weighted_sums(params: JacobiParams, kmax: int, x, v) -> np.ndarray:
         raise ValueError(f"need points and values of one shape (n,), got {xs.shape}, {vs.shape}")
     if np.any(np.abs(xs) > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
-    out = np.empty(kmax + 1)
-    out[0] = vs.sum()
-    if kmax == 0:
-        return out
-    diag, off = _recurrence(params, kmax + 1)
-    p_prev = np.ones_like(xs)
-    p = (xs - diag[0]) / off[0]
-    out[1] = p @ vs
-    for k in range(1, kmax):
-        p_prev, p = p, ((xs - diag[k]) * p - off[k - 1] * p_prev) / off[k]
-        out[k + 1] = p @ vs
-    return out
+    degrees = _orthonormal(*_recurrence(basis, kmax + 1), kmax, xs)
+    next(degrees)  # Pi_0 = 1 sums to vs.sum()
+    return np.array([vs.sum(), *(p @ vs for p in degrees)])
 
 
 # orders up to this take eigenvalues of the dense Jacobi matrix as Newton
@@ -194,12 +212,12 @@ def _edge_thetas(a: float, b: float, n: int) -> np.ndarray:
     return phi + corr / (rho * rho)
 
 
-def _initial_nodes(params: JacobiParams, diag: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
+def _initial_nodes(basis: JacobiBasis, diag: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
     """Increasing starting points for the Newton polish of the zeros of Pi_n."""
     if n <= DENSE_MAX:
         # eigvalsh reads the lower triangle only
         return np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[: n - 1], -1))
-    a, b = params.alpha, params.beta
+    a, b = basis.alpha, basis.beta
     # index k = 1..n counts from x = 1; each half takes the interior guess
     # expanded about its own end, and the end nodes take the Bessel guesses
     near_one = _interior_thetas(a, b, n)
@@ -210,27 +228,7 @@ def _initial_nodes(params: JacobiParams, diag: np.ndarray, off: np.ndarray, n: i
     return x[::-1]
 
 
-def _top_values(diag: np.ndarray, off: np.ndarray, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p_{n-1}(x) and p_n(x) from the orthonormal recurrence."""
-    p_prev = np.ones_like(x)
-    p = (x - diag[0]) / off[0]
-    for k in range(1, n):
-        p_prev, p = p, ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
-    return p_prev, p
-
-
-def _christoffel_sum(diag: np.ndarray, off: np.ndarray, n: int, x: np.ndarray) -> np.ndarray:
-    """sum_{k<n} p_k(x)^2, adding p_1^2, p_2^2, ... to 1 in turn."""
-    p_prev = np.ones_like(x)
-    p = (x - diag[0]) / off[0]
-    kernel = np.ones_like(x)
-    for k in range(1, n):
-        kernel += p * p
-        p_prev, p = p, ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
-    return kernel
-
-
-def gauss_jacobi_rule(params: JacobiParams, N: int) -> QuadratureRule:
+def gauss_jacobi_rule(basis: JacobiBasis, N: int) -> QuadratureRule:
     """N-node Gauss-Jacobi rule, exact on polynomials of degree <= 2N-1.
 
     Nodes are the zeros of Pi_N, Newton-polished to 1e-14. Newton starts
@@ -245,19 +243,19 @@ def gauss_jacobi_rule(params: JacobiParams, N: int) -> QuadratureRule:
     Weights are Christoffel weights w = 1 / sum_{k<N} Pi_k(node)^2. Raises
     NodeSolveError rather than returning an uncertified rule.
     """
-    _check_exponents(params.alpha, params.beta)
     if N < 1:
         raise ValueError(f"rule order must be >= 1, got {N}")
-    diag, off = _recurrence(params, N + 1)
-    twice_n_s = 2.0 * N + params.alpha + params.beta
-    lead = N * (params.alpha - params.beta) / twice_n_s
+    diag, off = _recurrence(basis, N + 1)
+    twice_n_s = 2.0 * N + basis.alpha + basis.beta
+    lead = N * (basis.alpha - basis.beta) / twice_n_s
     tail = off[N - 1] * (twice_n_s + 1.0)
-    nodes = _initial_nodes(params, diag, off, N)
+    nodes = _initial_nodes(basis, diag, off, N)
     # a node leaves the polish once its own step is <= 1e-14
     active = np.arange(N)
     for _ in range(60):
         x = nodes[active]
-        p_prev, p = _top_values(diag, off, N, x)
+        # the last two values of the recurrence, p_{N-1}(x) and p_N(x)
+        p_prev, p = deque(_orthonormal(diag, off, N, x), maxlen=2)
         step = p * (1.0 - x * x) / ((lead - N * x) * p + tail * p_prev)
         nodes[active] = x - step
         moving = np.abs(step) > 1e-14
@@ -269,9 +267,9 @@ def gauss_jacobi_rule(params: JacobiParams, N: int) -> QuadratureRule:
         raise NodeSolveError(
             f"Newton polish did not converge for node {worst} of the order-{N} rule"
         )
-    kernel = _christoffel_sum(diag, off, N, nodes)
+    kernel = sum(p * p for p in _orthonormal(diag, off, N - 1, nodes))
     # store in strictly decreasing order (theta = arccos increasing)
-    rule = QuadratureRule(N, nodes[::-1].copy(), 1.0 / kernel[::-1], params)
+    rule = QuadratureRule(N, nodes[::-1].copy(), 1.0 / kernel[::-1], basis)
     return _certify(rule)
 
 
@@ -293,15 +291,32 @@ def _certify(rule: QuadratureRule) -> QuadratureRule:
     return rule
 
 
-def generalized_weight(params: JacobiParams, n: int, x) -> np.ndarray:
+def generalized_weight(basis: JacobiBasis, n: int, x) -> np.ndarray:
     """Regularized Jacobi weight (1 - x + n^-2)^(a+1/2) (1 + x + n^-2)^(b+1/2)."""
-    _check_exponents(params.alpha, params.beta)
     if n < 1:
         raise ValueError(f"scale n must be >= 1, got {n}")
     xs = np.asarray(x, dtype=float)
     if np.any(np.abs(xs) > 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
     shift = 1.0 / (n * n)
-    return (1.0 - xs + shift) ** (params.alpha + 0.5) * (1.0 + xs + shift) ** (
-        params.beta + 0.5
+    return (1.0 - xs + shift) ** (basis.alpha + 0.5) * (1.0 + xs + shift) ** (
+        basis.beta + 0.5
     )
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    # every caller shares the cached arrays
+    x, w = leggauss(q)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_legendre_panels(a: float, b: float, n_panels: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite q-point Gauss-Legendre nodes and weights on n_panels equal panels of [a, b]."""
+    bx, bw = _gauss_legendre(q)
+    h = (b - a) / n_panels
+    starts = a + np.arange(n_panels) * h
+    nodes = (starts[:, None] + (bx[None, :] + 1.0) * (h / 2.0)).ravel()
+    return nodes, np.tile(bw * (h / 2.0), n_panels)

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import UnresolvedIntegrandError, require_entries
-from .frame import JacobiBasis, jacobi_basis
-from .jacobi import jacobi_eval_all, jacobi_weighted_sums
+from .jacobi import JacobiBasis, gauss_legendre_panels, jacobi_basis, jacobi_eval_all, jacobi_weighted_sums
 
 __all__ = [
     "SvdModel",
@@ -109,7 +107,7 @@ def eval_e(model: SvdModel, kmax: int, x) -> np.ndarray:
     if np.any((xs < 0.0) | (xs > 1.0)):
         raise ValueError("Wicksell domain is [0, 1]")
     t = 2.0 * xs * xs - 1.0
-    return 4.0 * xs * xs * jacobi_eval_all(model.basis.params, kmax, t)
+    return 4.0 * xs * xs * jacobi_eval_all(model.basis, kmax, t)
 
 
 def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:
@@ -149,15 +147,11 @@ def _piece_nodes(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
     """
     inner = sorted({float(b) for b in breakpoints if 0.0 < float(b) < 1.0})
     cuts = [0.0, *(math.acos(b) for b in reversed(inner)), math.pi / 2.0]
-    bx, bw = leggauss(32)
     quarter_panels = max(1, math.ceil(order / 32))
     xs, ws = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):
         n_panels = max(1, math.ceil(quarter_panels * (b - a) / (math.pi / 2.0)))
-        h = (b - a) / n_panels
-        starts = a + np.arange(n_panels) * h
-        phi = (starts[:, None] + (bx[None, :] + 1.0) * (h / 2.0)).ravel()
-        v = np.tile(bw * (h / 2.0), n_panels)
+        phi, v = gauss_legendre_panels(a, b, n_panels, 32)
         xs.append(np.cos(phi))
         ws.append(np.sin(phi) * v)
     return np.concatenate(xs), np.concatenate(ws)
@@ -181,7 +175,7 @@ def coeffs_from_function(model: SvdModel, f, kmax: int, breakpoints=()) -> np.nd
     def one_pass(order: int) -> np.ndarray:
         x, w = _piece_nodes(breakpoints, order)
         v = np.asarray(f(x), dtype=float) * x * w
-        return jacobi_weighted_sums(model.basis.params, kmax, 2.0 * x * x - 1.0, v)
+        return jacobi_weighted_sums(model.basis, kmax, 2.0 * x * x - 1.0, v)
 
     order = max(4 * kmax, 256)
     coarse = one_pass(order)

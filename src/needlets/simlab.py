@@ -54,7 +54,8 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, make_filter, make_profile
-from .frame import NODES_EXACT, NeedletFrame, build_frame, jacobi_basis, level_sigma
+from .frame import NODES_EXACT, NeedletFrame, build_frame, level_sigma
+from .jacobi import jacobi_basis
 from .losses import weighted_loss
 from .models import (
     SequenceObservation,
@@ -89,11 +90,18 @@ ESTIMATOR_NAMES = ("svd-proj", "svd-adapt", "needd")
 
 @dataclass(frozen=True)
 class FrameSpec:
+    """Jacobi exponents, top level, cutoff order and node mode of one frame."""
+
     alpha: float = 0.0
     beta: float = 1.0
     jmax: int = 8
     m: int = 2
     nodes_per_level: str = NODES_EXACT
+
+    def build(self) -> NeedletFrame:
+        """The frame on jacobi_basis(alpha, beta) with the order-m polynomial-shape filter."""
+        filt = make_filter(make_profile(POLYNOMIAL_SHAPE, self.m))
+        return build_frame(jacobi_basis(self.alpha, self.beta), filt, self.jmax, self.nodes_per_level)
 
 
 @dataclass(frozen=True)
@@ -247,11 +255,6 @@ class SimulationReport:
         raise KeyError((target, rsnr, estimator))
 
 
-def _build_frame(spec: FrameSpec) -> NeedletFrame:
-    filt = make_filter(make_profile(POLYNOMIAL_SHAPE, spec.m))
-    return build_frame(jacobi_basis(spec.alpha, spec.beta), filt, spec.jmax, spec.nodes_per_level)
-
-
 def _pad(coeffs: np.ndarray, size: int) -> np.ndarray:
     if coeffs.shape[-1] > size:
         # only an identically-zero tail may be dropped; anything else would
@@ -284,7 +287,7 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
     values come from the basis expansion instead of a closed formula.
     """
     coefficient_targets = coefficient_targets or {}
-    frame = _build_frame(config.frame)
+    frame = config.frame.build()
     model = wicksell_model(kmax=frame.budget)
     n = config.n
     grid = np.arange(1, n + 1) / n

@@ -38,7 +38,6 @@ from needlets import (
     gauss_jacobi_rule,
     generalized_weight,
     jacobi_basis,
-    jacobi_params,
     level_frame_norms,
     level_sigma,
     localization_check,
@@ -104,10 +103,10 @@ def test_criterion_01_quadrature_exactness():
     t0 = time.perf_counter()
     worst = 0.0
     for alpha, beta in ((0.0, 0.0), (0.0, 1.0)):
-        params = jacobi_params(alpha, beta)
+        basis = jacobi_basis(alpha, beta)
         for n in (4, 16, 64, 256):
-            rule = gauss_jacobi_rule(params, n)
-            oracle = gauss_jacobi_rule(params, 2 * n)
+            rule = gauss_jacobi_rule(basis, n)
+            oracle = gauss_jacobi_rule(basis, 2 * n)
             degs = np.arange(2 * n - 1)[:, None]
             got = (rule.nodes[None, :] ** degs) @ rule.weights
             want = (oracle.nodes[None, :] ** degs) @ oracle.weights
@@ -186,7 +185,7 @@ def test_criterion_06_norm_scaling(frame7):
         ratios = []
         for j in range(3, 8):
             lev = frame7.level(j)
-            omega = generalized_weight(frame7.basis.params, 2**j, lev.nodes)
+            omega = generalized_weight(frame7.basis, 2**j, lev.nodes)
             expo = 0.5 if math.isinf(p) else 0.5 - 1.0 / p
             ratios.append(level_frame_norms(frame7, j, p) / (2.0**j / omega) ** expo)
         flat = np.concatenate(ratios)

@@ -50,12 +50,12 @@ def test_frame_norm_single_matches_level(frame7):
 def test_norm_scaling_uniform(frame7, p, spread_cap):
     # measured spreads: 4.21 (p=1), 2.28 (p=4), 5.64 (p=inf); caps leave
     # headroom without letting a regression through
-    params = frame7.basis.params
+    basis = frame7.basis
     ratios = []
     for j in range(3, 8):
         lev = frame7.level(j)
         norms = level_frame_norms(frame7, j, p)
-        w = generalized_weight(params, 2**j, lev.nodes)
+        w = generalized_weight(basis, 2**j, lev.nodes)
         expo = 0.5 - (0.0 if math.isinf(p) else 1.0 / p)
         ratios.append(norms / (2.0**j / w) ** expo)
     ratios = np.concatenate(ratios)
@@ -65,12 +65,12 @@ def test_norm_scaling_uniform(frame7, p, spread_cap):
 def test_sup_norm_stable_at_interior_node(frame7):
     # at the central node the sup-norm ratio to (2^j/omega)^{1/2} moves by
     # less than a factor 4 across j = 3..7
-    params = frame7.basis.params
+    basis = frame7.basis
     ratios = []
     for j in range(3, 8):
         lev = frame7.level(j)
         nu = lev.n_nodes // 2
-        w = float(generalized_weight(params, 2**j, lev.nodes[nu - 1 : nu])[0])
+        w = float(generalized_weight(basis, 2**j, lev.nodes[nu - 1 : nu])[0])
         ratios.append(frame_norm(frame7, j, nu, np.inf) / (2.0**j / w) ** 0.5)
     assert max(ratios) / min(ratios) <= 4.0
 

@@ -23,7 +23,7 @@ def small_frame():
 def _assert_frames_equal(a, b):
     assert a.j_max == b.j_max
     assert a.nodes_per_level == b.nodes_per_level
-    assert a.basis.kind == b.basis.kind
+    assert a.basis == b.basis
     assert a.exactness_defect == b.exactness_defect
     for la, lb in zip(a.levels, b.levels):
         assert la.j == lb.j and la.freq_lo == lb.freq_lo

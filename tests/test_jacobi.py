@@ -16,19 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needlets import (
+    JacobiBasis,
+    NodeSolveError,
     gauss_jacobi_rule,
     generalized_weight,
     jacobi_eval_all,
-    jacobi_params,
+    jacobi_basis,
     jacobi_weighted_sums,
 )
-from needlets.jacobi import _recurrence
+from needlets.jacobi import MAX_EXPONENT, _recurrence
 
 PARAM_GRID = [(0.0, 0.0), (0.0, 1.0), (0.5, -0.3), (2.0, 3.0)]
 
 
 def test_legendre_two_point_rule():
-    rule = gauss_jacobi_rule(jacobi_params(0.0, 0.0), 2)
+    rule = gauss_jacobi_rule(jacobi_basis(0.0, 0.0), 2)
     assert rule.order == 2
     # nodes at +-1/sqrt(3), stored decreasing; probability weights are 1/2 each
     r = 1.0 / math.sqrt(3.0)
@@ -38,14 +40,14 @@ def test_legendre_two_point_rule():
 
 def test_wicksell_one_point_rule():
     # single node of the (0,1) rule is the mean of the normalized measure
-    rule = gauss_jacobi_rule(jacobi_params(0.0, 1.0), 1)
+    rule = gauss_jacobi_rule(jacobi_basis(0.0, 1.0), 1)
     np.testing.assert_allclose(rule.nodes, [1.0 / 3.0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(rule.weights, [1.0], rtol=0, atol=1e-15)
 
 
 def test_monomial_moments_closed_form():
     # (0,1) measure is (1+x)/2 dx: moment_d = 1/(d+1) for even d, 1/(d+2) for odd d
-    rule = gauss_jacobi_rule(jacobi_params(0.0, 1.0), 8)
+    rule = gauss_jacobi_rule(jacobi_basis(0.0, 1.0), 8)
     for d in range(14):
         want = 1.0 / (d + 1) if d % 2 == 0 else 1.0 / (d + 2)
         got = float(rule.weights @ rule.nodes**d)
@@ -55,9 +57,9 @@ def test_monomial_moments_closed_form():
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_exactness_against_doubled_rule(alpha, beta, n):
-    params = jacobi_params(alpha, beta)
-    rule = gauss_jacobi_rule(params, n)
-    oracle = gauss_jacobi_rule(params, 2 * n)
+    basis = jacobi_basis(alpha, beta)
+    rule = gauss_jacobi_rule(basis, n)
+    oracle = gauss_jacobi_rule(basis, 2 * n)
     for d in range(2 * n - 1):
         got = float(rule.weights @ rule.nodes**d)
         want = float(oracle.weights @ oracle.nodes**d)
@@ -68,15 +70,15 @@ def test_exactness_against_doubled_rule(alpha, beta, n):
 
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
 def test_rule_matches_scipy(alpha, beta):
-    params = jacobi_params(alpha, beta)
-    rule = gauss_jacobi_rule(params, 12)
+    basis = jacobi_basis(alpha, beta)
+    rule = gauss_jacobi_rule(basis, 12)
     x, w = scipy.special.roots_jacobi(12, alpha, beta)
     # scipy uses the unnormalized weight; ours integrates a probability measure
     np.testing.assert_allclose(rule.nodes, x[::-1], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(rule.weights, w[::-1] * params.c_norm, rtol=1e-13)
+    np.testing.assert_allclose(rule.weights, w[::-1] * basis.c_norm, rtol=1e-13)
     # at high order only the nodes are compared: scipy's own weights drift
     # by up to 6e-7 relative at N = 2048
-    big = gauss_jacobi_rule(params, 1024)
+    big = gauss_jacobi_rule(basis, 1024)
     x_big, _ = scipy.special.roots_jacobi(1024, alpha, beta)
     np.testing.assert_allclose(big.nodes, x_big[::-1], rtol=0, atol=1e-15)
 
@@ -86,17 +88,17 @@ def test_rule_matches_scipy(alpha, beta):
 def test_rule_nodes_match_scipy_across_orders(alpha, beta, n):
     # both sides of the dense/asymptotic crossover at 64, up to the largest
     # rule a jmax-11 frame builds; weights only at small order (see above)
-    params = jacobi_params(alpha, beta)
-    rule = gauss_jacobi_rule(params, n)
+    basis = jacobi_basis(alpha, beta)
+    rule = gauss_jacobi_rule(basis, n)
     x, w = scipy.special.roots_jacobi(n, alpha, beta)
     np.testing.assert_allclose(rule.nodes, x[::-1], rtol=0, atol=1e-14)
     if n <= 12:
-        np.testing.assert_allclose(rule.weights, w[::-1] * params.c_norm, rtol=1e-13)
+        np.testing.assert_allclose(rule.weights, w[::-1] * basis.c_norm, rtol=1e-13)
 
 
-def _dense_eigenvalues(params, n):
+def _dense_eigenvalues(basis, n):
     # eigenvalues of the dense symmetric Jacobi matrix, largest first
-    diag, off = _recurrence(params, n)
+    diag, off = _recurrence(basis, n)
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[::-1]
 
 
@@ -108,9 +110,9 @@ def _dense_eigenvalues(params, n):
 )
 def test_rule_matches_dense_eigenvalues(alpha, beta, n):
     # gauss_jacobi_rule raises NodeSolveError unless the rule certifies
-    params = jacobi_params(alpha, beta)
-    rule = gauss_jacobi_rule(params, n)
-    np.testing.assert_allclose(rule.nodes, _dense_eigenvalues(params, n), rtol=0, atol=1e-14)
+    basis = jacobi_basis(alpha, beta)
+    rule = gauss_jacobi_rule(basis, n)
+    np.testing.assert_allclose(rule.nodes, _dense_eigenvalues(basis, n), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -122,48 +124,48 @@ def test_rule_at_large_exponents_and_crossover(alpha, beta, n):
     # at alpha = 9.5 and N = 5..11 the asymptotic guesses near the two ends
     # overlap and two of them converge to one root; 64/65 is where the
     # dense starting points hand over to the asymptotic ones
-    params = jacobi_params(alpha, beta)
-    rule = gauss_jacobi_rule(params, n)
-    np.testing.assert_allclose(rule.nodes, _dense_eigenvalues(params, n), rtol=0, atol=1e-14)
+    basis = jacobi_basis(alpha, beta)
+    rule = gauss_jacobi_rule(basis, n)
+    np.testing.assert_allclose(rule.nodes, _dense_eigenvalues(basis, n), rtol=0, atol=1e-14)
 
 
 def test_c_norm_is_reciprocal_mass():
-    params = jacobi_params(0.3, 1.7)
+    basis = jacobi_basis(0.3, 1.7)
     mass, _ = scipy.integrate.quad(lambda x: (1 - x) ** 0.3 * (1 + x) ** 1.7, -1.0, 1.0)
     # c_norm comes from the log-Beta closed form; quad and lgamma rounding
     # both sit near 1e-12 for fractional exponents
-    assert abs(params.c_norm * mass - 1.0) < 5e-12
+    assert abs(basis.c_norm * mass - 1.0) < 5e-12
 
 
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
 def test_gram_orthonormality(alpha, beta):
-    params = jacobi_params(alpha, beta)
-    rule = gauss_jacobi_rule(params, 64)
-    vals = jacobi_eval_all(params, 40, rule.nodes)
+    basis = jacobi_basis(alpha, beta)
+    rule = gauss_jacobi_rule(basis, 64)
+    vals = jacobi_eval_all(basis, 40, rule.nodes)
     gram = (vals * rule.weights) @ vals.T
     assert np.max(np.abs(gram - np.eye(41))) < 1e-9
     # an N-node rule integrates Pi_j Pi_k exactly for every j, k < N
     n = 1024
-    rule = gauss_jacobi_rule(params, n)
-    vals = jacobi_eval_all(params, n - 1, rule.nodes)
+    rule = gauss_jacobi_rule(basis, n)
+    vals = jacobi_eval_all(basis, n - 1, rule.nodes)
     gram = (vals * rule.weights) @ vals.T
     assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
 
 def test_eval_normalization_and_endpoint():
-    params = jacobi_params(0.0, 1.0)
+    basis = jacobi_basis(0.0, 1.0)
     x = np.linspace(-0.99, 0.99, 7)
-    vals = jacobi_eval_all(params, 6, x)
+    vals = jacobi_eval_all(basis, 6, x)
     np.testing.assert_allclose(vals[0], 1.0, rtol=0, atol=1e-15)
     # for the (0,1) family the right endpoint value is sqrt(k+1)
-    at_one = jacobi_eval_all(params, 6, np.array([1.0]))[:, 0]
+    at_one = jacobi_eval_all(basis, 6, np.array([1.0]))[:, 0]
     np.testing.assert_allclose(at_one, np.sqrt(np.arange(7) + 1.0), rtol=1e-13)
 
 
 def test_eval_matches_scipy_normalized():
-    params = jacobi_params(0.0, 1.0)
+    basis = jacobi_basis(0.0, 1.0)
     x = np.array([-0.9, -0.4, 0.0, 0.3, 0.8])
-    vals = jacobi_eval_all(params, 5, x)
+    vals = jacobi_eval_all(basis, 5, x)
     for k in range(6):
         # P_k^{(0,1)}(1) = 1 while our normalized value there is sqrt(k+1),
         # and both families are orthogonal for the same measure, so they
@@ -175,51 +177,51 @@ def test_eval_matches_scipy_normalized():
 @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.5, 0.5)])
 @pytest.mark.parametrize("kmax", [0, 1, 2, 64, 512])
 def test_weighted_sums_match_table_product(alpha, beta, kmax):
-    params = jacobi_params(alpha, beta)
+    basis = jacobi_basis(alpha, beta)
     rng = np.random.default_rng(kmax)
     t = np.concatenate([rng.uniform(-1.0, 1.0, 2000), [-1.0, 1.0]])
     v = rng.standard_normal(t.shape[0])
-    want = jacobi_eval_all(params, kmax, t) @ v
-    got = jacobi_weighted_sums(params, kmax, t, v)
+    want = jacobi_eval_all(basis, kmax, t) @ v
+    got = jacobi_weighted_sums(basis, kmax, t, v)
     assert got.shape == (kmax + 1,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_weighted_sums_reject_bad_input():
-    params = jacobi_params(0.0, 1.0)
+    basis = jacobi_basis(0.0, 1.0)
     with pytest.raises(ValueError):
-        jacobi_weighted_sums(params, -1, np.zeros(3), np.ones(3))
+        jacobi_weighted_sums(basis, -1, np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
-        jacobi_weighted_sums(params, 4, np.zeros(3), np.ones(4))
+        jacobi_weighted_sums(basis, 4, np.zeros(3), np.ones(4))
     with pytest.raises(ValueError):
-        jacobi_weighted_sums(params, 4, np.array([0.0, 1.5]), np.ones(2))
+        jacobi_weighted_sums(basis, 4, np.array([0.0, 1.5]), np.ones(2))
 
 
 def test_interlacing():
-    params = jacobi_params(0.0, 1.0)
-    small = gauss_jacobi_rule(params, 12).nodes[::-1]
-    big = gauss_jacobi_rule(params, 13).nodes[::-1]
+    basis = jacobi_basis(0.0, 1.0)
+    small = gauss_jacobi_rule(basis, 12).nodes[::-1]
+    big = gauss_jacobi_rule(basis, 13).nodes[::-1]
     assert np.all(big[:-1] < small) and np.all(small < big[1:])
 
 
 def test_generalized_weight_properties():
-    params = jacobi_params(0.0, 1.0)
+    basis = jacobi_basis(0.0, 1.0)
     x = np.linspace(-1.0, 1.0, 9)
-    w = generalized_weight(params, 8, x)
+    w = generalized_weight(basis, 8, x)
     assert np.all(w > 0)
     # interior values approach the plain weight as n grows
     interior = np.array([0.2])
-    w_big = generalized_weight(params, 10**6, interior)
+    w_big = generalized_weight(basis, 10**6, interior)
     np.testing.assert_allclose(w_big, (1 - 0.2) ** 0.5 * (1 + 0.2) ** 1.5, rtol=1e-5)
 
 
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
-        jacobi_params(-0.5, 0.0)
+        jacobi_basis(-0.5, 0.0)
     with pytest.raises(ValueError):
-        jacobi_params(0.0, -0.6)
+        jacobi_basis(0.0, -0.6)
     with pytest.raises(ValueError):
-        gauss_jacobi_rule(jacobi_params(0.0, 1.0), 0)
+        gauss_jacobi_rule(jacobi_basis(0.0, 1.0), 0)
 
 
 @pytest.mark.parametrize(
@@ -227,10 +229,57 @@ def test_invalid_parameters_rejected():
     [(0.0, math.inf), (math.inf, 1.0), (math.nan, 0.0), (0.0, 1e308), (1e200, 1.0)],
 )
 def test_nonfinite_and_unrepresentable_exponents_rejected(alpha, beta):
-    # infinite or NaN exponents, and exponents whose weight mass overflows
-    # or underflows, raise a ValueError naming the pair
+    # infinite or NaN exponents, and exponents far above MAX_EXPONENT whose
+    # weight mass would overflow or underflow, raise a ValueError naming the pair
     with pytest.raises(ValueError, match=re.escape(f"({alpha}, {beta})")):
-        jacobi_params(alpha, beta)
+        jacobi_basis(alpha, beta)
+
+
+def test_exponents_above_the_bound_rejected():
+    # at alpha = beta = 1e16 the lgamma terms of c_norm cancel completely and
+    # it came out as 2.57e-56 instead of about 2.8e7
+    with pytest.raises(ValueError, match=re.escape("(1e+16, 1e+16)")):
+        jacobi_basis(1e16, 1e16)
+    with pytest.raises(ValueError, match=re.escape(f"({MAX_EXPONENT + 1.0}, 0.0)")):
+        jacobi_basis(MAX_EXPONENT + 1.0, 0.0)
+    # at the bound itself c_norm still matches the duplication-formula form
+    # c_norm = Gamma(a+3/2) / (sqrt(pi) Gamma(a+1)) of the alpha = beta case
+    a = MAX_EXPONENT
+    want = math.exp(math.lgamma(a + 1.5) - math.lgamma(a + 1.0) - 0.5 * math.log(math.pi))
+    assert abs(jacobi_basis(a, a).c_norm / want - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(-1.0, 0.0), (math.nan, 0.0), (0.0, math.nan)])
+def test_hand_built_basis_checks_exponents(alpha, beta):
+    # construction is the only check: no function re-checks the exponents
+    with pytest.raises(ValueError, match=re.escape(f"({alpha}, {beta})")):
+        JacobiBasis(alpha, beta)
+
+
+def test_hand_built_basis_matches_constructor():
+    # equality compares c_norm too, which construction computed
+    basis = JacobiBasis(0.3, 1.7)
+    assert basis == jacobi_basis(0.3, 1.7)
+    assert str(basis) == "JacobiBasis(alpha=0.3, beta=1.7)"
+
+
+@pytest.mark.parametrize("n", [65, 128, 2048])
+@pytest.mark.parametrize("beta", ["0.5", "alpha"])
+@pytest.mark.parametrize("alpha", [30.0, 35.0, 50.0])
+def test_rule_exponent_range_above_dense_orders(alpha, beta, n):
+    # above DENSE_MAX Newton starts from the asymptotic guesses, which hold
+    # up to alpha = 30 and fail from about 32 on; a failure must be a
+    # NodeSolveError, never an uncertified rule
+    basis = jacobi_basis(alpha, alpha if beta == "alpha" else 0.5)
+    try:
+        rule = gauss_jacobi_rule(basis, n)
+    except NodeSolveError:
+        assert alpha > 30.0, "alpha = 30 must certify"
+        return
+    assert np.all(np.abs(rule.nodes) < 1.0)
+    assert np.all(np.diff(rule.nodes) < 0.0)
+    assert np.all(rule.weights > 0.0)
+    assert abs(rule.weights.sum() - 1.0) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -240,8 +289,8 @@ def test_nonfinite_and_unrepresentable_exponents_rejected(alpha, beta):
     n=st.integers(1, 40),
 )
 def test_rule_shape_invariants(alpha, beta, n):
-    params = jacobi_params(alpha, beta)
-    rule = gauss_jacobi_rule(params, n)
+    basis = jacobi_basis(alpha, beta)
+    rule = gauss_jacobi_rule(basis, n)
     assert rule.nodes.shape == rule.weights.shape == (n,)
     assert np.all(np.diff(rule.nodes) < 0)
     assert np.all(np.abs(rule.nodes) < 1.0)
@@ -250,5 +299,5 @@ def test_rule_shape_invariants(alpha, beta, n):
     if n >= 2:
         # degree-1 orthogonality: the rule integrates the first normalized
         # polynomial to zero
-        vals = jacobi_eval_all(params, 1, rule.nodes)[1]
+        vals = jacobi_eval_all(basis, 1, rule.nodes)[1]
         assert abs(float(rule.weights @ vals)) < 1e-9

@@ -85,7 +85,7 @@ def test_e_orthonormal_probability_basis(wicksell512):
     # quadrature weights must divide out
     import needlets
 
-    rule = needlets.gauss_jacobi_rule(needlets.jacobi_params(0.0, 1.0), 300)
+    rule = needlets.gauss_jacobi_rule(needlets.jacobi_basis(0.0, 1.0), 300)
     x = np.sqrt((rule.nodes + 1.0) / 2.0)
     vals = eval_e(wicksell512, 256, x)
     w = rule.weights / (16.0 * x**4)
@@ -202,7 +202,7 @@ def test_narrow_piece_gets_one_panel(wicksell512, breakpoints):
     c = coeffs_from_function(wicksell512, f, kmax, breakpoints)
     order = 2 * max(4 * kmax, 256)
     xu, wu = _uniform_piece_nodes(breakpoints, order)
-    want = jacobi_eval_all(wicksell512.basis.params, kmax, 2.0 * xu * xu - 1.0) @ (f(xu) * xu * wu)
+    want = jacobi_eval_all(wicksell512.basis, kmax, 2.0 * xu * xu - 1.0) @ (f(xu) * xu * wu)
     assert np.max(np.abs(c - want)) < 1e-10
 
 

@@ -35,7 +35,6 @@ from needlets import (
     weighted_loss,
     wicksell_model,
 )
-from needlets.simlab import _build_frame
 
 
 def _tiny_config(**kw):
@@ -151,7 +150,7 @@ def test_projection_cells_carry_n_star():
 
 def _reference_projection_cell(cfg, cell, f_coeffs=None):
     """Direct cutoff sweep: every partial sum of every run on the grid."""
-    model = wicksell_model(kmax=_build_frame(cfg.frame).budget)
+    model = wicksell_model(kmax=cfg.frame.build().budget)
     n = cfg.n
     grid = np.arange(1, n + 1) / n
     e_vals = eval_e(model, model.kmax, grid)
