@@ -6,6 +6,10 @@ a(i / 2^j) * e_i(node_nu). Level -1 is the single constant needlet.
 Analysis and synthesis are exact finite sums over each level's frequency
 window (2^{j-1}, 2^{j+1}), along the last axis of one vector (K,) or of
 a stack of runs (R, K).
+
+Each level's psi is F-ordered and written degree by degree along the Jacobi
+recurrence; the build self-check and the invariant suite read it in blocks
+of BLOCK columns or rows, so beside the frame they hold one block at most.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .errors import InvariantError, NormResolutionError, require_entries
 from .filters import Filter, check_partition, filter_a, profile_phi
 from .jacobi import (
     JacobiBasis,
+    _orthonormal,
+    _recurrence,
     gauss_jacobi_rule,
     gauss_legendre_panels,
     generalized_weight,
@@ -48,6 +54,9 @@ NODES_EXACT = "exact"
 NODES_PAPER = "paper"
 
 _SELF_CHECK_TOL = 1e-9
+# columns (Gram defect) or rows (needlet norms) of psi taken at once by the
+# invariant checks; at jmax 11 a block's products stay near 10 MB
+BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -113,21 +122,55 @@ class BesovParams:
             raise ValueError(f"need s > 0, pi >= 1, r >= 1, got {self}")
 
 
-def _window(j: int) -> tuple[int, int]:
-    """Integer frequencies i with a(i / 2^j) possibly nonzero: 2^{j-1} < i < 2^{j+1}."""
+def _level_shape(j: int, nodes_per_level: str) -> tuple[int, int, int]:
+    """(n_nodes, freq_lo, n_freq) of level j; level -1 is (1, 0, 1).
+
+    Level j >= 0 holds the integer frequencies i with a(i / 2^j) possibly
+    nonzero, 2^{j-1} < i < 2^{j+1}, on 2^{j+1} nodes ("exact") or 2^j ("paper").
+    """
+    if j == -1:
+        return 1, 0, 1
     lo = 2 ** (j - 1) + 1 if j >= 1 else 1
-    return lo, 2 ** (j + 1) - 1
-
-
-def _level_rule(basis: JacobiBasis, j: int, nodes_per_level: str) -> tuple[np.ndarray, np.ndarray]:
-    n = 2 ** (j + 1) if nodes_per_level == NODES_EXACT else 2**j
-    rule = gauss_jacobi_rule(basis, n)
-    return rule.nodes, rule.weights
+    n_nodes = 2 ** (j + 1) if nodes_per_level == NODES_EXACT else 2**j
+    return n_nodes, lo, 2 ** (j + 1) - lo
 
 
 def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
-    """max |Psi^T Psi - diag(a^2)| of one level: its quadrature exactness defect."""
-    return float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
+    """max |Psi^T Psi - diag(a^2)| of one level: its quadrature exactness defect.
+
+    Every entry of the Gram matrix is checked, one block of BLOCK columns at
+    a time: the block's own square with a^2 taken off its diagonal, then its
+    products with all columns to its right (the entries to its left are the
+    transposes of products already checked). No Gram-sized array is formed.
+    """
+    n = psi.shape[1]
+    worst = 0.0
+    for c0 in range(0, n, BLOCK):
+        c1 = min(c0 + BLOCK, n)
+        blk = psi[:, c0:c1]
+        gram = blk.T @ blk
+        gram.flat[:: c1 - c0 + 1] -= a[c0:c1] ** 2
+        worst = max(worst, float(np.max(np.abs(gram, out=gram))))
+        if c1 < n:
+            right = blk.T @ psi[:, c1:]
+            worst = max(worst, float(np.max(np.abs(right, out=right))))
+    return worst
+
+
+def _level_psi(basis: JacobiBasis, nodes, weights, lo: int, avals: np.ndarray) -> np.ndarray:
+    """psi[nu, i - lo] = sqrt(w_nu) * (a_i * Pi_i(x_nu)), filled degree by degree.
+
+    psi is F-ordered, so each degree's column is contiguous; the levels read
+    and written by frameio use the same layout, which keeps BLAS rounding in
+    analyze/synthesize the same for built and loaded frames.
+    """
+    hi = lo + avals.shape[0] - 1
+    psi = np.empty((nodes.shape[0], avals.shape[0]), order="F")
+    sqrt_w = np.sqrt(weights)
+    for i, p in enumerate(_orthonormal(*_recurrence(basis, hi + 1), hi, nodes)):
+        if i >= lo:
+            psi[:, i - lo] = sqrt_w * (avals[i - lo] * p)
+    return psi
 
 
 def build_frame(
@@ -159,15 +202,14 @@ def build_frame(
     ]
     worst = 0.0
     for j in range(j_max + 1):
-        lo, hi = _window(j)
-        freqs = np.arange(lo, hi + 1)
-        avals = filter_a(filt, freqs / 2.0**j)
+        n_nodes, lo, n_freq = _level_shape(j, nodes_per_level)
+        avals = filter_a(filt, np.arange(lo, lo + n_freq) / 2.0**j)
         try:
-            nodes, weights = _level_rule(basis, j, nodes_per_level)
+            rule = gauss_jacobi_rule(basis, n_nodes)
         except InvariantError as exc:
             raise InvariantError(f"level {j}: {exc}") from exc
-        base_vals = jacobi_eval_all(basis, hi, nodes)[lo:]
-        psi = np.sqrt(weights)[:, None] * (avals[None, :] * base_vals.T)
+        nodes, weights = rule.nodes, rule.weights
+        psi = _level_psi(basis, nodes, weights, lo, avals)
         defect = _gram_defect(psi, avals)
         worst = max(worst, defect)
         if nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
@@ -244,7 +286,9 @@ def frame_invariants(frame: NeedletFrame) -> list[tuple[str, float, float]]:
         gram_defect = max(gram_defect, _gram_defect(lev.psi, a))
         if lev.j >= 0:
             zero_sum = max(zero_sum, float(np.max(np.abs(np.sqrt(lev.weights) @ lev.psi))))
-        norm_max = max(norm_max, float(np.max(np.sqrt(np.sum(lev.psi**2, axis=1)))))
+        for r0 in range(0, lev.n_nodes, BLOCK):
+            rows = lev.psi[r0 : r0 + BLOCK]
+            norm_max = max(norm_max, float(np.max(np.sqrt(np.sum(rows**2, axis=1)))))
     xi = np.linspace(1.0, float(2**frame.j_max), 4001)
     return [
         ("partition-of-unity", check_partition(frame.filt, xi), 1e-12),

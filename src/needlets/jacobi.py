@@ -273,22 +273,29 @@ def gauss_jacobi_rule(basis: JacobiBasis, N: int) -> QuadratureRule:
     return _certify(rule)
 
 
+def _first_false(ok: np.ndarray) -> int | None:
+    return None if ok.all() else int(np.argmin(ok))
+
+
 def _certify(rule: QuadratureRule) -> QuadratureRule:
+    """Return rule with read-only arrays, or raise naming the condition and entry that fail."""
     nodes, weights = rule.nodes, rule.weights
-    ok = (
-        np.all(np.abs(nodes) < 1.0)
-        and np.all(np.diff(nodes) < 0.0)
-        and np.all(weights > 0.0)
-        and abs(weights.sum() - 1.0) <= 1e-12
-    )
-    if not ok:
-        raise NodeSolveError(
-            f"order-{rule.order} rule failed certification "
-            f"(weight sum defect {abs(weights.sum() - 1.0):.3e})"
+    if (i := _first_false(np.abs(nodes) < 1.0)) is not None:
+        problem = f"node {i} = {nodes[i]:.17g} is not inside (-1, 1)"
+    elif (i := _first_false(np.diff(nodes) < 0.0)) is not None:
+        problem = (
+            f"nodes not strictly decreasing: node {i + 1} = {nodes[i + 1]:.17g} "
+            f"is not below node {i} = {nodes[i]:.17g}"
         )
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return rule
+    elif (i := _first_false(weights > 0.0)) is not None:
+        problem = f"weight {i} = {weights[i]:.17g} is not > 0"
+    elif not abs(weights.sum() - 1.0) <= 1e-12:
+        problem = f"weight sum defect {abs(weights.sum() - 1.0):.3e}"
+    else:
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        return rule
+    raise NodeSolveError(f"order-{rule.order} rule failed certification ({problem})")
 
 
 def generalized_weight(basis: JacobiBasis, n: int, x) -> np.ndarray:

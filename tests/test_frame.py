@@ -13,6 +13,7 @@ from needlets import (
     InvariantError,
     analyze,
     build_frame,
+    filter_a,
     jacobi_basis,
     level_sigma,
     make_filter,
@@ -20,6 +21,7 @@ from needlets import (
     synthesize,
     wicksell_model,
 )
+from needlets.frame import BLOCK, _gram_defect
 
 
 def _random_supported(frame, rng):
@@ -167,3 +169,30 @@ def test_roundtrip_property(seed):
     f[: frame.exact_dim] = rng.standard_normal(frame.exact_dim)
     back = synthesize(frame, analyze(frame, f))
     assert np.max(np.abs(back - f)) <= 1e-10 * max(1.0, np.max(np.abs(f)))
+
+
+@pytest.fixture(scope="module")
+def level9(filt):
+    # 767 frequencies: one full column block and a partial one
+    lev = build_frame(jacobi_basis(0.0, 1.0), filt, j_max=9).level(9)
+    i = np.arange(lev.freq_lo, lev.freq_hi + 1)
+    return lev.psi, filter_a(filt, i / 2.0**9)
+
+
+@pytest.mark.parametrize("width", [BLOCK - 1, BLOCK, BLOCK + 1, None])
+def test_gram_defect_matches_dense(level9, width):
+    psi, a = level9
+    psi, a = psi[:, :width], a[:width]
+    dense = float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
+    assert _gram_defect(psi, a) == dense
+
+
+def test_gram_defect_sees_one_off_diagonal_entry():
+    # columns 3 and BLOCK + 100 overlap only in row 3, so their Gram entry
+    # 1e-3 lies in the block to the right of the first column block; the
+    # diagonal entries move by only 1e-6
+    n = 2 * BLOCK + 7
+    psi = np.eye(n)
+    psi[3, BLOCK + 100] = 1e-3
+    assert _gram_defect(psi, np.ones(n)) == 1e-3
+    assert float(np.max(np.abs(psi.T @ psi - np.eye(n)))) == 1e-3

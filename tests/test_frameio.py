@@ -1,15 +1,20 @@
-"""Binary frame container: bit-exact round trips and corruption detection."""
+"""Binary frame container: bit-exact round trips, corruption detection, bounded memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from needlets import (
+    analyze,
     build_frame,
+    frame_invariants,
     jacobi_basis,
     load_frame,
     make_filter,
     make_profile,
     save_frame,
+    synthesize,
 )
 from needlets.frameio import _HEADER, _LEVEL
 
@@ -114,6 +119,13 @@ def test_reject_basis_code_1(small_frame, tmp_path):
         load_frame(path)
 
 
+def _shape_record_at(frame, j):
+    """Offset of level j's shape record: the header, then levels -1..j-1."""
+    return _HEADER.size + sum(
+        _LEVEL.size + 8 * lev.n_nodes * (2 + lev.psi.shape[1]) for lev in frame.levels[: j + 1]
+    )
+
+
 @pytest.mark.parametrize(
     "field, entry, value, message",
     [
@@ -127,11 +139,8 @@ def test_reject_basis_code_1(small_frame, tmp_path):
 def test_reject_bad_level_entries(small_frame, tmp_path, field, entry, value, message):
     path = tmp_path / "frame.ndlt"
     save_frame(small_frame, path)
-    # each level block is a shape record, then nodes, weights and psi as float64;
-    # levels -1..2 come before level 3
-    offset = _HEADER.size + _LEVEL.size + sum(
-        _LEVEL.size + 8 * lev.n_nodes * (2 + lev.psi.shape[1]) for lev in small_frame.levels[:4]
-    )
+    # each level block is a shape record, then nodes, weights and psi as float64
+    offset = _shape_record_at(small_frame, 3) + _LEVEL.size
     lev = small_frame.level(3)
     start = {"nodes": 0, "weights": lev.n_nodes, "psi": 2 * lev.n_nodes}[field]
     flat = np.ravel_multi_index(entry, lev.psi.shape if field == "psi" else (lev.n_nodes,))
@@ -141,3 +150,61 @@ def test_reject_bad_level_entries(small_frame, tmp_path, field, entry, value, me
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match=message):
         load_frame(path)
+
+
+def test_round_trip_keeps_analysis_and_synthesis_bits(frame8, tmp_path):
+    # built and loaded psi share one layout, so BLAS rounds the level
+    # products alike and an estimate from a saved frame matches one built
+    # in process to the last bit
+    path = tmp_path / "frame.ndlt"
+    save_frame(frame8, path)
+    back = load_frame(path)
+    f = np.random.default_rng(8).standard_normal((20, frame8.budget))
+    beta = analyze(frame8, f)
+    for built, loaded in zip(beta, analyze(back, f)):
+        np.testing.assert_array_equal(built, loaded)
+    np.testing.assert_array_equal(synthesize(frame8, beta), synthesize(back, beta))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (2, 6, r"level 3 block shape \(n_nodes, freq_lo, n_freq\) = \(16, 6, 11\), "
+               r"expected \(16, 5, 11\)"),
+        (1, 8, r"level 3 block shape .* = \(8, 5, 11\)"),
+        (3, 2**30, r"^truncated frame container$"),
+    ],
+    ids=["freq-lo-off-by-one", "paper-node-count", "huge-n-freq"],
+)
+def test_reject_shape_record_not_of_its_level(small_frame, tmp_path, field, value, message):
+    # a record must match its level in the frame's node mode, and a claimed
+    # size past the end of the file fails before anything is allocated
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    blob = bytearray(path.read_bytes())
+    at = _shape_record_at(small_frame, 3) + 4 * field
+    blob[at : at + 4] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=message):
+        load_frame(path)
+
+
+def test_streamed_layers_hold_one_frame_plus_a_block(filt, tmp_path):
+    # build, and load followed by the invariant suite, each peak at most
+    # half a frame's psi above the frame itself
+    path = tmp_path / "frame.ndlt"
+    tracemalloc.start()
+    try:
+        frame = build_frame(jacobi_basis(0.0, 1.0), filt, j_max=10)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        psi_bytes = sum(lev.psi.nbytes for lev in frame.levels)
+        save_frame(frame, path)
+        del frame
+        tracemalloc.stop()
+        tracemalloc.start()
+        frame_invariants(load_frame(path))
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 1.5 * psi_bytes
+    assert check_peak <= 1.5 * psi_bytes

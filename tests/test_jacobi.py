@@ -282,6 +282,18 @@ def test_rule_exponent_range_above_dense_orders(alpha, beta, n):
     assert abs(rule.weights.sum() - 1.0) < 1e-12
 
 
+def test_certification_names_the_failed_condition():
+    # at (35, 0.5) the asymptotic starts put the two nodes nearest x = 1 on
+    # one root; the weights still sum to 1, so the message must name the
+    # ordering and its first offending index, not the weight sum
+    with pytest.raises(
+        NodeSolveError,
+        match=r"order-128 rule failed certification \(nodes not strictly decreasing: "
+        r"node 1 = \S+ is not below node 0 = ",
+    ):
+        gauss_jacobi_rule(jacobi_basis(35.0, 0.5), 128)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     alpha=st.floats(-0.45, 3.0),
