@@ -20,7 +20,6 @@ from .estimators import (
     projection_gram,
     svd_adaptive,
     svd_projection,
-    svd_projection_oracle,
 )
 from .filters import (
     POLYNOMIAL_SHAPE,
@@ -35,19 +34,15 @@ from .filters import (
 from .frame import (
     NODES_EXACT,
     NODES_PAPER,
-    BesovParams,
     FrameLevel,
     NeedletFrame,
     analyze,
-    best_approx_errors,
-    besov_seq_norm,
     build_frame,
-    coeff_function_norm,
     frame_invariants,
-    frame_norm,
     level_frame_norms,
     level_sigma,
     localization_check,
+    needlet_values,
     synthesize,
 )
 from .frameio import FORMAT_VERSION, load_frame, save_frame
@@ -71,7 +66,6 @@ from .models import (
     eval_e,
     eval_g,
     forward,
-    function_from_coeffs,
     sample_observation,
     wicksell_model,
 )

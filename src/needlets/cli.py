@@ -29,9 +29,9 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, filter_a, make_filter, make_profile
-from .frame import NODES_EXACT, NODES_PAPER, frame_invariants
+from .frame import NODES_EXACT, NODES_PAPER, frame_invariants, needlet_values
 from .frameio import load_frame, save_frame
-from .jacobi import gauss_jacobi_rule, jacobi_basis, jacobi_eval_all
+from .jacobi import gauss_jacobi_rule, jacobi_basis
 from .models import SequenceObservation, direct_model, eval_e, wicksell_model
 from .simlab import (
     FrameSpec,
@@ -119,12 +119,8 @@ def _cmd_frame_check(args) -> int:
 
 def _cmd_frame_render(args) -> int:
     frame = load_frame(args.frame) if args.frame is not None else _frame_spec(args).build()
-    lev = frame.level(args.j)
-    if not 1 <= args.nu <= lev.n_nodes:
-        raise ValueError(f"nu must be in 1..{lev.n_nodes} at level {args.j}")
     x = np.linspace(-1.0, 1.0, args.points)
-    table = jacobi_eval_all(frame.basis, lev.freq_hi, x)[lev.freq_lo :]
-    psi_vals = lev.psi[args.nu - 1] @ table
+    psi_vals = needlet_values(frame, args.j, args.nu, x)
     _write_csv(
         args.out,
         ["x", "psi"],

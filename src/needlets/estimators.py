@@ -1,16 +1,17 @@
 """Estimators for sequence-space inverse problems.
 
 Three families: hard-thresholded needlet coefficients of the naive inverse
-(need_d), fixed-cutoff SVD projection with an oracle variant that reads the
-truth, and a blockwise data-driven SVD filter. All consume a
-SequenceObservation and return coefficients in the model's SVD basis.
-need_d, svd_projection and svd_adaptive map a stack of runs (R, K) row by row;
-svd_projection_oracle gives a stack one cutoff from its runs' summed scores.
+(need_d), fixed-cutoff SVD projection, and a blockwise data-driven SVD
+filter. All consume a SequenceObservation and return coefficients in the
+model's SVD basis, mapping a stack of runs (R, K) row by row.
+projection_cutoff picks one cutoff for a stack against the truth on a grid,
+from its runs' summed scores.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import InvariantError
 from .frame import NeedletFrame, analyze, level_sigma, synthesize
 from .losses import grid_weights
-from .models import SequenceObservation, SvdModel, eval_e
+from .models import SequenceObservation, SvdModel
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -27,7 +28,6 @@ __all__ = [
     "make_threshold_plan",
     "need_d",
     "svd_projection",
-    "svd_projection_oracle",
     "projection_gram",
     "projection_cutoff",
     "make_blocks",
@@ -80,14 +80,16 @@ def _threshold_schedule(
     frame: NeedletFrame, model: SvdModel, epsilon: float, kappa: float
 ) -> tuple[float, int]:
     """(t_eps, j_top) of make_threshold_plan; they vary with epsilon, sigma does not."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
+    # below the smallest normal float 1/epsilon overflows
+    if not (epsilon == 0.0 or sys.float_info.min <= epsilon < 1.0):
+        raise ValueError(f"epsilon must be 0 or in [{sys.float_info.min}, 1), got {epsilon}")
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if epsilon == 0.0:
         return 0.0, frame.j_max
     t_eps = epsilon * math.sqrt(math.log(1.0 / epsilon))
-    j_raw = math.floor(math.log2(t_eps ** (-2.0 / (1.0 + 2.0 * model.nu))))
+    # in log space: the power t_eps^{-2/(1+2nu)} overflows for small epsilon
+    j_raw = math.floor(-2.0 / (1.0 + 2.0 * model.nu) * math.log2(t_eps))
     return float(t_eps), int(min(j_raw, frame.j_max))
 
 
@@ -177,32 +179,6 @@ def projection_cutoff(ybars, e_vals: np.ndarray, f_vals: np.ndarray, gram: np.nd
     return int(np.argmin(score))
 
 
-def svd_projection_oracle(
-    model: SvdModel,
-    obs: SequenceObservation,
-    f_vals: np.ndarray,
-    grid: np.ndarray,
-    e_vals: np.ndarray | None = None,
-) -> tuple[int, np.ndarray]:
-    """Projection with the cutoff chosen a posteriori against the truth.
-
-    Sweeps every cutoff N = 0..kmax/2 with projection_cutoff, i.e. by the
-    weighted RMSE of the grid reconstruction against f_vals, and returns
-    the minimizing cutoff (ties to the smaller N) with its coefficient
-    estimate. A stack of runs (R, K) gets one cutoff, from the summed scores
-    of its runs, and one estimate per row. Pass the (kmax+1, len(grid))
-    basis table e_vals when sweeping many runs on one grid; it is
-    recomputed otherwise.
-    """
-    top = obs.kmax // 2
-    if e_vals is None:
-        e_vals = eval_e(model, top, grid)
-    e_top = e_vals[: top + 1]
-    ybar = obs.y[..., : top + 1] / model.b[: top + 1]
-    best_n = projection_cutoff(ybar, e_top, f_vals, projection_gram(e_top))
-    return best_n, svd_projection(model, obs, best_n)
-
-
 def make_blocks(
     model: SvdModel, epsilon: float, log_base: float = math.e
 ) -> np.ndarray:
@@ -214,8 +190,8 @@ def make_blocks(
     index the naive inverse is pure noise). The last boundary is the first
     one strictly beyond every usable index.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not sys.float_info.min <= epsilon < 1.0:
+        raise ValueError(f"epsilon must be in [{sys.float_info.min}, 1), got {epsilon}")
     nu_eps = max(5.0, _log(_log(1.0 / epsilon, log_base), log_base))
     rho = 1.0 / _log(nu_eps, log_base)
     # compare eps^{-2} rho^{-3} against the cumulative sums in log space:

@@ -10,6 +10,9 @@ a stack of runs (R, K).
 Each level's psi is F-ordered and written degree by degree along the Jacobi
 recurrence; the build self-check and the invariant suite read it in blocks
 of BLOCK columns or rows, so beside the frame they hold one block at most.
+Needlets are evaluated on [-1, 1] (norms, localization, rendering) one block
+of points at a time: one basis table of at most TABLE entries and one product
+with the psi rows per block, so no whole-grid table is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, NormResolutionError, require_entries
-from .filters import Filter, check_partition, filter_a, profile_phi
+from .filters import Filter, check_partition, filter_a
 from .jacobi import (
     JacobiBasis,
     _orthonormal,
@@ -34,18 +37,14 @@ from .jacobi import (
 __all__ = [
     "FrameLevel",
     "NeedletFrame",
-    "BesovParams",
     "build_frame",
     "analyze",
     "synthesize",
     "level_sigma",
     "frame_invariants",
-    "frame_norm",
     "level_frame_norms",
-    "coeff_function_norm",
+    "needlet_values",
     "localization_check",
-    "besov_seq_norm",
-    "best_approx_errors",
     "NODES_EXACT",
     "NODES_PAPER",
 ]
@@ -57,6 +56,10 @@ _SELF_CHECK_TOL = 1e-9
 # columns (Gram defect) or rows (needlet norms) of psi taken at once by the
 # invariant checks; at jmax 11 a block's products stay near 10 MB
 BLOCK = 512
+# basis-table entries (degrees x points) formed at once when needlets are
+# evaluated on [-1, 1]; a level has no more psi rows than degrees, so a
+# block's table and its values stay near 16 MB each at every level
+TABLE = 2**21
 
 
 @dataclass(frozen=True)
@@ -107,19 +110,6 @@ class NeedletFrame:
         if not -1 <= j <= self.j_max:
             raise ValueError(f"level {j} outside [-1, {self.j_max}]")
         return self.levels[j + 1]
-
-
-@dataclass(frozen=True)
-class BesovParams:
-    """Smoothness s, integrability pi, fine index r of a Besov-type ball."""
-
-    s: float
-    pi: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if not (self.s > 0 and self.pi >= 1 and self.r >= 1):
-            raise ValueError(f"need s > 0, pi >= 1, r >= 1, got {self}")
 
 
 def _level_shape(j: int, nodes_per_level: str) -> tuple[int, int, int]:
@@ -317,32 +307,58 @@ def _measure_nodes(basis: JacobiBasis, n_panels: int) -> tuple[np.ndarray, np.nd
 
 
 def _dense_grid(j: int) -> np.ndarray:
-    return np.cos(np.linspace(0.0, math.pi, 256 * 2 ** max(j, 0) + 1))
+    return np.cos(np.linspace(0.0, math.pi, 256 * 2**j + 1))
 
 
-def _block_values(basis: JacobiBasis, block: np.ndarray, lo: int, x: np.ndarray) -> np.ndarray:
-    hi = lo + block.shape[1] - 1
-    return block @ jacobi_eval_all(basis, hi, x)[lo:]
+def _point_blocks(basis: JacobiBasis, rows: np.ndarray, lo: int, x: np.ndarray):
+    """Yield (c0, rows @ [e_lo .. e_hi](x[c0 : c1])) over x, block by block.
+
+    A block holds TABLE // (hi + 1) points, 4096 for the 512 degrees of level
+    8, and the last block takes a one-point remainder: numpy multiplies a
+    one-column block as a dot product, which rounds unlike the column of a
+    whole-grid product. Every other column rounds as in one product over x.
+    """
+    hi = lo + rows.shape[-1] - 1
+    n = x.shape[0]
+    step = TABLE // (hi + 1)
+    for c0 in range(0, max(n - 1, 1), step):
+        c1 = c0 + step if c0 + step < n - 1 else n
+        yield c0, rows @ jacobi_eval_all(basis, hi, x[c0:c1])[lo:]
 
 
-def _block_lp_norms(
-    basis: JacobiBasis, block: np.ndarray, lo: int, j: int, p: float, rtol: float = 1e-3
-) -> np.ndarray:
-    """L_p norms under the family measure for each row of a coefficient block."""
+def level_frame_norms(frame: NeedletFrame, j: int, p: float) -> np.ndarray:
+    """L_p norms of every needlet at level j under the family's measure.
+
+    Entry nu - 1 belongs to the 1-based node index nu; p may be math.inf
+    (dense-grid maximum). The constant needlet (j = -1) has norm 1. Finite
+    p doubles the quadrature panels until every integral moves by at most
+    1e-3 relative.
+    """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
+    if j == -1:
+        return np.ones(1)
+    lev = frame.level(j)
+    # each block's values are reduced in place and dropped before the next
+    # block is formed, so one block of values is held at a time
+    out = np.zeros(lev.n_nodes)
     if math.isinf(p):
-        vals = _block_values(basis, block, lo, _dense_grid(j))
-        return np.max(np.abs(vals), axis=1)
-    n_panels = 8 * 2 ** max(j, 0)
+        for _, vals in _point_blocks(frame.basis, lev.psi, lev.freq_lo, _dense_grid(j)):
+            np.maximum(out, np.abs(vals, out=vals).max(axis=1), out=out)
+            del vals
+        return out
+    n_panels = 8 * 2**j
     prev = None
     for _ in range(7):
-        x, mw = _measure_nodes(basis, n_panels)
-        vals = _block_values(basis, block, lo, x)
-        integrals = (np.abs(vals) ** p) @ mw
+        x, mw = _measure_nodes(frame.basis, n_panels)
+        integrals = np.zeros(lev.n_nodes)
+        for c0, vals in _point_blocks(frame.basis, lev.psi, lev.freq_lo, x):
+            np.power(np.abs(vals, out=vals), p, out=vals)
+            integrals += vals @ mw[c0 : c0 + vals.shape[1]]
+            del vals
         if prev is not None:
             scale = np.maximum(integrals, 1e-300)
-            if np.all(np.abs(integrals - prev) <= rtol * scale):
+            if np.all(np.abs(integrals - prev) <= 1e-3 * scale):
                 return integrals ** (1.0 / p)
         prev = integrals
         n_panels *= 2
@@ -351,33 +367,14 @@ def _block_lp_norms(
     )
 
 
-def frame_norm(frame: NeedletFrame, j: int, nu: int, p: float) -> float:
-    """L_p norm of the needlet psi_{j, eta_nu} under the family's measure.
-
-    nu is the 1-based node index in the level's stored node order; p may be
-    math.inf (dense-grid maximum). The constant needlet (j = -1) has norm 1.
-    """
-    if j == -1:
-        return 1.0
+def needlet_values(frame: NeedletFrame, j: int, nu: int, x) -> np.ndarray:
+    """Values psi_{j, eta_nu}(x) at the points x of [-1, 1]; nu is 1-based."""
     lev = frame.level(j)
     if not 1 <= nu <= lev.n_nodes:
-        raise ValueError(f"nu must be in 1..{lev.n_nodes}, got {nu}")
-    block = lev.psi[nu - 1 : nu]
-    return float(_block_lp_norms(frame.basis, block, lev.freq_lo, j, p)[0])
-
-
-def level_frame_norms(frame: NeedletFrame, j: int, p: float) -> np.ndarray:
-    """L_p norms of every needlet at level j (vectorized frame_norm)."""
-    if j == -1:
-        return np.ones(1)
-    lev = frame.level(j)
-    return _block_lp_norms(frame.basis, lev.psi, lev.freq_lo, j, p)
-
-
-def coeff_function_norm(frame: NeedletFrame, coeffs, p: float) -> float:
-    """L_p norm of the function sum_i coeffs_i e_i under the family's measure."""
-    f = _check_coeffs(frame, coeffs)
-    return float(_block_lp_norms(frame.basis, f.reshape(1, frame.budget), 0, frame.j_max, p)[0])
+        raise ValueError(f"nu must be in 1..{lev.n_nodes} at level {j}, got {nu}")
+    xs = np.asarray(x, dtype=float)
+    row = lev.psi[nu - 1]
+    return np.concatenate([v for _, v in _point_blocks(frame.basis, row, lev.freq_lo, xs)])
 
 
 def localization_check(frame: NeedletFrame, j: int, nu: int, l: int) -> float:
@@ -387,49 +384,10 @@ def localization_check(frame: NeedletFrame, j: int, nu: int, l: int) -> float:
         raise ValueError(f"decay order l must be >= 1, got {l}")
     if j == -1:
         return 1.0
-    lev = frame.level(j)
-    if not 1 <= nu <= lev.n_nodes:
-        raise ValueError(f"nu must be in 1..{lev.n_nodes}, got {nu}")
     theta = np.linspace(0.0, math.pi, 256 * 2**j + 1)
     x = np.cos(theta)
-    vals = _block_values(frame.basis, lev.psi[nu - 1 : nu], lev.freq_lo, x)[0]
-    theta_nu = math.acos(float(lev.nodes[nu - 1]))
+    vals = needlet_values(frame, j, nu, x)
+    theta_nu = math.acos(float(frame.level(j).nodes[nu - 1]))
     envelope = (1.0 + 2.0**j * np.abs(theta - theta_nu)) ** l
     omega = generalized_weight(frame.basis, 2**j, x)
     return float(np.max(np.abs(vals) * envelope * np.sqrt(omega)) / 2.0 ** (j / 2.0))
-
-
-def besov_seq_norm(frame: NeedletFrame, beta: list[np.ndarray], bp: BesovParams) -> float:
-    """Sequence norm || (2^{js} (sum_eta |beta|^pi ||psi||_pi^pi)^{1/pi})_j ||_{l_r}."""
-    if len(beta) != len(frame.levels):
-        raise ValueError(f"expected {len(frame.levels)} levels, got {len(beta)}")
-    terms = np.empty(len(frame.levels))
-    for li, lev in enumerate(frame.levels):
-        norms = level_frame_norms(frame, lev.j, bp.pi)
-        inner = float(np.sum(np.abs(np.asarray(beta[li])) ** bp.pi * norms**bp.pi))
-        terms[li] = 2.0 ** (lev.j * bp.s) * inner ** (1.0 / bp.pi)
-    if math.isinf(bp.r):
-        return float(np.max(terms))
-    return float(np.sum(terms**bp.r) ** (1.0 / bp.r))
-
-
-def best_approx_errors(frame: NeedletFrame, f_coeffs, p: float, j_range) -> np.ndarray:
-    """Estimated best-approximation errors E_{2^j}(f, p) for j in j_range.
-
-    Uses the residual of the needlet partial reconstruction through level j,
-    whose coefficient multiplier is 1 - phi(i / 2^{j+1}).
-    """
-    f = _check_coeffs(frame, f_coeffs)
-    freqs = np.arange(frame.budget, dtype=float)
-    j_list = list(j_range)
-    out = np.empty(len(j_list))
-    for pos, j in enumerate(j_list):
-        mult = 1.0 - profile_phi(frame.filt.profile, freqs / 2.0 ** (j + 1))
-        residual = f * mult
-        if not np.any(residual):
-            out[pos] = 0.0
-            continue
-        out[pos] = _block_lp_norms(
-            frame.basis, residual.reshape(1, frame.budget), 0, frame.j_max, p
-        )[0]
-    return out

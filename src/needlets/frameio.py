@@ -19,14 +19,16 @@ the level blocks verbatim, so a round trip is bit-exact. Each level's shape
 record must be that of its level j in the stored node mode (2^{j+1} or 2^j
 nodes, the frequency window of j; level -1 is one node at frequency 0), and
 the bytes it claims must fit in what is left of the file, which is checked
-before anything is allocated. Any unknown code or structural mismatch, and
-any non-finite psi entry, node outside (-1, 1) or non-positive weight,
-raises ValueError naming the level and entry rather than returning a
-partially read or corrupt frame.
+before anything is allocated. Any unknown code or structural mismatch, a
+negative top level or exactness defect, a level -1 other than node 0,
+weight 1 and psi 1, and any non-finite psi entry, node outside (-1, 1) or
+non-positive weight, raises ValueError naming the value rather than
+returning a partially read or corrupt frame.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -124,6 +126,11 @@ def _read_level(fh, size: int, j: int, nodes_mode: str) -> FrameLevel:
         weights, np.isfinite(weights) & (weights > 0.0), f"level {j} weights", "finite and > 0"
     )
     require_entries(psi, np.isfinite(psi), f"level {j} psi", "finite")
+    if j == -1 and (nodes[0], weights[0], psi[0, 0]) != (0.0, 1.0, 1.0):
+        raise ValueError(
+            f"level -1 must be node 0, weight 1, psi 1, "
+            f"got node {nodes[0]}, weight {weights[0]}, psi {psi[0, 0]}"
+        )
     return FrameLevel(j, nodes, weights, freq_lo, psi)
 
 
@@ -144,6 +151,10 @@ def load_frame(path) -> NeedletFrame:
             raise ValueError(f"unknown basis code {basis_code} in frame container")
         profile_kind = _decode(_PROFILE_CODES, profile_code, "profile")
         nodes_mode = _decode(_NODE_CODES, node_code, "node-mode")
+        if j_max < 0:
+            raise ValueError(f"j_max must be >= 0, got {j_max}")
+        if not (math.isfinite(defect) and defect >= 0.0):
+            raise ValueError(f"exactness defect must be finite and >= 0, got {defect}")
         if n_levels != j_max + 2:
             raise ValueError(f"level count {n_levels} does not match j_max {j_max}")
         levels = tuple(_read_level(fh, size, j, nodes_mode) for j in range(-1, j_max + 1))

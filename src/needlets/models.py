@@ -27,7 +27,6 @@ __all__ = [
     "eval_e",
     "eval_g",
     "coeffs_from_function",
-    "function_from_coeffs",
     "forward",
     "sample_observation",
     "calibrate_epsilon",
@@ -188,12 +187,6 @@ def coeffs_from_function(model: SvdModel, f, kmax: int, breakpoints=()) -> np.nd
             "doubling; pass the integrand's breakpoints or a smoother f"
         )
     return fine
-
-
-def function_from_coeffs(model: SvdModel, f_coeffs, x) -> np.ndarray:
-    """Evaluate sum_k f_k e_k(x) on the natural domain."""
-    c = np.asarray(f_coeffs, dtype=float)
-    return c @ eval_e(model, c.shape[0] - 1, x)
 
 
 def forward(model: SvdModel, f_coeffs, y=None):

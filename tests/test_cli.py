@@ -151,6 +151,26 @@ def test_estimate_methods(tmp_path, method):
     assert np.isfinite(vals).all() and np.abs(vals[:30]).max() > 0.1
 
 
+def test_estimate_direct_needd_at_tiny_epsilon(tmp_path, capsys):
+    # the top level is taken in log space: at 1e-200 the power
+    # t_eps^{-2/(1+2nu)} overflowed with nu = 0; below the smallest normal
+    # float 1/epsilon overflows, which is refused by name
+    obs_path = tmp_path / "obs.csv"
+    _write_observation(obs_path, kmax=63)
+    frame_path = tmp_path / "f.ndlt"
+    assert run_cli("frame", "build", "--jmax", "4", "--out", str(frame_path)) == 0
+    out = tmp_path / "fhat.csv"
+    args = ["estimate", "--model", "direct", "--method", "needd", "--frame", str(frame_path),
+            "--input", str(obs_path), "--out", str(out), "--epsilon"]
+    assert run_cli(*args, "1e-200") == 0
+    vals = np.array([float(r["fhat"]) for r in csv.DictReader(open(out))])
+    assert vals.shape == (64,) and np.isfinite(vals).all()
+    capsys.readouterr()
+    for eps in ("1e-310", "5e-324"):
+        assert run_cli(*args, eps) == 1
+        assert f"epsilon must be 0 or in [2.2250738585072014e-308, 1), got {eps}" in capsys.readouterr().err
+
+
 def test_estimate_needd_requires_frame(tmp_path):
     obs_path = tmp_path / "obs.csv"
     _write_observation(obs_path)

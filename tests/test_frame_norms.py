@@ -1,4 +1,4 @@
-"""L_p norms, localization envelopes, Besov sequence norms, approximation errors.
+"""L_p norms, localization envelopes and natural-domain needlet values.
 
 The scaling reference for a needlet at node eta is
 (2^j / omega(2^j; eta))^{1/2 - 1/p}; Lp norms must track it uniformly in j.
@@ -6,25 +6,22 @@ Pilot constants frozen here were measured on the Jacobi(0,1) frame, J_max=7.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from needlets import (
-    BesovParams,
-    analyze,
-    besov_seq_norm,
-    best_approx_errors,
     build_frame,
-    coeff_function_norm,
-    frame_norm,
     generalized_weight,
     jacobi_basis,
     level_frame_norms,
     localization_check,
     make_filter,
     make_profile,
+    needlet_values,
 )
+from needlets.jacobi import jacobi_eval_all
 
 
 def test_l2_norms_at_most_one(frame7):
@@ -38,12 +35,19 @@ def test_l2_norms_at_most_one(frame7):
             np.testing.assert_allclose(norms, np.linalg.norm(lev.psi, axis=1), rtol=1e-7)
 
 
-def test_frame_norm_single_matches_level(frame7):
-    norms = level_frame_norms(frame7, 5, 4)
-    assert abs(frame_norm(frame7, 5, 3, 4) - norms[2]) < 1e-12
-    assert frame_norm(frame7, -1, 1, 17.0) == 1.0
-    with pytest.raises(ValueError):
-        frame_norm(frame7, 5, 0, 2)
+@pytest.mark.parametrize("p", [np.inf, 2.0])
+def test_level_norms_hold_one_point_block(frame8, p):
+    # level 8's psi is 1.6 MB; its whole basis table over the norm grids
+    # used to be formed at once, a traced peak of 537 MB (p = inf) and
+    # 806 MB (p = 2); one block of 4096 points (frame.TABLE entries) stays
+    # near 34 MB
+    tracemalloc.start()
+    try:
+        level_frame_norms(frame8, 8, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 @pytest.mark.parametrize("p,spread_cap", [(1.0, 6.0), (4.0, 4.0), (np.inf, 8.0)])
@@ -71,7 +75,7 @@ def test_sup_norm_stable_at_interior_node(frame7):
         lev = frame7.level(j)
         nu = lev.n_nodes // 2
         w = float(generalized_weight(basis, 2**j, lev.nodes[nu - 1 : nu])[0])
-        ratios.append(frame_norm(frame7, j, nu, np.inf) / (2.0**j / w) ** 0.5)
+        ratios.append(level_frame_norms(frame7, j, np.inf)[nu - 1] / (2.0**j / w) ** 0.5)
     assert max(ratios) / min(ratios) <= 4.0
 
 
@@ -95,7 +99,7 @@ def test_edge_node_norm_growth():
     frame = build_frame(jacobi_basis(1.0, 0.0), filt, j_max=7)
     p = 4.0
     js = np.arange(3, 8)
-    lognorms = [math.log2(frame_norm(frame, j, 1, p) ** p) for j in js]
+    lognorms = [math.log2(level_frame_norms(frame, j, p)[0] ** p) for j in js]
     slope = np.polyfit(js, lognorms, 1)[0]
     theory = (p - 2.0) * 2.0
     assert abs(slope - theory) <= 0.1 * theory
@@ -125,17 +129,23 @@ def test_localization_far_field_decay(frame7, j):
     # two orders of magnitude between the peak and the values a quarter
     # circle away, for interior nodes; nodes close to x = -1 are excluded
     # because the beta = 1 edge enhances |psi| there by omega^{-1/2} ~ 2^{3j/2}
-    from needlets.frame import _block_values
-
     lev = frame7.level(j)
     theta = np.linspace(0.0, math.pi, 16385)
     for nu in (lev.n_nodes // 4, lev.n_nodes // 2):
         theta_nu = math.acos(float(lev.nodes[nu - 1]))
-        vals = np.abs(
-            _block_values(frame7.basis, lev.psi[nu - 1 : nu], lev.freq_lo, np.cos(theta))[0]
-        )
+        vals = np.abs(needlet_values(frame7, j, nu, np.cos(theta)))
         ring = np.abs(np.abs(theta - theta_nu) - math.pi / 4) <= 0.01
         assert vals[ring].max() <= vals.max() / 100.0
+
+
+@pytest.mark.parametrize("n", [8193, 16385, 20000])
+def test_needlet_values_match_one_whole_grid_product(frame7, n):
+    # level 7's 256 degrees take blocks of 8192 points; 8193 and 16385
+    # points end in a one-point remainder, which joins the last block
+    lev = frame7.level(7)
+    x = np.linspace(-1.0, 1.0, n)
+    want = lev.psi[99] @ jacobi_eval_all(frame7.basis, lev.freq_hi, x)[lev.freq_lo :]
+    np.testing.assert_array_equal(needlet_values(frame7, 7, 100, x), want)
 
 
 def test_localization_argument_errors(frame7):
@@ -143,57 +153,5 @@ def test_localization_argument_errors(frame7):
         localization_check(frame7, 4, 1, 0)
     with pytest.raises(ValueError):
         localization_check(frame7, 4, 999, 3)
-
-
-def test_besov_seq_norm_homogeneous(frame7, rng):
-    f = np.zeros(frame7.budget)
-    f[: frame7.exact_dim] = rng.standard_normal(frame7.exact_dim)
-    beta = analyze(frame7, f)
-    bp = BesovParams(s=1.5, pi=2.0, r=1.0)
-    base = besov_seq_norm(frame7, beta, bp)
-    doubled = besov_seq_norm(frame7, [2.0 * b for b in beta], bp)
-    assert abs(doubled - 2.0 * base) < 1e-10 * base
-
-
-def test_besov_seq_norm_single_level(frame7):
-    # with coefficients on one level the norm reduces to
-    # 2^{js} (sum |beta|^pi ||psi||_pi^pi)^{1/pi}
-    j = 4
-    beta = [np.zeros(lev.n_nodes) for lev in frame7.levels]
-    beta[j + 1][3] = 2.0
-    bp = BesovParams(s=2.0, pi=3.0, r=2.0)
-    got = besov_seq_norm(frame7, beta, bp)
-    want = 2.0 ** (j * 2.0) * 2.0 * frame_norm(frame7, j, 4, 3.0)
-    assert abs(got - want) < 1e-10 * want
-
-
-def test_besov_params_validation():
-    with pytest.raises(ValueError):
-        BesovParams(s=0.0, pi=2.0, r=1.0)
-    with pytest.raises(ValueError):
-        BesovParams(s=1.0, pi=0.5, r=1.0)
-
-
-def test_best_approx_monotone_and_exact_for_polynomials(frame7):
-    rng = np.random.default_rng(3)
-    f = np.zeros(frame7.budget)
-    f[: frame7.exact_dim] = rng.standard_normal(frame7.exact_dim) / (
-        1.0 + np.arange(frame7.exact_dim)
-    )
-    errs = best_approx_errors(frame7, f, 2, range(0, 8))
-    assert np.all(np.diff(errs) <= 1e-12)
-    assert errs[0] > 0
-
-    # degree-8 polynomial: zero error once 2^j >= 8
-    g = np.zeros(frame7.budget)
-    g[:9] = 1.0
-    errs_g = best_approx_errors(frame7, g, 2, range(0, 8))
-    assert np.all(errs_g[3:] == 0.0)
-    assert errs_g[0] > 0
-
-
-def test_coeff_function_norm_l2(frame7, rng):
-    f = np.zeros(frame7.budget)
-    f[: frame7.exact_dim] = rng.standard_normal(frame7.exact_dim)
-    # under the orthonormality measure the L2 norm equals the l2 norm
-    assert abs(coeff_function_norm(frame7, f, 2) - np.linalg.norm(f)) < 1e-8 * np.linalg.norm(f)
+    with pytest.raises(ValueError, match="nu must be in 1..32 at level 4, got 0"):
+        needlet_values(frame7, 4, 0, np.zeros(3))

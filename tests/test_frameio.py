@@ -119,6 +119,57 @@ def test_reject_basis_code_1(small_frame, tmp_path):
         load_frame(path)
 
 
+def _with_header(path, **fields):
+    """Rewrite header fields of the container at path, by _HEADER field name."""
+    names = ("magic", "version", "basis", "alpha", "beta", "profile", "m", "nodes",
+             "j_max", "defect", "n_levels")
+    blob = bytearray(path.read_bytes())
+    values = dict(zip(names, _HEADER.unpack(blob[: _HEADER.size])), **fields)
+    blob[: _HEADER.size] = _HEADER.pack(*(values[n] for n in names))
+    path.write_bytes(bytes(blob))
+
+
+def test_reject_negative_j_max(small_frame, tmp_path):
+    # a header with j_max = -1 and only level -1 is consistent in itself,
+    # but build_frame never writes it (its budget is 1, its exact span 1.5)
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    path.write_bytes(path.read_bytes()[: _shape_record_at(small_frame, 0)])
+    _with_header(path, j_max=-1, n_levels=1)
+    with pytest.raises(ValueError, match="j_max must be >= 0, got -1"):
+        load_frame(path)
+
+
+@pytest.mark.parametrize("defect", [np.nan, -1e-12, np.inf], ids=["nan", "negative", "inf"])
+def test_reject_bad_exactness_defect(small_frame, tmp_path, defect):
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    _with_header(path, defect=defect)
+    with pytest.raises(ValueError, match=f"exactness defect must be finite and >= 0, got {defect}"):
+        load_frame(path)
+
+
+@pytest.mark.parametrize(
+    "entry, value, message",
+    [
+        (0, 0.5, "got node 0.5, weight 1.0, psi 1.0"),
+        (1, 0.25, "got node 0.0, weight 0.25, psi 1.0"),
+        (2, -1.0, "got node 0.0, weight 1.0, psi -1.0"),
+    ],
+    ids=["node", "weight", "psi"],
+)
+def test_reject_level_minus_one_not_constant(small_frame, tmp_path, entry, value, message):
+    # level -1 is the constant needlet: one node 0 of weight 1, psi 1
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    blob = bytearray(path.read_bytes())
+    at = _shape_record_at(small_frame, -1) + _LEVEL.size + 8 * entry
+    blob[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="level -1 must be node 0, weight 1, psi 1, " + message):
+        load_frame(path)
+
+
 def _shape_record_at(frame, j):
     """Offset of level j's shape record: the header, then levels -1..j-1."""
     return _HEADER.size + sum(
