@@ -118,9 +118,11 @@ def need_d(
 ) -> NeedDResult:
     """Hard-threshold the needlet analysis of the naive inverse Y_i/b_i.
 
-    Levels above plan.j_top are dropped wholesale; at and below, a
-    coefficient survives iff its magnitude reaches the plan's level
-    threshold (the constant level included, at its own sigma).
+    Levels above plan.j_top are dropped wholesale: analyze and synthesize
+    stop at j_top, so their psi is never multiplied, and they are returned
+    as zeros. At and below j_top, a coefficient survives iff its magnitude
+    reaches the plan's level threshold (the constant level included, at its
+    own sigma).
     """
     _require_same_basis(frame, model)
     budget = frame.budget
@@ -128,17 +130,13 @@ def need_d(
         raise ValueError(f"need {budget} observed coefficients, got {obs.kmax + 1}")
     if model.kmax + 1 < budget:
         raise ValueError(f"model holds {model.kmax + 1} singular values, frame needs {budget}")
+    top = min(plan.j_top, frame.j_max)
     ybar = obs.y[..., :budget] / model.b[:budget]
-    beta = analyze(frame, ybar)
-    kept = []
-    for level_index, b in enumerate(beta):
-        j = level_index - 1
-        if j > plan.j_top:
-            kept.append(np.zeros_like(b))
-            continue
-        thr = plan.threshold(j)
-        kept.append(np.where(np.abs(b) >= thr, b, 0.0))
-    return NeedDResult(kept, synthesize(frame, kept))
+    kept = [
+        np.where(np.abs(b) >= plan.threshold(lev.j), b, 0.0) if lev.j <= top else b
+        for lev, b in zip(frame.levels, analyze(frame, ybar, top))
+    ]
+    return NeedDResult(kept, synthesize(frame, kept, top))
 
 
 def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np.ndarray:

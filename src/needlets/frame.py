@@ -5,14 +5,18 @@ in the underlying basis: psi[nu, i - freq_lo] = sqrt(weight_nu) *
 a(i / 2^j) * e_i(node_nu). Level -1 is the single constant needlet.
 Analysis and synthesis are exact finite sums over each level's frequency
 window (2^{j-1}, 2^{j+1}), along the last axis of one vector (K,) or of
-a stack of runs (R, K).
+a stack of runs (R, K). Both may stop at a top level: the levels above it
+are returned as zeros and never multiplied.
 
 Each level's psi is F-ordered and written degree by degree along the Jacobi
-recurrence; the build self-check and the invariant suite read it in blocks
-of BLOCK columns or rows, so beside the frame they hold one block at most.
-Needlets are evaluated on [-1, 1] (norms, localization, rendering) one block
-of points at a time: one basis table of at most TABLE entries and one product
-with the psi rows per block, so no whole-grid table is formed.
+recurrence; the build self-check, the invariant suite and level_sigma read
+it in blocks of BLOCK columns or rows, so beside the frame they hold one
+block at most. Needlets are evaluated on [-1, 1] one block of points at a
+time for whole levels (norms, localization): one basis table of at most
+TABLE entries and one product with the psi rows per block, so no whole-grid
+table is formed. A single needlet (rendering) is summed degree by degree
+along the recurrence, so its values round the same at every point whatever
+the grid or the BLAS threading.
 """
 
 from __future__ import annotations
@@ -225,21 +229,45 @@ def _check_coeffs(frame: NeedletFrame, f_coeffs) -> np.ndarray:
     return f
 
 
-def analyze(frame: NeedletFrame, f_coeffs) -> list[np.ndarray]:
-    """Needlet coefficients beta_{j,eta} = sum_i f_i psi^i_{j,eta}, one array per level."""
+def _top_level(frame: NeedletFrame, j_top: int | None) -> int:
+    if j_top is None:
+        return frame.j_max
+    if not -1 <= j_top <= frame.j_max:
+        raise ValueError(f"top level {j_top} outside [-1, {frame.j_max}]")
+    return j_top
+
+
+def analyze(frame: NeedletFrame, f_coeffs, j_top: int | None = None) -> list[np.ndarray]:
+    """Needlet coefficients beta_{j,eta} = sum_i f_i psi^i_{j,eta}, one array per level.
+
+    Levels above j_top (default: the frame's top) come back as zeros of
+    their shape; their psi is not read.
+    """
     f = _check_coeffs(frame, f_coeffs)
-    return [f[..., lev.freq_lo : lev.freq_hi + 1] @ lev.psi.T for lev in frame.levels]
+    top = _top_level(frame, j_top)
+    return [
+        f[..., lev.freq_lo : lev.freq_hi + 1] @ lev.psi.T
+        if lev.j <= top
+        else np.zeros(f.shape[:-1] + (lev.n_nodes,))
+        for lev in frame.levels
+    ]
 
 
-def synthesize(frame: NeedletFrame, beta: list[np.ndarray]) -> np.ndarray:
-    """Basis coefficients sum_{j,eta} beta_{j,eta} psi^i_{j,eta}."""
+def synthesize(frame: NeedletFrame, beta: list[np.ndarray], j_top: int | None = None) -> np.ndarray:
+    """Basis coefficients sum_{j,eta} beta_{j,eta} psi^i_{j,eta} over levels -1..j_top.
+
+    beta holds one array per level; those above j_top (default: the frame's
+    top) are neither checked nor multiplied, which for all-zero levels
+    leaves every output bit as the full sum does.
+    """
     if len(beta) != len(frame.levels):
         raise ValueError(
             f"expected {len(frame.levels)} coefficient levels, got {len(beta)}"
         )
+    top = _top_level(frame, j_top)
     runs = np.shape(beta[0])[:-1]
     out = np.zeros(runs + (frame.budget,))
-    for lev, b in zip(frame.levels, beta):
+    for lev, b in zip(frame.levels[: top + 2], beta):
         b = np.asarray(b, dtype=float)
         if b.shape != runs + (lev.n_nodes,):
             raise ValueError(
@@ -253,7 +281,9 @@ def synthesize(frame: NeedletFrame, beta: list[np.ndarray]) -> np.ndarray:
 def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
     """Per-level sigma_j, sigma_j^2 = sup_eta sum_i (psi^i_{j,eta} / b_i)^2.
 
-    Index 0 of the result is level -1; index j+1 is level j.
+    Index 0 of the result is level -1; index j+1 is level j. Each level is
+    reduced BLOCK rows at a time, each row summed in frequency order as over
+    the whole level, so one block of scaled squares is held at a time.
     """
     b = np.asarray(singular_values, dtype=float)
     if b.ndim != 1 or b.shape[0] < frame.budget:
@@ -262,8 +292,14 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
     require_entries(b, np.isfinite(b) & (b > 0.0), "singular value b", "finite and > 0")
     out = np.empty(len(frame.levels))
     for li, lev in enumerate(frame.levels):
-        scaled = lev.psi / b[lev.freq_lo : lev.freq_hi + 1][None, :]
-        out[li] = math.sqrt(float(np.max(np.sum(scaled**2, axis=1))))
+        b_lev = b[lev.freq_lo : lev.freq_hi + 1]
+        peaks = []
+        for r0 in range(0, lev.n_nodes, BLOCK):
+            scaled = lev.psi[r0 : r0 + BLOCK] / b_lev
+            np.square(scaled, out=scaled)
+            peaks.append(np.max(np.sum(scaled, axis=1)))
+            del scaled
+        out[li] = math.sqrt(float(np.max(peaks)))
     return out
 
 
@@ -306,24 +342,21 @@ def _measure_nodes(basis: JacobiBasis, n_panels: int) -> tuple[np.ndarray, np.nd
     return np.cos(theta), w * density
 
 
-def _dense_grid(j: int) -> np.ndarray:
-    return np.cos(np.linspace(0.0, math.pi, 256 * 2**j + 1))
+def _dense_theta(j: int) -> np.ndarray:
+    return np.linspace(0.0, math.pi, 256 * 2**j + 1)
 
 
 def _point_blocks(basis: JacobiBasis, rows: np.ndarray, lo: int, x: np.ndarray):
-    """Yield (c0, rows @ [e_lo .. e_hi](x[c0 : c1])) over x, block by block.
+    """Yield (c0, rows @ [e_lo .. e_hi](x[c0 : c0 + step])) over x, block by block.
 
-    A block holds TABLE // (hi + 1) points, 4096 for the 512 degrees of level
-    8, and the last block takes a one-point remainder: numpy multiplies a
-    one-column block as a dot product, which rounds unlike the column of a
-    whole-grid product. Every other column rounds as in one product over x.
+    A block holds step = TABLE // (hi + 1) points, 4096 for the 512 degrees
+    of level 8. Its values round as OpenBLAS's product does, which can move
+    their last bits with the split of the points into blocks and threads.
     """
     hi = lo + rows.shape[-1] - 1
-    n = x.shape[0]
     step = TABLE // (hi + 1)
-    for c0 in range(0, max(n - 1, 1), step):
-        c1 = c0 + step if c0 + step < n - 1 else n
-        yield c0, rows @ jacobi_eval_all(basis, hi, x[c0:c1])[lo:]
+    for c0 in range(0, x.shape[0], step):
+        yield c0, rows @ jacobi_eval_all(basis, hi, x[c0 : c0 + step])[lo:]
 
 
 def level_frame_norms(frame: NeedletFrame, j: int, p: float) -> np.ndarray:
@@ -343,7 +376,7 @@ def level_frame_norms(frame: NeedletFrame, j: int, p: float) -> np.ndarray:
     # block is formed, so one block of values is held at a time
     out = np.zeros(lev.n_nodes)
     if math.isinf(p):
-        for _, vals in _point_blocks(frame.basis, lev.psi, lev.freq_lo, _dense_grid(j)):
+        for _, vals in _point_blocks(frame.basis, lev.psi, lev.freq_lo, np.cos(_dense_theta(j))):
             np.maximum(out, np.abs(vals, out=vals).max(axis=1), out=out)
             del vals
         return out
@@ -368,26 +401,54 @@ def level_frame_norms(frame: NeedletFrame, j: int, p: float) -> np.ndarray:
 
 
 def needlet_values(frame: NeedletFrame, j: int, nu: int, x) -> np.ndarray:
-    """Values psi_{j, eta_nu}(x) at the points x of [-1, 1]; nu is 1-based."""
+    """Values psi_{j, eta_nu}(x) at the points x of [-1, 1]; nu is 1-based.
+
+    The sum over degrees is taken one degree at a time along the recurrence,
+    so each value's rounding depends on its own point alone: not on the
+    other points, their number or the BLAS thread count.
+    """
     lev = frame.level(j)
     if not 1 <= nu <= lev.n_nodes:
         raise ValueError(f"nu must be in 1..{lev.n_nodes} at level {j}, got {nu}")
     xs = np.asarray(x, dtype=float)
+    if np.any(np.abs(xs) > 1.0):
+        raise ValueError("evaluation points must lie in [-1, 1]")
     row = lev.psi[nu - 1]
-    return np.concatenate([v for _, v in _point_blocks(frame.basis, row, lev.freq_lo, xs)])
+    out = np.zeros_like(xs)
+    degrees = _orthonormal(*_recurrence(frame.basis, lev.freq_hi + 1), lev.freq_hi, xs)
+    for k, p in enumerate(degrees):
+        if k >= lev.freq_lo:
+            out += row[k - lev.freq_lo] * p
+    return out
 
 
-def localization_check(frame: NeedletFrame, j: int, nu: int, l: int) -> float:
-    """Smallest C with |psi(cos theta)| <= C 2^{j/2} / ((1+2^j|theta-theta_nu|)^l sqrt(omega))
-    on a dense theta grid; omega is the generalized weight at scale 2^j."""
+def localization_check(frame: NeedletFrame, j: int, l: int) -> np.ndarray:
+    """Smallest C per needlet of level j with
+    |psi(cos theta)| <= C 2^{j/2} / ((1+2^j|theta-theta_nu|)^l sqrt(omega))
+    on a dense theta grid; omega is the generalized weight at scale 2^j.
+
+    Entry nu - 1 belongs to the 1-based node index nu, as in
+    level_frame_norms, and the whole level is evaluated in one pass.
+    """
     if l < 1:
         raise ValueError(f"decay order l must be >= 1, got {l}")
     if j == -1:
-        return 1.0
-    theta = np.linspace(0.0, math.pi, 256 * 2**j + 1)
+        return np.ones(1)
+    lev = frame.level(j)
+    theta = _dense_theta(j)
     x = np.cos(theta)
-    vals = needlet_values(frame, j, nu, x)
-    theta_nu = math.acos(float(frame.level(j).nodes[nu - 1]))
-    envelope = (1.0 + 2.0**j * np.abs(theta - theta_nu)) ** l
-    omega = generalized_weight(frame.basis, 2**j, x)
-    return float(np.max(np.abs(vals) * envelope * np.sqrt(omega)) / 2.0 ** (j / 2.0))
+    theta_nu = np.arccos(lev.nodes)[:, None]
+    sqrt_omega = np.sqrt(generalized_weight(frame.basis, 2**j, x))
+    out = np.zeros(lev.n_nodes)
+    for c0, vals in _point_blocks(frame.basis, lev.psi, lev.freq_lo, x):
+        c1 = c0 + vals.shape[1]
+        envelope = np.abs(theta[c0:c1] - theta_nu)
+        envelope *= 2.0**j
+        envelope += 1.0
+        envelope **= l
+        np.abs(vals, out=vals)
+        vals *= envelope
+        vals *= sqrt_omega[c0:c1]
+        np.maximum(out, vals.max(axis=1), out=out)
+        del vals, envelope
+    return out / 2.0 ** (j / 2.0)

@@ -105,8 +105,9 @@ def eval_e(model: SvdModel, kmax: int, x) -> np.ndarray:
     xs = np.asarray(x, dtype=float)
     if np.any((xs < 0.0) | (xs > 1.0)):
         raise ValueError("Wicksell domain is [0, 1]")
-    t = 2.0 * xs * xs - 1.0
-    return 4.0 * xs * xs * jacobi_eval_all(model.basis, kmax, t)
+    table = jacobi_eval_all(model.basis, kmax, 2.0 * xs * xs - 1.0)
+    table *= 4.0 * xs * xs
+    return table
 
 
 def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:

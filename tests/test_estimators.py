@@ -156,6 +156,32 @@ def test_need_d_threshold_is_hard(frame8, wicksell512, rng):
         assert np.all(np.abs(b_raw[~kept]) < cut)
 
 
+def test_need_d_never_multiplies_levels_above_j_top(frame8, wicksell512, rng):
+    # NaN psi above j_top would reach the estimate through any product with
+    # those levels, even 0 @ psi; coefficients and estimate must keep the
+    # real frame's bits, for one run and for a stack of runs
+    eps = 0.01
+    plan = make_threshold_plan(frame8, wicksell512, eps)
+    assert plan.j_top < frame8.j_max
+    poisoned = dataclasses.replace(
+        frame8,
+        levels=tuple(
+            dataclasses.replace(lev, psi=np.full_like(lev.psi, np.nan)) if lev.j > plan.j_top else lev
+            for lev in frame8.levels
+        ),
+    )
+    c = _signal(frame8)
+    one = sample_observation(wicksell512, c, eps, rng)
+    stack = SequenceObservation(np.stack([one.y, sample_observation(wicksell512, c, eps, rng).y]), eps)
+    for obs in (one, stack):
+        want = need_d(frame8, wicksell512, obs, plan)
+        got = need_d(poisoned, wicksell512, obs, plan)
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        assert len(got.beta) == len(want.beta)
+        for b_got, b_want in zip(got.beta, want.beta):
+            np.testing.assert_array_equal(b_got, b_want)
+
+
 def test_need_d_kappa_monotone(frame8, wicksell512, rng):
     c = _signal(frame8)
     eps = 0.005
@@ -175,6 +201,26 @@ def test_threshold_plan_argument_errors(frame8, wicksell512):
             make_threshold_plan(frame8, wicksell512, eps)
     with pytest.raises(ValueError):
         make_threshold_plan(frame8, wicksell512, 0.01, kappa=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=st.floats(5e-324, 1.0, exclude_max=True))
+@example(eps=5e-324)
+@example(eps=sys.float_info.min)
+@example(eps=1.0 - 2.0**-53)
+def test_threshold_plan_invariants(frame7, eps):
+    # every epsilon in (0, 1), for nu = 1/2 and nu = 0 with exactly the
+    # frame's budget of singular values, gives a finite threshold and a top
+    # level inside the frame or, below the smallest normal float, a
+    # ValueError naming epsilon
+    for model in (wicksell_model(frame7.budget - 1), direct_model(frame7.budget - 1)):
+        if eps < sys.float_info.min:
+            with pytest.raises(ValueError, match=f"epsilon must be .*got {eps}"):
+                make_threshold_plan(frame7, model, eps)
+            continue
+        plan = make_threshold_plan(frame7, model, eps)
+        assert math.isfinite(plan.t_eps) and plan.t_eps >= 0.0
+        assert 0 <= plan.j_top <= frame7.j_max
 
 
 def test_blocks_frozen_prefix(wicksell512):

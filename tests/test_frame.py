@@ -4,6 +4,9 @@ The frame is exact on spans of dimension 2^{j_max} + 1; random functions
 supported there must satisfy Parseval and reconstruct to rounding error.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,27 @@ def test_coefficient_shape_errors(frame7):
         synthesize(frame7, beta)
 
 
+def test_top_level_stops_analysis_and_synthesis(frame7, rng):
+    # levels above the top come back as zeros and are skipped by synthesis;
+    # the kept levels and the reconstruction keep the full call's bits
+    runs = np.stack([_random_supported(frame7, rng) for _ in range(3)])
+    full = analyze(frame7, runs)
+    for top in (-1, 3, frame7.j_max):
+        beta = analyze(frame7, runs, top)
+        for lev, b, b_full in zip(frame7.levels, beta, full):
+            np.testing.assert_array_equal(b, b_full if lev.j <= top else np.zeros(b_full.shape))
+        np.testing.assert_array_equal(synthesize(frame7, beta, top), synthesize(frame7, beta))
+    # synthesis reads nothing above the top, finite or not
+    beta = analyze(frame7, runs, 3)
+    beta[-1] = np.full(beta[-1].shape, np.nan)
+    np.testing.assert_array_equal(synthesize(frame7, beta, 3), synthesize(frame7, analyze(frame7, runs, 3)))
+    for top in (-2, frame7.j_max + 1):
+        with pytest.raises(ValueError, match=f"top level {top} outside"):
+            analyze(frame7, runs, top)
+        with pytest.raises(ValueError, match=f"top level {top} outside"):
+            synthesize(frame7, full, top)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_coefficients_rejected(frame7, bad):
     f = np.ones(256)
@@ -145,6 +169,29 @@ def test_level_sigma_scaling(frame8):
     ratios = np.array([sig[j + 1] ** 2 / 2.0**j for j in range(2, 9)])
     assert ratios.max() / ratios.min() <= 10.0
     assert 5.0 < ratios.min() and ratios.max() < 50.0
+
+
+def test_level_sigma_holds_one_row_block(filt):
+    # at jmax 10 the top level's psi is 25 MB, and the dense formula below
+    # forms two whole-level temporaries (psi / b and its squares, 50 MB
+    # traced). The frame exists before tracing starts, so the traced peak is
+    # the call's own: one block of BLOCK scaled rows, with room for small arrays
+    frame = build_frame(jacobi_basis(0.0, 1.0), filt, j_max=10)
+    b = wicksell_model(frame.budget).b
+    block_bytes = BLOCK * max(lev.psi.shape[1] for lev in frame.levels) * 8
+    tracemalloc.start()
+    try:
+        sigma = level_sigma(frame, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes
+    # the dense formula, one whole level at a time, gives the same bits
+    dense = [
+        math.sqrt(float(np.max(np.sum((lev.psi / b[lev.freq_lo : lev.freq_hi + 1][None, :]) ** 2, axis=1))))
+        for lev in frame.levels
+    ]
+    np.testing.assert_array_equal(sigma, dense)
 
 
 def test_level_sigma_rejects_bad_b(frame7):

@@ -110,16 +110,16 @@ def test_localization_uniform_smooth_profile():
     # satisfies it and its l=3 constants do not grow between j=4 and j=6
     filt = make_filter(make_profile("smooth-exponential", 1))
     frame = build_frame(jacobi_basis(0.0, 1.0), filt, j_max=6)
-    c4 = max(localization_check(frame, 4, nu, 3) for nu in range(1, frame.level(4).n_nodes + 1))
-    c6 = max(localization_check(frame, 6, nu, 3) for nu in range(1, frame.level(6).n_nodes + 1))
+    c4 = localization_check(frame, 4, 3).max()
+    c6 = localization_check(frame, 6, 3).max()
     assert c6 <= 1.5 * c4
 
 
 def test_localization_polynomial_profile_l2(frame7):
     # the m=2 polynomial cutoff is only C^1 at its support edges, capping the
     # decay order near 2.5: l=2 constants stay flat, l=3 constants grow
-    c4 = max(localization_check(frame7, 4, nu, 2) for nu in range(1, frame7.level(4).n_nodes + 1))
-    c6 = max(localization_check(frame7, 6, nu, 2) for nu in range(1, frame7.level(6).n_nodes + 1))
+    c4 = localization_check(frame7, 4, 2).max()
+    c6 = localization_check(frame7, 6, 2).max()
     assert c6 <= 1.2 * c4
     assert c4 < 20.0
 
@@ -140,18 +140,43 @@ def test_localization_far_field_decay(frame7, j):
 
 @pytest.mark.parametrize("n", [8193, 16385, 20000])
 def test_needlet_values_match_one_whole_grid_product(frame7, n):
-    # level 7's 256 degrees take blocks of 8192 points; 8193 and 16385
-    # points end in a one-point remainder, which joins the last block
-    lev = frame7.level(7)
+    # each value is summed degree by degree at its own point, so the grid
+    # split into pieces (one of a single point) gives the bits of the whole
+    # grid at once, whatever the BLAS thread count (the values themselves
+    # are checked in test_localization_level_matches_single_needlets)
     x = np.linspace(-1.0, 1.0, n)
-    want = lev.psi[99] @ jacobi_eval_all(frame7.basis, lev.freq_hi, x)[lev.freq_lo :]
-    np.testing.assert_array_equal(needlet_values(frame7, 7, 100, x), want)
+    whole = needlet_values(frame7, 7, 100, x)
+    cuts = [0, 1, n // 3, n - 1, n]
+    pieces = [needlet_values(frame7, 7, 100, x[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
+
+def test_localization_level_matches_single_needlets(frame7):
+    # one pass over the level gives each needlet's constant as evaluated
+    # from its own values on the dense grid; those values are its psi row
+    # times the basis table, up to rounding
+    j, l = 5, 3
+    lev = frame7.level(j)
+    theta = np.linspace(0.0, math.pi, 256 * 2**j + 1)
+    omega = generalized_weight(frame7.basis, 2**j, np.cos(theta))
+    table = jacobi_eval_all(frame7.basis, lev.freq_hi, np.cos(theta))[lev.freq_lo :]
+    consts = localization_check(frame7, j, l)
+    assert consts.shape == (lev.n_nodes,)
+    for nu in (1, lev.n_nodes // 3, lev.n_nodes):
+        vals = needlet_values(frame7, j, nu, np.cos(theta))
+        want = lev.psi[nu - 1] @ table
+        np.testing.assert_allclose(vals, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        envelope = (1.0 + 2.0**j * np.abs(theta - math.acos(float(lev.nodes[nu - 1])))) ** l
+        one = np.max(np.abs(vals) * envelope * np.sqrt(omega)) / 2.0 ** (j / 2.0)
+        assert consts[nu - 1] == pytest.approx(one, rel=1e-12)
 
 
 def test_localization_argument_errors(frame7):
     with pytest.raises(ValueError):
-        localization_check(frame7, 4, 1, 0)
+        localization_check(frame7, 4, 0)
     with pytest.raises(ValueError):
-        localization_check(frame7, 4, 999, 3)
+        localization_check(frame7, 8, 3)
     with pytest.raises(ValueError, match="nu must be in 1..32 at level 4, got 0"):
         needlet_values(frame7, 4, 0, np.zeros(3))
+    with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+        needlet_values(frame7, 4, 1, np.array([0.0, 1.5]))
