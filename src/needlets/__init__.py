@@ -76,7 +76,6 @@ from .simlab import (
     FrameSpec,
     NeedDSpec,
     RateStudy,
-    RateTarget,
     SimulationConfig,
     SimulationReport,
     emit_report,

@@ -47,10 +47,12 @@ def _log(z: float, base: float) -> float:
 class ThresholdPlan:
     """Frozen thresholding schedule: keep |beta_j| >= kappa * t_eps * sigma[j].
 
-    sigma has one entry per frame level (index 0 is the constant level);
-    j_top is the last level kept at all.
+    epsilon is the noise level the schedule was built for; sigma has one
+    entry per frame level (index 0 is the constant level); j_top is the
+    last level kept at all.
     """
 
+    epsilon: float
     kappa: float
     t_eps: float
     j_top: int
@@ -74,6 +76,11 @@ def _require_same_basis(frame: NeedletFrame, model: SvdModel) -> None:
     # in the wrong domain
     if frame.basis != model.basis:
         raise ValueError(f"frame basis {frame.basis} differs from model basis {model.basis}")
+
+
+def _require_same_epsilon(built_for: float, obs: SequenceObservation, what: str) -> None:
+    if abs(obs.epsilon - built_for) > 1e-12 * max(obs.epsilon, built_for):
+        raise ValueError(f"{what} built for epsilon {built_for}, observation has {obs.epsilon}")
 
 
 def _threshold_schedule(
@@ -107,7 +114,7 @@ def make_threshold_plan(
     """
     t_eps, j_top = _threshold_schedule(frame, model, epsilon, kappa)
     _require_same_basis(frame, model)
-    return ThresholdPlan(float(kappa), t_eps, j_top, level_sigma(frame, model.b))
+    return ThresholdPlan(float(epsilon), float(kappa), t_eps, j_top, level_sigma(frame, model.b))
 
 
 def need_d(
@@ -122,9 +129,10 @@ def need_d(
     stop at j_top, so their psi is never multiplied, and they are returned
     as zeros. At and below j_top, a coefficient survives iff its magnitude
     reaches the plan's level threshold (the constant level included, at its
-    own sigma).
+    own sigma). The plan must have been built for the observation's epsilon.
     """
     _require_same_basis(frame, model)
+    _require_same_epsilon(plan.epsilon, obs, "plan")
     budget = frame.budget
     if obs.kmax + 1 < budget:
         raise ValueError(f"need {budget} observed coefficients, got {obs.kmax + 1}")
@@ -273,10 +281,7 @@ def svd_adaptive(
     constant across the block; index 0 sits below the first boundary and is
     kept with weight 1 (its noise is a single coordinate, never dominant).
     """
-    if abs(obs.epsilon - config.epsilon) > 1e-12 * max(obs.epsilon, config.epsilon):
-        raise ValueError(
-            f"config built for epsilon {config.epsilon}, observation has {obs.epsilon}"
-        )
+    _require_same_epsilon(config.epsilon, obs, "config")
     kmax = min(obs.kmax, model.kmax)
     ybar = obs.y[..., : kmax + 1] / model.b[: kmax + 1]
     lam = np.zeros(ybar.shape)

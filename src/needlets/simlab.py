@@ -28,6 +28,13 @@ A setting's runs go through every estimator as one (R, K) stack (so do
 the rate study's runs at each noise level), with one seeded generator per
 run, and are scored with one (R, K) @ (K, n) product and the row-wise
 losses.weighted_loss.
+
+The JSON config and report formats are the dataclasses themselves: a
+config is SimulationConfig and its three group specs field by field, in
+field order, with '-' for '_' in keys; a report cell is CellResult's
+fields plus its means and standard errors. Parsing maps keys back through
+the same fields, so a field added to a dataclass is written and read with
+no other edit.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -77,7 +85,6 @@ __all__ = [
     "SimulationConfig",
     "CellResult",
     "SimulationReport",
-    "RateTarget",
     "RateStudy",
     "run_experiment",
     "rate_study",
@@ -140,6 +147,8 @@ class SimulationConfig:
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "rsnr", tuple(float(r) for r in self.rsnr))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        if self.epsilon_override is not None:
+            object.__setattr__(self, "epsilon_override", float(self.epsilon_override))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.n < 64:
@@ -155,61 +164,79 @@ class SimulationConfig:
             raise ValueError(f"epsilon override must be in [0, 1), got {self.epsilon_override}")
 
     def to_dict(self) -> dict:
-        return {
-            "targets": list(self.targets),
-            "rsnr": list(self.rsnr),
-            "n": self.n,
-            "runs": self.runs,
-            "estimators": list(self.estimators),
-            "seed": self.seed,
-            "frame": {
-                "alpha": self.frame.alpha,
-                "beta": self.frame.beta,
-                "jmax": self.frame.jmax,
-                "m": self.frame.m,
-                "nodes-per-level": self.frame.nodes_per_level,
-            },
-            "adaptive": {"gamma": self.adaptive.gamma, "logbase": self.adaptive.logbase},
-            "needd": {"kappa": self.needd.kappa},
-            "epsilon-override": self.epsilon_override,
-        }
+        """The config as JSON: the dataclass fields in order, '_' written as '-' in keys."""
+        return _json_keys(asdict(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimulationConfig":
-        """Parse an external config mapping; unknown keys or targets are errors."""
-        known = {
-            "targets", "rsnr", "n", "runs", "estimators", "seed",
-            "frame", "adaptive", "needd", "epsilon-override",
-        }
-        extra = set(raw) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
-        for name in raw.get("targets", ()):
+        """Parse an external config mapping; unknown keys, mistyped values or targets are errors."""
+        config = _from_json(cls, raw, "")
+        for name in config.targets:
             if name not in TARGET_NAMES:
                 raise ValueError(f"unknown target {name!r}; choose from {TARGET_NAMES}")
+        return config
 
-        def sub(key, spec_cls, keymap):
-            group = dict(raw.get(key) or {})
-            bad = set(group) - set(keymap)
-            if bad:
-                raise ValueError(f"unknown {key} config keys: {sorted(bad)}")
-            return spec_cls(**{attr: group[k] for k, attr in keymap.items() if k in group})
 
-        kwargs = {k: raw[k] for k in ("targets", "rsnr", "n", "runs", "estimators", "seed") if k in raw}
-        if raw.get("epsilon-override") is not None:
-            kwargs["epsilon_override"] = float(raw["epsilon-override"])
-        kwargs["frame"] = sub("frame", FrameSpec, {
-            "alpha": "alpha", "beta": "beta", "jmax": "jmax", "m": "m",
-            "nodes-per-level": "nodes_per_level",
-        })
-        kwargs["adaptive"] = sub("adaptive", AdaptiveSpec, {"gamma": "gamma", "logbase": "logbase"})
-        kwargs["needd"] = sub("needd", NeedDSpec, {"kappa": "kappa"})
-        return cls(**kwargs)
+def _json_keys(d: dict) -> dict:
+    return {k.replace("_", "-"): _json_keys(v) if isinstance(v, dict) else v for k, v in d.items()}
+
+
+# JSON values accepted for each scalar field type; bool is an int subclass
+# in Python but never a number in a config
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _json_value(key: str, value, hint):
+    """value if it is JSON of the field type hint, else a ValueError naming key and value."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        expected = f"a list of {item.__name__}"
+        ok = isinstance(value, (list, tuple)) and all(_json_scalar(v, item) for v in value)
+    else:
+        # float | None: the first type, or null
+        kinds = typing.get_args(hint) or (hint,)
+        expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        ok = (value is None and type(None) in kinds) or _json_scalar(value, kinds[0])
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _json_scalar(value, kind) -> bool:
+    return isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+
+
+def _from_json(spec_cls, raw, group: str):
+    """spec_cls from a mapping keyed by its field names with '-' for '_'.
+
+    A field that is itself a dataclass (a config group) takes a nested
+    mapping, parsed the same way; null stands for its defaults.
+    """
+    if not isinstance(raw, dict):
+        where = f"key {group!r}" if group else "file"
+        raise ValueError(f"config {where} must be a mapping, got {raw!r}")
+    hints = typing.get_type_hints(spec_cls)
+    names = {f.name.replace("_", "-"): f.name for f in fields(spec_cls)}
+    extra = set(raw) - set(names)
+    if extra:
+        raise ValueError(f"unknown {group + ' ' if group else ''}config keys: {sorted(extra)}")
+    kwargs = {}
+    for key, value in raw.items():
+        hint = hints[names[key]]
+        if is_dataclass(hint):
+            kwargs[names[key]] = _from_json(hint, {} if value is None else value, key)
+        else:
+            kwargs[names[key]] = _json_value(f"{group}.{key}" if group else key, value, hint)
+    return spec_cls(**kwargs)
 
 
 @dataclass(frozen=True)
 class CellResult:
-    """Per-run losses of one estimator in one (target, noise) setting."""
+    """Per-run losses of one estimator in one (target, noise) setting.
+
+    The constructor takes seeds and losses as any sequences, as load_report
+    passes them from JSON, and stores a tuple and float arrays.
+    """
 
     target: str
     rsnr: float
@@ -219,6 +246,11 @@ class CellResult:
     l1: np.ndarray
     rmse: np.ndarray
     n_star: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "l1", np.asarray(self.l1, dtype=float))
+        object.__setattr__(self, "rmse", np.asarray(self.rmse, dtype=float))
 
     @property
     def mean_l1(self) -> float:
@@ -347,31 +379,11 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
 
 
 @dataclass(frozen=True)
-class RateTarget:
-    """Smoothness class indices and the theoretical rate exponent for it."""
-
-    s: float
-    pi: float
-    r: float
-    nu: float
-    mu: float
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError(f"rate exponent must lie in (0, 1), got {self.mu}")
-
-
-@dataclass(frozen=True)
 class RateStudy:
     eps: tuple[float, ...]
     mean_rmse: tuple[float, ...]
     slope: float
     slope_stderr: float
-    rate_target: RateTarget | None = None
-
-    @property
-    def gap(self) -> float | None:
-        return None if self.rate_target is None else self.slope - self.rate_target.mu
 
 
 def rate_study(
@@ -380,7 +392,6 @@ def rate_study(
     target_coeffs,
     eps_list,
     runs: int,
-    rate_target: RateTarget | None = None,
     *,
     n: int = 1024,
     kappa: float = KAPPA_DEFAULT,
@@ -409,7 +420,7 @@ def rate_study(
     means = []
     for epsilon in eps:
         t_eps, j_top = _threshold_schedule(frame, model, epsilon, kappa)
-        plan = ThresholdPlan(float(kappa), t_eps, j_top, sigma)
+        plan = ThresholdPlan(epsilon, float(kappa), t_eps, j_top, sigma)
         _, obs = _draw_runs(
             model, f_coeffs, epsilon, master_seed, runs, f"rate-{model.kind}", f"eps={epsilon:g}"
         )
@@ -426,7 +437,7 @@ def rate_study(
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     resid = y - (y.mean() + slope * (x - x.mean()))
     stderr = float(math.sqrt(float(np.sum(resid**2)) / (len(eps) - 2) / sxx))
-    return RateStudy(tuple(eps), tuple(means), slope, stderr, rate_target)
+    return RateStudy(tuple(eps), tuple(means), slope, stderr)
 
 
 def _strip_suffix(stem: str) -> str:
@@ -458,7 +469,7 @@ def _csv_table(path, report: SimulationReport, loss: str) -> None:
 
 
 def emit_report(report: SimulationReport, fmt: str, stem: str) -> list[str]:
-    """Write the report; csv yields the two loss tables, json the full detail."""
+    """Write the report; csv yields the two loss tables, json the config and every cell."""
     stem = _strip_suffix(stem)
     if fmt == "csv":
         paths = [f"{stem}_L1.csv", f"{stem}_RMSE.csv"]
@@ -471,14 +482,7 @@ def emit_report(report: SimulationReport, fmt: str, stem: str) -> list[str]:
             "config": report.config.to_dict(),
             "cells": [
                 {
-                    "target": c.target,
-                    "rsnr": c.rsnr,
-                    "estimator": c.estimator,
-                    "epsilon": c.epsilon,
-                    "seeds": list(c.seeds),
-                    "l1": [float(v) for v in c.l1],
-                    "rmse": [float(v) for v in c.rmse],
-                    "n_star": c.n_star,
+                    **asdict(c),
                     "mean_l1": c.mean_l1,
                     "mean_rmse": c.mean_rmse,
                     "stderr_l1": c.stderr_l1,
@@ -488,7 +492,7 @@ def emit_report(report: SimulationReport, fmt: str, stem: str) -> list[str]:
             ],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, default=np.ndarray.tolist)
             fh.write("\n")
         return [path]
     raise ValueError(f"unknown report format {fmt!r}; choose csv or json")
@@ -499,17 +503,7 @@ def load_report(path) -> SimulationReport:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     config = SimulationConfig.from_dict(payload["config"])
-    cells = tuple(
-        CellResult(
-            c["target"],
-            float(c["rsnr"]),
-            c["estimator"],
-            float(c["epsilon"]),
-            tuple(int(s) for s in c["seeds"]),
-            np.asarray(c["l1"], dtype=float),
-            np.asarray(c["rmse"], dtype=float),
-            c.get("n_star"),
-        )
-        for c in payload["cells"]
-    )
+    names = [f.name for f in fields(CellResult)]
+    # a missing key with no default fails in the constructor, which names it
+    cells = tuple(CellResult(**{k: c[k] for k in names if k in c}) for c in payload["cells"])
     return SimulationReport(config, cells)

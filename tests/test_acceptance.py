@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 from needlets import (
-    RateTarget,
     SimulationConfig,
     analyze,
     build_frame,
@@ -362,7 +361,6 @@ def test_criterion_10_rate_study(frame8, wicksell512):
         ck,
         EPS_LADDER,
         runs=10,
-        rate_target=RateTarget(s=4.0, pi=2.0, r=2.0, nu=wicksell512.nu, mu=0.8),
         master_seed=65537,
     )
     direct = rate_study(
@@ -371,7 +369,6 @@ def test_criterion_10_rate_study(frame8, wicksell512):
         ck,
         EPS_LADDER,
         runs=10,
-        rate_target=RateTarget(s=4.0, pi=2.0, r=2.0, nu=0.0, mu=8.0 / 9.0),
         master_seed=65537,
     )
     ok = (

@@ -308,6 +308,14 @@ def test_adaptive_epsilon_mismatch(wicksell512, rng):
         svd_adaptive(wicksell512, obs, cfg)
 
 
+def test_need_d_epsilon_mismatch(frame8, wicksell512, rng):
+    # a plan for a smaller epsilon keeps levels the observation's noise swamps
+    plan = make_threshold_plan(frame8, wicksell512, 1e-4)
+    obs = sample_observation(wicksell512, _signal(frame8), 0.1, rng)
+    with pytest.raises(ValueError, match=r"epsilon 0\.0001, observation has 0\.1$"):
+        need_d(frame8, wicksell512, obs, plan)
+
+
 def test_projection_keeps_prefix(wicksell512, rng):
     c = np.zeros(513)
     c[:8] = 1.0

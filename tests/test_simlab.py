@@ -16,9 +16,10 @@ import pytest
 
 from needlets import (
     ESTIMATOR_NAMES,
+    CellResult,
     FrameSpec,
-    RateTarget,
     SimulationConfig,
+    SimulationReport,
     build_frame,
     coeffs_from_function,
     emit_report,
@@ -35,6 +36,7 @@ from needlets import (
     weighted_loss,
     wicksell_model,
 )
+from needlets.cli import main
 
 
 def _tiny_config(**kw):
@@ -77,12 +79,59 @@ def test_config_dict_round_trip():
     assert back == cfg
     d = cfg.to_dict()
     d["mystery"] = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown config keys: \['mystery'\]"):
         SimulationConfig.from_dict(d)
+    for group in ("frame", "adaptive", "needd"):
+        d = cfg.to_dict()
+        d[group]["mystery"] = 1
+        with pytest.raises(ValueError, match=rf"^unknown {group} config keys: \['mystery'\]"):
+            SimulationConfig.from_dict(d)
     d2 = cfg.to_dict()
     d2["targets"] = ["heavisine", "sawtooth"]
     with pytest.raises(ValueError):
         SimulationConfig.from_dict(d2)
+
+
+@pytest.mark.parametrize(
+    "raw, key, value",
+    [
+        ({"runs": "20"}, "runs", "'20'"),
+        ({"rsnr": 5}, "rsnr", "5"),
+        ({"frame": {"jmax": "8"}}, "frame.jmax", "'8'"),
+        ({"needd": {"kappa": "x"}}, "needd.kappa", "'x'"),
+        ({"n": 1024.5}, "n", "1024.5"),
+    ],
+)
+def test_config_value_of_wrong_type_rejected(raw, key, value, tmp_path, capsys):
+    with pytest.raises(ValueError) as exc:
+        SimulationConfig.from_dict(raw)
+    assert f"config key {key!r} " in str(exc.value)
+    assert str(exc.value).endswith(f"got {value}")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_report_key_order(tmp_path):
+    cfg = _tiny_config()
+    d = cfg.to_dict()
+    assert list(d) == [
+        "targets", "rsnr", "n", "runs", "estimators", "seed",
+        "frame", "adaptive", "needd", "epsilon-override",
+    ]
+    assert list(d["frame"]) == ["alpha", "beta", "jmax", "m", "nodes-per-level"]
+    assert list(d["adaptive"]) == ["gamma", "logbase"]
+    assert list(d["needd"]) == ["kappa"]
+    cell = CellResult("heavisine", 5.0, "needd", 0.01, (1, 2), [0.1, 0.2], [0.3, 0.4])
+    (path,) = emit_report(SimulationReport(cfg, (cell,)), "json", str(tmp_path / "out"))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert list(payload) == ["config", "cells"]
+    assert list(payload["cells"][0]) == [
+        "target", "rsnr", "estimator", "epsilon", "seeds", "l1", "rmse", "n_star",
+        "mean_l1", "mean_rmse", "stderr_l1", "stderr_rmse",
+    ]
 
 
 def test_noise_free_recovery_synthetic_target():
@@ -131,6 +180,15 @@ def test_json_round_trip(tmp_path):
         np.testing.assert_array_equal(twin.rmse, cell.rmse)
         assert twin.seeds == cell.seeds
         assert twin.n_star == cell.n_star
+    (again,) = emit_report(loaded, "json", str(tmp_path / "again"))
+    assert open(again, "rb").read() == open(path, "rb").read()
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    del payload["cells"][0]["epsilon"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(TypeError, match="'epsilon'"):
+        load_report(path)
 
 
 def test_seed_changes_results():
@@ -196,8 +254,6 @@ def test_projection_sweep_noise_free_ties_to_smallest_cutoff():
 
 
 def test_empty_report_headers_only(tmp_path):
-    from needlets import SimulationReport
-
     cfg = _tiny_config()
     paths = emit_report(SimulationReport(cfg, ()), "csv", str(tmp_path / "empty"))
     for p in paths:
@@ -225,16 +281,10 @@ def test_rate_study_smooth_target_slope(frame8, wicksell512):
         coeffs,
         [3e-2, 1e-2, 3e-3, 1e-3],
         runs=10,
-        rate_target=RateTarget(s=4.0, pi=2.0, r=2.0, nu=0.5, mu=0.8),
     )
     assert study.slope > 0.0
     assert study.slope_stderr >= 0.0
-    assert study.gap is not None
     rmse = np.asarray(study.mean_rmse)
     assert rmse.shape == (4,)
     assert np.all(np.diff(rmse) < 0.0)
 
-
-def test_rate_target_validation():
-    with pytest.raises(ValueError):
-        RateTarget(s=4.0, pi=2.0, r=2.0, nu=0.5, mu=1.2)
