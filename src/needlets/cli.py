@@ -5,8 +5,8 @@ inspecting the building blocks, `frame build/check/render` for persisted
 frames, `model dump` for singular values, `estimate` for one observation
 file, and `simulate`/`rates` for the Monte-Carlo studies. All tabular
 output is plain CSV (UTF-8, '.' decimal point), to stdout unless --out is
-given. Exit codes: 0 success, 1 for I/O or configuration problems, 2 when
-a mathematical invariant fails.
+given. Exit codes: 0 success, 1 for I/O, configuration or allocation
+problems, 2 when a mathematical invariant fails.
 """
 
 from __future__ import annotations
@@ -168,11 +168,7 @@ def _cmd_estimate(args) -> int:
             raise ValueError("--frame is required for the thresholding method")
         frame = load_frame(args.frame)
         plan = make_threshold_plan(frame, model, args.epsilon, kappa=args.kappa)
-        # pad from the frame budget up to the observation length so every
-        # method emits the same 0..kmax rows
-        fhat = np.zeros(kmax + 1)
-        coeffs = need_d(frame, model, obs, plan).coeffs
-        fhat[: coeffs.shape[0]] = coeffs
+        fhat = need_d(frame, model, obs, plan).coeffs
     elif args.method == "svd-proj":
         n_keep = args.n_keep if args.n_keep is not None else kmax // 2
         fhat = svd_projection(model, obs, n_keep)
@@ -204,8 +200,7 @@ def _load_config(path) -> SimulationConfig:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     report = run_experiment(config)
-    paths = emit_report(report, "csv", args.out) + emit_report(report, "json", args.out)
-    print("wrote " + ", ".join(paths))
+    print("wrote " + ", ".join(emit_report(report, args.out)))
     return 0
 
 
@@ -341,7 +336,7 @@ def main(argv=None) -> int:
     except (InvariantError, NormResolutionError, UnresolvedIntegrandError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

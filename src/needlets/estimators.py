@@ -2,8 +2,8 @@
 
 Three families: hard-thresholded needlet coefficients of the naive inverse
 (need_d), fixed-cutoff SVD projection, and a blockwise data-driven SVD
-filter. All consume a SequenceObservation and return coefficients in the
-model's SVD basis, mapping a stack of runs (R, K) row by row.
+filter. All consume a SequenceObservation and return one coefficient per
+observed index in the model's SVD basis, a stack of runs (R, K) row by row.
 projection_cutoff picks one cutoff for a stack against the truth on a grid,
 from its runs' summed scores.
 """
@@ -43,6 +43,12 @@ def _log(z: float, base: float) -> float:
     return math.log(z) / math.log(base)
 
 
+def _require_log_base(base: float) -> None:
+    # a base of 1 divides by log 1 = 0; below 1 every log flips sign
+    if not (math.isfinite(base) and base > 1.0):
+        raise ValueError(f"log base must be finite and > 1, got {base}")
+
+
 @dataclass(frozen=True)
 class ThresholdPlan:
     """Frozen thresholding schedule: keep |beta_j| >= kappa * t_eps * sigma[j].
@@ -64,7 +70,7 @@ class ThresholdPlan:
 
 @dataclass(frozen=True)
 class NeedDResult:
-    """Thresholded frame coefficients per level plus the synthesized sequence."""
+    """Kept frame coefficients per level and the synthesized sequence, in the observation's shape."""
 
     beta: list
     coeffs: np.ndarray
@@ -103,18 +109,22 @@ def _threshold_schedule(
 def make_threshold_plan(
     frame: NeedletFrame,
     model: SvdModel,
-    epsilon: float,
+    epsilon,
     kappa: float = KAPPA_DEFAULT,
-) -> ThresholdPlan:
+) -> ThresholdPlan | tuple[ThresholdPlan, ...]:
     """Resolve t_eps = eps*sqrt(log(1/eps)), the top level, and level deviations.
 
     The top level solves 2^{j(1+2nu)} <= t_eps^{-2} (the bias/variance
     crossover for ill-posedness degree nu), capped by the frame. epsilon = 0
-    degenerates to interpolation: zero threshold, every level kept.
+    degenerates to interpolation: zero threshold, every level kept. A
+    sequence of noise levels gives a tuple of plans sharing one level_sigma.
     """
-    t_eps, j_top = _threshold_schedule(frame, model, epsilon, kappa)
+    eps = [float(e) for e in np.atleast_1d(epsilon)]
+    schedules = [_threshold_schedule(frame, model, e, kappa) for e in eps]
     _require_same_basis(frame, model)
-    return ThresholdPlan(float(epsilon), float(kappa), t_eps, j_top, level_sigma(frame, model.b))
+    sigma = level_sigma(frame, model.b)
+    plans = tuple(ThresholdPlan(e, float(kappa), *ts, sigma) for e, ts in zip(eps, schedules))
+    return plans[0] if np.ndim(epsilon) == 0 else plans
 
 
 def need_d(
@@ -129,7 +139,8 @@ def need_d(
     stop at j_top, so their psi is never multiplied, and they are returned
     as zeros. At and below j_top, a coefficient survives iff its magnitude
     reaches the plan's level threshold (the constant level included, at its
-    own sigma). The plan must have been built for the observation's epsilon.
+    own sigma). The plan must be for the observation's epsilon. The result
+    has the observation's shape; from the frame budget on it is zero.
     """
     _require_same_basis(frame, model)
     _require_same_epsilon(plan.epsilon, obs, "plan")
@@ -144,7 +155,9 @@ def need_d(
         np.where(np.abs(b) >= plan.threshold(lev.j), b, 0.0) if lev.j <= top else b
         for lev, b in zip(frame.levels, analyze(frame, ybar, top))
     ]
-    return NeedDResult(kept, synthesize(frame, kept, top))
+    coeffs = np.zeros(obs.y.shape)
+    coeffs[..., :budget] = synthesize(frame, kept, top)
+    return NeedDResult(kept, coeffs)
 
 
 def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np.ndarray:
@@ -198,6 +211,7 @@ def make_blocks(
     """
     if not sys.float_info.min <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [{sys.float_info.min}, 1), got {epsilon}")
+    _require_log_base(log_base)
     nu_eps = max(5.0, _log(_log(1.0 / epsilon, log_base), log_base))
     rho = 1.0 / _log(nu_eps, log_base)
     # compare eps^{-2} rho^{-3} against the cumulative sums in log space:
@@ -242,13 +256,18 @@ def make_adaptive_config(
 
     The keepable range ends at min(n/2, last boundary - 1): the resolution
     cap n/2 reflects that the grid cannot support more coefficients than
-    half its points, whatever the noise level says.
+    half its points, whatever the noise level says. epsilon = 0 gives the
+    zero-noise limit: one noise-free block [1, kmax + 1), unit weights to the cap.
     """
     if not 0.0 < gamma < 0.5:
         raise ValueError(f"gamma must be in (0, 1/2), got {gamma}")
     if n < 2:
         raise ValueError(f"grid resolution must be >= 2, got {n}")
-    boundaries = make_blocks(model, epsilon, log_base)
+    if epsilon == 0.0:
+        _require_log_base(log_base)
+        boundaries = np.array([1, model.kmax + 1])
+    else:
+        boundaries = make_blocks(model, epsilon, log_base)
     inv2 = model.b ** (-2.0)
     sigma2, delta = [], []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):
@@ -280,10 +299,13 @@ def svd_adaptive(
     Within block j the weight is (1 - sigma2_j (1 + delta_j^gamma) / ||Y/b||^2)_+,
     constant across the block; index 0 sits below the first boundary and is
     kept with weight 1 (its noise is a single coordinate, never dominant).
+    The model must hold a singular value for every observed index.
     """
     _require_same_epsilon(config.epsilon, obs, "config")
-    kmax = min(obs.kmax, model.kmax)
-    ybar = obs.y[..., : kmax + 1] / model.b[: kmax + 1]
+    kmax = obs.kmax
+    if model.kmax < kmax:
+        raise ValueError(f"model holds {model.kmax + 1} singular values, observation {kmax + 1}")
+    ybar = obs.y / model.b[: kmax + 1]
     lam = np.zeros(ybar.shape)
     lam[..., 0] = 1.0
     for j, (lo, hi) in enumerate(zip(config.boundaries[:-1], config.boundaries[1:])):

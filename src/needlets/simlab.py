@@ -51,8 +51,6 @@ from numpy.random import default_rng
 from .errors import InvariantError
 from .estimators import (
     KAPPA_DEFAULT,
-    ThresholdPlan,
-    _threshold_schedule,
     make_adaptive_config,
     make_threshold_plan,
     need_d,
@@ -62,7 +60,7 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, make_filter, make_profile
-from .frame import NODES_EXACT, NeedletFrame, build_frame, level_sigma
+from .frame import NODES_EXACT, NeedletFrame, build_frame
 from .jacobi import jacobi_basis
 from .losses import weighted_loss
 from .models import (
@@ -347,28 +345,19 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
             seeds, obs = _draw_runs(
                 model, f_coeffs, epsilon, config.seed, config.runs, target, f"rsnr={rsnr:g}"
             )
-
-            plan = None
-            adapt_cfg = None
-            if "needd" in config.estimators:
-                plan = make_threshold_plan(frame, model, epsilon, kappa=config.needd.kappa)
-            if "svd-adapt" in config.estimators and epsilon > 0.0:
-                adapt_cfg = make_adaptive_config(
-                    model, epsilon, n, config.adaptive.gamma, config.adaptive.logbase
-                )
-
             for estimator in config.estimators:
                 n_star = None
                 if estimator == "svd-proj":
                     n_star = projection_cutoff(obs.y / model.b, e_vals, true_vals, gram)
                     coeffs = svd_projection(model, obs, n_star)
                 elif estimator == "needd":
-                    coeffs = _pad(need_d(frame, model, obs, plan).coeffs, model.kmax + 1)
-                elif epsilon > 0.0:
-                    coeffs = svd_adaptive(model, obs, adapt_cfg)
+                    plan = make_threshold_plan(frame, model, epsilon, kappa=config.needd.kappa)
+                    coeffs = need_d(frame, model, obs, plan).coeffs
                 else:
-                    # zero-noise limit of the blockwise filter: unit weights up to the n/2 cap
-                    coeffs = svd_projection(model, obs, min(n // 2, model.kmax))
+                    adapt_cfg = make_adaptive_config(
+                        model, epsilon, n, config.adaptive.gamma, config.adaptive.logbase
+                    )
+                    coeffs = svd_adaptive(model, obs, adapt_cfg)
                 fhat_vals = coeffs @ e_vals
                 l1 = weighted_loss(true_vals, fhat_vals, n, 1)
                 rmse = weighted_loss(true_vals, fhat_vals, n, 2)
@@ -415,16 +404,12 @@ def rate_study(
     e_vals = eval_e(model, model.kmax, grid)
     true_vals = f_coeffs @ e_vals
 
-    # level deviations depend on (frame, model) only, not on the noise level
-    sigma = level_sigma(frame, model.b)
     means = []
-    for epsilon in eps:
-        t_eps, j_top = _threshold_schedule(frame, model, epsilon, kappa)
-        plan = ThresholdPlan(epsilon, float(kappa), t_eps, j_top, sigma)
+    for epsilon, plan in zip(eps, make_threshold_plan(frame, model, eps, kappa)):
         _, obs = _draw_runs(
             model, f_coeffs, epsilon, master_seed, runs, f"rate-{model.kind}", f"eps={epsilon:g}"
         )
-        coeffs = _pad(need_d(frame, model, obs, plan).coeffs, model.kmax + 1)
+        coeffs = need_d(frame, model, obs, plan).coeffs
         means.append(float(np.mean(weighted_loss(true_vals, coeffs @ e_vals, n, 2))))
 
     if any(m <= 0.0 for m in means):
@@ -468,34 +453,29 @@ def _csv_table(path, report: SimulationReport, loss: str) -> None:
             writer.writerow(row)
 
 
-def emit_report(report: SimulationReport, fmt: str, stem: str) -> list[str]:
-    """Write the report; csv yields the two loss tables, json the config and every cell."""
+def emit_report(report: SimulationReport, stem: str) -> list[str]:
+    """Write the two loss tables and the JSON config and cells; return their paths in that order."""
     stem = _strip_suffix(stem)
-    if fmt == "csv":
-        paths = [f"{stem}_L1.csv", f"{stem}_RMSE.csv"]
-        _csv_table(paths[0], report, "l1")
-        _csv_table(paths[1], report, "rmse")
-        return paths
-    if fmt == "json":
-        path = f"{stem}.json"
-        payload = {
-            "config": report.config.to_dict(),
-            "cells": [
-                {
-                    **asdict(c),
-                    "mean_l1": c.mean_l1,
-                    "mean_rmse": c.mean_rmse,
-                    "stderr_l1": c.stderr_l1,
-                    "stderr_rmse": c.stderr_rmse,
-                }
-                for c in report.cells
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, default=np.ndarray.tolist)
-            fh.write("\n")
-        return [path]
-    raise ValueError(f"unknown report format {fmt!r}; choose csv or json")
+    paths = [f"{stem}_L1.csv", f"{stem}_RMSE.csv", f"{stem}.json"]
+    _csv_table(paths[0], report, "l1")
+    _csv_table(paths[1], report, "rmse")
+    payload = {
+        "config": report.config.to_dict(),
+        "cells": [
+            {
+                **asdict(c),
+                "mean_l1": c.mean_l1,
+                "mean_rmse": c.mean_rmse,
+                "stderr_l1": c.stderr_l1,
+                "stderr_rmse": c.stderr_rmse,
+            }
+            for c in report.cells
+        ],
+    }
+    with open(paths[2], "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, default=np.ndarray.tolist)
+        fh.write("\n")
+    return paths
 
 
 def load_report(path) -> SimulationReport:

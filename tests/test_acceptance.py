@@ -415,15 +415,15 @@ def test_criterion_11_block_construction(wicksell512):
 def test_criterion_12_determinism(default_report, tmp_path):
     report_a, _ = default_report
     report_b = run_experiment(SimulationConfig())
-    paths_a = emit_report(report_a, "csv", str(tmp_path / "a"))
-    paths_b = emit_report(report_b, "csv", str(tmp_path / "b"))
+    paths_a = emit_report(report_a, str(tmp_path / "a"))
+    paths_b = emit_report(report_b, str(tmp_path / "b"))
     same = all(
         open(pa, "rb").read() == open(pb, "rb").read()
         for pa, pb in zip(paths_a, paths_b)
     )
     _verdict(
         "12",
-        same and len(paths_a) == 2,
+        same and len(paths_a) == 3,
         "two executions of the default config produce bit-identical "
-        "L1 and RMSE tables: " + str(same),
+        "L1 and RMSE tables and JSON report: " + str(same),
     )

@@ -171,6 +171,24 @@ def test_estimate_direct_needd_at_tiny_epsilon(tmp_path, capsys):
         assert f"epsilon must be 0 or in [2.2250738585072014e-308, 1), got {eps}" in capsys.readouterr().err
 
 
+def test_estimate_adaptive_zero_noise_is_capped_projection(tmp_path):
+    # the zero-noise limit of the blockwise filter keeps every index up to
+    # the n/2 cap: at --grid-n 1024 that is index 512, the whole observation
+    y = forward(wicksell_model(512), 1.0 / (1.0 + np.arange(513)) ** 1.5)
+    obs_path = tmp_path / "obs.csv"
+    obs_path.write_text("k,y\n" + "".join(f"{k},{float(v)!r}\n" for k, v in enumerate(y)))
+
+    def estimate(name, *method):
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("estimate", "--input", str(obs_path), "--epsilon", "0",
+                       "--out", str(out), "--method", *method) == 0
+        return out.read_bytes()
+
+    adapt = estimate("adapt", "svd-adapt", "--grid-n", "1024")
+    assert adapt == estimate("proj512", "svd-proj", "--n-keep", "512")
+    assert adapt != estimate("proj256", "svd-proj", "--n-keep", "256")
+
+
 def test_estimate_needd_requires_frame(tmp_path):
     obs_path = tmp_path / "obs.csv"
     _write_observation(obs_path)
@@ -228,6 +246,30 @@ def test_simulate_and_rates(tmp_path):
     bad["runs"] = 0
     cfg_path.write_text(json.dumps(bad))
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 1
+
+
+def test_simulate_log_base_not_above_one_exits_1(tmp_path, capsys):
+    cfg = {"adaptive": {"logbase": 1}, "runs": 1, "targets": ["blocks"], "rsnr": [5],
+           "estimators": ["svd-adapt"], "n": 256, "frame": {"jmax": 6}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")) == 1
+    assert capsys.readouterr().err == "error: log base must be finite and > 1, got 1\n"
+
+
+def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # an array too large to allocate (say at {"n": 100000000}) is a
+    # configuration error; the stand-in raises without allocating anything
+    message = "Unable to allocate 382. GiB for an array with shape (513, 100000000)"
+
+    def out_of_memory(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("needlets.cli.run_experiment", out_of_memory)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{}")
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_rates_smoke(tmp_path, capsys):

@@ -6,6 +6,7 @@ nu_eps = 5, and a single-element block where the concentration ratio is 1.
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import needlets.estimators as estimators
 from needlets import (
     AdaptiveSvdConfig,
     InvariantError,
@@ -36,6 +38,7 @@ from needlets import (
     wicksell_model,
     eval_e,
 )
+from needlets.frame import level_sigma
 
 
 def _signal(frame, seed=0):
@@ -70,8 +73,52 @@ def test_need_d_noise_free_identity(frame8, wicksell512, rng):
     obs = sample_observation(wicksell512, c, 0.0, rng)
     plan = make_threshold_plan(frame8, wicksell512, 0.0)
     res = need_d(frame8, wicksell512, obs, plan)
-    assert np.max(np.abs(res.coeffs - c[: frame8.budget])) < 1e-8
+    assert np.max(np.abs(res.coeffs - c)) < 1e-8
     assert len(res.beta) == frame8.j_max + 2
+
+
+def test_threshold_plans_for_noise_levels_share_one_sigma_pass(frame8, wicksell512, monkeypatch):
+    eps = [0.1, 0.01, 1e-4, 0.0]
+    singles = [make_threshold_plan(frame8, wicksell512, e, 0.9) for e in eps]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return level_sigma(*args)
+
+    monkeypatch.setattr(estimators, "level_sigma", counted)
+    plans = make_threshold_plan(frame8, wicksell512, eps, 0.9)
+    assert len(calls) == 1 and isinstance(plans, tuple) and len(plans) == len(eps)
+    for plan, single in zip(plans, singles):
+        assert (plan.epsilon, plan.kappa, plan.t_eps, plan.j_top) == (
+            single.epsilon, single.kappa, single.t_eps, single.j_top
+        )
+        np.testing.assert_array_equal(plan.sigma, single.sigma)
+    # a sequence is checked like one level: every entry, and the basis
+    with pytest.raises(ValueError, match="got 1.0$"):
+        make_threshold_plan(frame8, wicksell512, [0.01, 1.0])
+    with pytest.raises(ValueError, match="differs from model basis"):
+        make_threshold_plan(frame8, dataclasses.replace(wicksell512, basis=jacobi_basis(0.0, 0.0)), eps)
+
+
+@pytest.mark.parametrize("runs", [None, 3])
+def test_estimators_return_observation_shape(frame8, wicksell512, runs):
+    # one coefficient per observed index, for one run (K,) and a stack (R, K);
+    # need_d has none past the frame budget, where no needlet reaches
+    eps = 0.01
+    rng = np.random.default_rng(5)
+    y = np.stack([sample_observation(wicksell512, _signal(frame8), eps, rng).y for _ in range(runs or 1)])
+    obs = SequenceObservation(y if runs else y[0], eps)
+    need = need_d(frame8, wicksell512, obs, make_threshold_plan(frame8, wicksell512, eps)).coeffs
+    adapt = svd_adaptive(wicksell512, obs, make_adaptive_config(wicksell512, eps, 1024))
+    proj = svd_projection(wicksell512, obs, 100)
+    for fhat in (need, adapt, proj):
+        assert fhat.shape == obs.y.shape == ((runs,) if runs else ()) + (513,)
+    assert np.all(need[..., frame8.budget :] == 0.0)
+    # a model shorter than the observation is refused, not truncated to
+    short = wicksell_model(256)
+    with pytest.raises(ValueError, match="^model holds 257 singular values, observation 513$"):
+        svd_adaptive(short, obs, make_adaptive_config(short, eps, 1024))
 
 
 def test_need_d_nan_observation_rejected(frame8, wicksell512, rng):
@@ -254,6 +301,30 @@ def test_adaptive_config_frozen(wicksell512):
         make_adaptive_config(wicksell512, 0.01, 1024, gamma=0.5)
     with pytest.raises(ValueError):
         make_adaptive_config(wicksell512, 0.01, 1)
+
+
+@pytest.mark.parametrize("n", [1024, 256])
+def test_adaptive_zero_noise_limit_is_capped_projection(wicksell512, rng, n):
+    # at epsilon = 0 one noise-free block keeps every index up to the n/2 cap
+    obs = sample_observation(wicksell512, rng.standard_normal(513), 0.0, rng)
+    cfg = make_adaptive_config(wicksell512, 0.0, n)
+    assert cfg.boundaries.tolist() == [1, 513] and cfg.sigma2.tolist() == [0.0]
+    assert cfg.n_top == min(n // 2, 512)
+    np.testing.assert_array_equal(
+        svd_adaptive(wicksell512, obs, cfg), svd_projection(wicksell512, obs, cfg.n_top)
+    )
+    with pytest.raises(ValueError, match="^epsilon must be in "):
+        make_blocks(wicksell512, 0.0)
+
+
+@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -1.0, math.nan, math.inf])
+def test_log_base_must_be_finite_above_one(wicksell512, base):
+    # a base of 1 divided by log 1 = 0, a base below 1 flipped every log
+    msg = f"^log base must be finite and > 1, got {re.escape(str(base))}$"
+    with pytest.raises(ValueError, match=msg):
+        make_blocks(wicksell512, 0.01, base)
+    with pytest.raises(ValueError, match=msg):
+        make_adaptive_config(wicksell512, 0.0, 1024, log_base=base)
 
 
 def test_adaptive_weights_structure(wicksell512, rng):

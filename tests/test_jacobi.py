@@ -282,6 +282,29 @@ def test_rule_exponent_range_above_dense_orders(alpha, beta, n):
     assert abs(rule.weights.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,certifies",
+    [(0.0, 1.0, True), (-0.49, -0.49, True), (35.0, 0.5, None), (1000.0, 1000.0, None)],
+)
+def test_rule_at_order_8192_certifies_or_raises(alpha, beta, certifies):
+    # at the top order 2^13, over the corners of the exponent range
+    # (-1/2, 1000], a rule is certified or a NodeSolveError and nothing else;
+    # (35, 0.5) and (1000, 1000) fail today, so only the two that certify are
+    # pinned. At (1000, 1000) the asymptotic starts overflow to NaN nodes,
+    # which the certification refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rule = gauss_jacobi_rule(jacobi_basis(alpha, beta), 8192)
+        except NodeSolveError:
+            assert not certifies
+            return
+    assert rule.nodes.shape == rule.weights.shape == (8192,)
+    assert np.all(np.abs(rule.nodes) < 1.0)
+    assert np.all(np.diff(rule.nodes) < 0.0)
+    assert np.all(rule.weights > 0.0)
+    assert abs(rule.weights.sum() - 1.0) < 1e-12
+
+
 def test_certification_names_the_failed_condition():
     # at (35, 0.5) the asymptotic starts put the two nodes nearest x = 1 on
     # one root; the weights still sum to 1, so the message must name the

@@ -124,7 +124,9 @@ def test_report_key_order(tmp_path):
     assert list(d["adaptive"]) == ["gamma", "logbase"]
     assert list(d["needd"]) == ["kappa"]
     cell = CellResult("heavisine", 5.0, "needd", 0.01, (1, 2), [0.1, 0.2], [0.3, 0.4])
-    (path,) = emit_report(SimulationReport(cfg, (cell,)), "json", str(tmp_path / "out"))
+    # the loss tables are written too, so the one cell must fill them
+    one_cell = _tiny_config(estimators=("needd",))
+    path = emit_report(SimulationReport(one_cell, (cell,)), str(tmp_path / "out"))[2]
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert list(payload) == ["config", "cells"]
@@ -150,8 +152,8 @@ def test_report_shape_and_determinism(tmp_path):
     r1 = run_experiment(cfg)
     r2 = run_experiment(cfg)
     assert len(r1.cells) == len(cfg.targets) * len(cfg.rsnr) * len(cfg.estimators)
-    paths1 = emit_report(r1, "csv", str(tmp_path / "a"))
-    paths2 = emit_report(r2, "csv", str(tmp_path / "b"))
+    paths1 = emit_report(r1, str(tmp_path / "a"))
+    paths2 = emit_report(r2, str(tmp_path / "b"))
     for p1, p2 in zip(paths1, paths2):
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -159,8 +161,8 @@ def test_report_shape_and_determinism(tmp_path):
 def test_csv_layout(tmp_path):
     cfg = _tiny_config()
     report = run_experiment(cfg)
-    paths = emit_report(report, "csv", str(tmp_path / "out"))
-    assert sorted(p.rsplit("_", 1)[-1] for p in paths) == ["L1.csv", "RMSE.csv"]
+    paths = emit_report(report, str(tmp_path / "out.json"))
+    assert paths == [str(tmp_path / name) for name in ("out_L1.csv", "out_RMSE.csv", "out.json")]
     lines = open(paths[0]).read().strip().splitlines()
     assert len(lines) == 1 + len(cfg.targets)
     header = lines[0].split(",")
@@ -171,7 +173,7 @@ def test_csv_layout(tmp_path):
 def test_json_round_trip(tmp_path):
     cfg = _tiny_config()
     report = run_experiment(cfg)
-    (path,) = emit_report(report, "json", str(tmp_path / "out"))
+    path = emit_report(report, str(tmp_path / "out"))[2]
     loaded = load_report(path)
     assert loaded.config == report.config
     for cell in report.cells:
@@ -180,7 +182,7 @@ def test_json_round_trip(tmp_path):
         np.testing.assert_array_equal(twin.rmse, cell.rmse)
         assert twin.seeds == cell.seeds
         assert twin.n_star == cell.n_star
-    (again,) = emit_report(loaded, "json", str(tmp_path / "again"))
+    again = emit_report(loaded, str(tmp_path / "again"))[2]
     assert open(again, "rb").read() == open(path, "rb").read()
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -255,10 +257,11 @@ def test_projection_sweep_noise_free_ties_to_smallest_cutoff():
 
 def test_empty_report_headers_only(tmp_path):
     cfg = _tiny_config()
-    paths = emit_report(SimulationReport(cfg, ()), "csv", str(tmp_path / "empty"))
-    for p in paths:
+    paths = emit_report(SimulationReport(cfg, ()), str(tmp_path / "empty"))
+    for p in paths[:2]:
         lines = open(p).read().strip().splitlines()
         assert len(lines) == 1
+    assert json.loads(open(paths[2]).read())["cells"] == []
 
 
 def test_rate_study_validation(frame8, wicksell512):
