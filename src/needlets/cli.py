@@ -45,20 +45,14 @@ from .simlab import (
 RATE_EPS_DEFAULT = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
-
-
 def _write_csv(path, header, rows):
-    fh, close = _open_out(path)
+    fh = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
     try:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     finally:
-        if close:
+        if fh is not sys.stdout:
             fh.close()
 
 
@@ -141,14 +135,16 @@ def _cmd_model_dump(args) -> int:
 def _read_observation(path, epsilon) -> SequenceObservation:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
+        reader = csv.reader(fh)
+        for n, row in enumerate(r for r in reader if "".join(r).strip()):
             try:
-                idx = int(row[0])
+                k, y = row
+                rows.append((int(k), float(y)))
             except ValueError:
-                continue  # header line
-            rows.append((idx, float(row[1])))
+                if n > 0:  # only the first non-blank row may be a header
+                    raise ValueError(
+                        f"{path} line {reader.line_num}: expected 'k,y', got {','.join(row)!r}"
+                    ) from None
     if not rows:
         raise ValueError(f"no observation rows in {path}")
     rows.sort()

@@ -89,6 +89,12 @@ def _require_same_epsilon(built_for: float, obs: SequenceObservation, what: str)
         raise ValueError(f"{what} built for epsilon {built_for}, observation has {obs.epsilon}")
 
 
+def _naive_inverse(model: SvdModel, obs: SequenceObservation) -> np.ndarray:
+    if model.kmax < obs.kmax:
+        raise ValueError(f"model holds {model.kmax + 1} singular values, observation {obs.kmax + 1}")
+    return obs.y / model.b[: obs.kmax + 1]
+
+
 def _threshold_schedule(
     frame: NeedletFrame, model: SvdModel, epsilon: float, kappa: float
 ) -> tuple[float, int]:
@@ -161,11 +167,11 @@ def need_d(
 
 
 def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np.ndarray:
-    """Truncated naive inverse: fhat_i = Y_i/b_i for i <= n_keep, else 0."""
+    """Truncated naive inverse fhat_i = Y_i/b_i for i <= n_keep, else 0; b must cover every i."""
     if not 0 <= n_keep <= obs.kmax:
         raise ValueError(f"n_keep must be in 0..{obs.kmax}, got {n_keep}")
-    fhat = np.zeros(obs.y.shape)
-    fhat[..., : n_keep + 1] = obs.y[..., : n_keep + 1] / model.b[: n_keep + 1]
+    fhat = _naive_inverse(model, obs)
+    fhat[..., n_keep + 1 :] = 0.0
     return fhat
 
 
@@ -303,9 +309,7 @@ def svd_adaptive(
     """
     _require_same_epsilon(config.epsilon, obs, "config")
     kmax = obs.kmax
-    if model.kmax < kmax:
-        raise ValueError(f"model holds {model.kmax + 1} singular values, observation {kmax + 1}")
-    ybar = obs.y / model.b[: kmax + 1]
+    ybar = _naive_inverse(model, obs)
     lam = np.zeros(ybar.shape)
     lam[..., 0] = 1.0
     for j, (lo, hi) in enumerate(zip(config.boundaries[:-1], config.boundaries[1:])):

@@ -57,8 +57,8 @@ NODES_EXACT = "exact"
 NODES_PAPER = "paper"
 
 _SELF_CHECK_TOL = 1e-9
-# columns (Gram defect) or rows (needlet norms) of psi taken at once by the
-# invariant checks; at jmax 11 a block's products stay near 10 MB
+# columns (Gram defect) or rows (needlet norms, frame save and load) of psi
+# taken at once; at jmax 11 a block's products stay near 10 MB
 BLOCK = 512
 # basis-table entries (degrees x points) formed at once when needlets are
 # evaluated on [-1, 1]; a level has no more psi rows than degrees, so a
@@ -83,10 +83,6 @@ class FrameLevel:
     @property
     def freq_hi(self) -> int:
         return self.freq_lo + self.psi.shape[1] - 1
-
-    def mirror(self, nu: int) -> int:
-        """Mirror of the 1-based node index nu across the level."""
-        return self.n_nodes - nu
 
 
 @dataclass(frozen=True)
@@ -116,17 +112,17 @@ class NeedletFrame:
         return self.levels[j + 1]
 
 
-def _level_shape(j: int, nodes_per_level: str) -> tuple[int, int, int]:
-    """(n_nodes, freq_lo, n_freq) of level j; level -1 is (1, 0, 1).
+def _level_window(filt: Filter, j: int, nodes_per_level: str) -> tuple[int, int, np.ndarray]:
+    """(n_nodes, freq_lo, a) of level j; level -1 is (1, 0, [1.0]).
 
-    Level j >= 0 holds the integer frequencies i with a(i / 2^j) possibly
-    nonzero, 2^{j-1} < i < 2^{j+1}, on 2^{j+1} nodes ("exact") or 2^j ("paper").
+    Level j >= 0 holds the filter values a(i / 2^j) where they may be nonzero,
+    2^{j-1} < i < 2^{j+1}, on 2^{j+1} nodes ("exact") or 2^j ("paper").
     """
     if j == -1:
-        return 1, 0, 1
+        return 1, 0, np.ones(1)
     lo = 2 ** (j - 1) + 1 if j >= 1 else 1
     n_nodes = 2 ** (j + 1) if nodes_per_level == NODES_EXACT else 2**j
-    return n_nodes, lo, 2 ** (j + 1) - lo
+    return n_nodes, lo, filter_a(filt, np.arange(lo, 2 ** (j + 1)) / 2.0**j)
 
 
 def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
@@ -173,36 +169,31 @@ def build_frame(
     j_max: int,
     nodes_per_level: str = NODES_EXACT,
 ) -> NeedletFrame:
-    """Build the needlet frame with levels -1..j_max.
+    """Build the needlet frame with levels -1..j_max in one loop over _level_window.
 
-    In the default "exact" mode every level's node count makes the quadrature
-    exact for products of two level-j needlets, which is verified per level
-    (Psi^T Psi = diag(a_i^2)); a violation aborts with the offending level.
-    The "paper" mode (half as many nodes) skips the abort and records the
-    defect on the frame instead, since the identity provably fails there.
+    Level j >= 0 takes the Gauss-Jacobi rule of its node count, level -1 node
+    0 with weight 1. In the default "exact" mode every level's node count
+    makes the quadrature exact for products of two level-j needlets, which is
+    verified per level (Psi^T Psi = diag(a_i^2)); a violation aborts with the
+    offending level. The "paper" mode (half as many nodes) skips the abort and
+    records the defect on the frame instead, since the identity provably fails.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     if nodes_per_level not in (NODES_EXACT, NODES_PAPER):
         raise ValueError(f"unknown nodes_per_level: {nodes_per_level!r}")
-    levels = [
-        FrameLevel(
-            j=-1,
-            nodes=np.zeros(1),
-            weights=np.ones(1),
-            freq_lo=0,
-            psi=np.ones((1, 1)),
-        )
-    ]
+    levels = []
     worst = 0.0
-    for j in range(j_max + 1):
-        n_nodes, lo, n_freq = _level_shape(j, nodes_per_level)
-        avals = filter_a(filt, np.arange(lo, lo + n_freq) / 2.0**j)
-        try:
-            rule = gauss_jacobi_rule(basis, n_nodes)
-        except InvariantError as exc:
-            raise InvariantError(f"level {j}: {exc}") from exc
-        nodes, weights = rule.nodes, rule.weights
+    for j in range(-1, j_max + 1):
+        n_nodes, lo, avals = _level_window(filt, j, nodes_per_level)
+        if j == -1:
+            nodes, weights = np.zeros(1), np.ones(1)
+        else:
+            try:
+                rule = gauss_jacobi_rule(basis, n_nodes)
+            except InvariantError as exc:
+                raise InvariantError(f"level {j}: {exc}") from exc
+            nodes, weights = rule.nodes, rule.weights
         psi = _level_psi(basis, nodes, weights, lo, avals)
         defect = _gram_defect(psi, avals)
         worst = max(worst, defect)
@@ -304,11 +295,10 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
 
 
 def frame_invariants(frame: NeedletFrame) -> list[tuple[str, float, float]]:
-    """(name, measured, tolerance) rows of the frame invariant suite."""
+    """(name, measured, tolerance) rows of the invariant suite; Gram rows use _level_window's a."""
     gram_defect = zero_sum = 0.0
     for lev in frame.levels:
-        i = np.arange(lev.freq_lo, lev.freq_hi + 1)
-        a = filter_a(frame.filt, i / 2.0**lev.j) if lev.j >= 0 else np.ones(1)
+        a = _level_window(frame.filt, lev.j, frame.nodes_per_level)[2]
         gram_defect = max(gram_defect, _gram_defect(lev.psi, a))
         if lev.j >= 0:
             zero_sum = max(zero_sum, float(np.max(np.abs(np.sqrt(lev.weights) @ lev.psi))))

@@ -8,17 +8,18 @@ needlet coefficient matrix as raw 64-bit floats, psi row by row. The only
 basis family code is 0 (Jacobi).
 
 Both directions stream: saving writes nodes and weights straight from their
-arrays and psi a block of ROW_BLOCK rows at a time; loading reads each array
-in place with readinto, psi through one ROW_BLOCK-row buffer into an
+arrays and psi a block of frame.BLOCK rows at a time; loading reads each
+array in place with readinto, psi through one BLOCK-row buffer into an
 F-ordered array, the layout build_frame produces, so analyze and synthesize
 round the same on a built and a loaded frame. Beside one frame, a save or
 load holds at most one row block.
 
-Loading rebuilds the filter and basis from the stored parameters and takes
-the level blocks verbatim, so a round trip is bit-exact. Each level's shape
-record must be that of its level j in the stored node mode (2^{j+1} or 2^j
-nodes, the frequency window of j; level -1 is one node at frequency 0), and
-the bytes it claims must fit in what is left of the file, which is checked
+Loading rebuilds the filter and basis from the stored parameters before it
+reads a level, and takes the level blocks verbatim, so a round trip is
+bit-exact. Each level's shape record must be the one frame._level_window
+gives level j under the stored filter and node mode (2^{j+1} or 2^j nodes,
+the frequency window of j; level -1 is one node at frequency 0), and the
+bytes it claims must fit in what is left of the file, which is checked
 before anything is allocated. Any unknown code or structural mismatch, a
 negative top level or exactness defect, a level -1 other than node 0,
 weight 1 and psi 1, and any non-finite psi entry, node outside (-1, 1) or
@@ -35,8 +36,8 @@ import struct
 import numpy as np
 
 from .errors import require_entries
-from .filters import POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL, make_filter, make_profile
-from .frame import NODES_EXACT, NODES_PAPER, FrameLevel, NeedletFrame, _level_shape
+from .filters import POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL, Filter, make_filter, make_profile
+from .frame import BLOCK, NODES_EXACT, NODES_PAPER, FrameLevel, NeedletFrame, _level_window
 from .jacobi import jacobi_basis
 
 __all__ = ["FORMAT_VERSION", "save_frame", "load_frame"]
@@ -50,8 +51,6 @@ _NODE_CODES = {NODES_EXACT: 0, NODES_PAPER: 1}
 
 _HEADER = struct.Struct("<4sHBddBiBidi")
 _LEVEL = struct.Struct("<iiii")
-# psi rows written or read per block; one block is the only psi copy held
-ROW_BLOCK = 512
 
 
 def save_frame(frame: NeedletFrame, path) -> None:
@@ -76,8 +75,8 @@ def save_frame(frame: NeedletFrame, path) -> None:
             fh.write(np.ascontiguousarray(lev.nodes, dtype="<f8"))
             fh.write(np.ascontiguousarray(lev.weights, dtype="<f8"))
             # psi is stored row by row; a block of rows is copied at a time
-            for r0 in range(0, lev.n_nodes, ROW_BLOCK):
-                fh.write(np.ascontiguousarray(lev.psi[r0 : r0 + ROW_BLOCK], dtype="<f8"))
+            for r0 in range(0, lev.n_nodes, BLOCK):
+                fh.write(np.ascontiguousarray(lev.psi[r0 : r0 + BLOCK], dtype="<f8"))
 
 
 def _read_into(fh, out: np.ndarray) -> None:
@@ -92,7 +91,7 @@ def _decode(codes: dict, value: int, what: str) -> str:
     raise ValueError(f"unknown {what} code {value} in frame container")
 
 
-def _read_level(fh, size: int, j: int, nodes_mode: str) -> FrameLevel:
+def _read_level(fh, size: int, j: int, filt: Filter, nodes_mode: str) -> FrameLevel:
     """Read level j's block from fh, a container of size bytes."""
     record = fh.read(_LEVEL.size)
     if len(record) != _LEVEL.size:
@@ -100,12 +99,12 @@ def _read_level(fh, size: int, j: int, nodes_mode: str) -> FrameLevel:
     found_j, n_nodes, freq_lo, n_freq = _LEVEL.unpack(record)
     if found_j != j:
         raise ValueError(f"levels out of order: expected {j}, found {found_j}")
-    if n_nodes < 1 or n_freq < 1 or freq_lo < 0:
-        raise ValueError(f"level {j} has invalid block shape")
-    # the claimed size is checked before anything of that size is allocated
+    # the claimed size is checked before anything of that size is allocated,
+    # and a negative one fails the shape check that follows
     if 8 * n_nodes * (2 + n_freq) > size - fh.tell():
         raise ValueError("truncated frame container")
-    want = _level_shape(j, nodes_mode)
+    want_nodes, want_lo, a = _level_window(filt, j, nodes_mode)
+    want = (want_nodes, want_lo, a.shape[0])
     if (n_nodes, freq_lo, n_freq) != want:
         raise ValueError(
             f"level {j} block shape (n_nodes, freq_lo, n_freq) = "
@@ -116,9 +115,9 @@ def _read_level(fh, size: int, j: int, nodes_mode: str) -> FrameLevel:
     _read_into(fh, nodes)
     _read_into(fh, weights)
     psi = np.empty((n_nodes, n_freq), dtype="<f8", order="F")
-    rows = np.empty((min(ROW_BLOCK, n_nodes), n_freq), dtype="<f8")
-    for r0 in range(0, n_nodes, ROW_BLOCK):
-        block = rows[: min(ROW_BLOCK, n_nodes - r0)]
+    rows = np.empty((min(BLOCK, n_nodes), n_freq), dtype="<f8")
+    for r0 in range(0, n_nodes, BLOCK):
+        block = rows[: min(BLOCK, n_nodes - r0)]
         _read_into(fh, block)
         psi[r0 : r0 + block.shape[0]] = block
     require_entries(nodes, np.abs(nodes) < 1.0, f"level {j} nodes", "inside (-1, 1)")
@@ -157,9 +156,8 @@ def load_frame(path) -> NeedletFrame:
             raise ValueError(f"exactness defect must be finite and >= 0, got {defect}")
         if n_levels != j_max + 2:
             raise ValueError(f"level count {n_levels} does not match j_max {j_max}")
-        levels = tuple(_read_level(fh, size, j, nodes_mode) for j in range(-1, j_max + 1))
+        filt = make_filter(make_profile(profile_kind, m))
+        levels = tuple(_read_level(fh, size, j, filt, nodes_mode) for j in range(-1, j_max + 1))
         if fh.tell() != size:
             raise ValueError(f"{size - fh.tell()} trailing bytes after the last level")
-
-    filt = make_filter(make_profile(profile_kind, m))
     return NeedletFrame(jacobi_basis(alpha, beta), filt, j_max, nodes_mode, levels, defect)

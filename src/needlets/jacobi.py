@@ -241,7 +241,10 @@ def gauss_jacobi_rule(basis: JacobiBasis, N: int) -> QuadratureRule:
     (1 - x^2) p_N' = N (alpha - beta - (2N+s) x) p_N / (2N+s)
                      + sqrt(b_N) (2N+s+1) p_{N-1}.
     Weights are Christoffel weights w = 1 / sum_{k<N} Pi_k(node)^2. Raises
-    NodeSolveError rather than returning an uncertified rule.
+    NodeSolveError rather than returning an uncertified rule, and fails fast
+    without a RuntimeWarning when a start diverges: the first non-finite
+    Newton step is refused by node, and a weight sum that overflows leaves a
+    weight of 0 or NaN, which the certification refuses.
     """
     if N < 1:
         raise ValueError(f"rule order must be >= 1, got {N}")
@@ -252,24 +255,29 @@ def gauss_jacobi_rule(basis: JacobiBasis, N: int) -> QuadratureRule:
     nodes = _initial_nodes(basis, diag, off, N)
     # a node leaves the polish once its own step is <= 1e-14
     active = np.arange(N)
-    for _ in range(60):
-        x = nodes[active]
-        # the last two values of the recurrence, p_{N-1}(x) and p_N(x)
-        p_prev, p = deque(_orthonormal(diag, off, N, x), maxlen=2)
-        step = p * (1.0 - x * x) / ((lead - N * x) * p + tail * p_prev)
-        nodes[active] = x - step
-        moving = np.abs(step) > 1e-14
-        if not moving.any():
-            break
-        active = active[moving]
-    else:
-        worst = int(active[np.argmax(np.abs(step[moving]))])
-        raise NodeSolveError(
-            f"Newton polish did not converge for node {worst} of the order-{N} rule"
-        )
-    kernel = sum(p * p for p in _orthonormal(diag, off, N - 1, nodes))
-    # store in strictly decreasing order (theta = arccos increasing)
-    rule = QuadratureRule(N, nodes[::-1].copy(), 1.0 / kernel[::-1], basis)
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            x = nodes[active]
+            # the last two values of the recurrence, p_{N-1}(x) and p_N(x)
+            p_prev, p = deque(_orthonormal(diag, off, N, x), maxlen=2)
+            step = p * (1.0 - x * x) / ((lead - N * x) * p + tail * p_prev)
+            if (i := _first_false(np.isfinite(step))) is not None:
+                raise NodeSolveError(
+                    f"Newton step is not finite for node {active[i]} of the order-{N} rule"
+                )
+            nodes[active] = x - step
+            moving = np.abs(step) > 1e-14
+            if not moving.any():
+                break
+            active = active[moving]
+        else:
+            worst = int(active[np.argmax(np.abs(step[moving]))])
+            raise NodeSolveError(
+                f"Newton polish did not converge for node {worst} of the order-{N} rule"
+            )
+        kernel = sum(p * p for p in _orthonormal(diag, off, N - 1, nodes))
+        # store in strictly decreasing order (theta = arccos increasing)
+        rule = QuadratureRule(N, nodes[::-1].copy(), 1.0 / kernel[::-1], basis)
     return _certify(rule)
 
 

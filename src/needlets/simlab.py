@@ -389,11 +389,14 @@ def rate_study(
     """Fit the log-log slope of mean thresholding RMSE against noise level.
 
     target_coeffs must be in-budget (exactly representable) so the measured
-    decay reflects the noise, not a fixed truncation floor.
+    decay reflects the noise, not a fixed truncation floor. The noise levels
+    must be distinct: a repeated one would redraw the same seeded runs.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) < 4:
         raise ValueError(f"need at least 4 noise levels, got {len(eps)}")
+    if repeated := sorted({e for e in eps if eps.count(e) > 1}, reverse=True):
+        raise ValueError(f"noise levels must be distinct, repeated: {', '.join(map(str, repeated))}")
     if any(not 0.0 < e < 1.0 for e in eps):
         raise ValueError("every noise level must lie in (0, 1)")
     if runs < 10:

@@ -215,6 +215,19 @@ def test_estimate_rejects_gappy_input(tmp_path):
     )
 
 
+@pytest.mark.parametrize("bad", ["1", "1,0.5,7", "x,0.5"])
+def test_estimate_rejects_malformed_row(tmp_path, capsys, bad):
+    # only the first row may be a header; a later row that is not k,y is
+    # refused by line, not read in part, skipped or left to an IndexError
+    obs_path = tmp_path / "obs.csv"
+    obs_path.write_text(f"k,y\n0,1.0\n\n{bad}\n2,0.5\n")
+    assert run_cli(
+        "estimate", "--input", str(obs_path), "--method", "svd-proj", "--epsilon", "0.01",
+        "--n-keep", "1", "--out", str(tmp_path / "o.csv"),
+    ) == 1
+    assert capsys.readouterr().err == f"error: {obs_path} line 4: expected 'k,y', got {bad!r}\n"
+
+
 def test_estimate_missing_file(tmp_path):
     assert (
         run_cli(
@@ -270,6 +283,15 @@ def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     cfg_path.write_text("{}")
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_rates_refuses_repeated_levels(tmp_path, capsys):
+    # four equal levels used to run the whole study and then exit 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 3}}))
+    out = tmp_path / "rates.csv"
+    assert run_cli("rates", "--config", str(cfg_path), *["--eps", "0.1"] * 4, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: noise levels must be distinct, repeated: 0.1\n"
 
 
 def test_rates_smoke(tmp_path, capsys):

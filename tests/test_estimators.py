@@ -115,10 +115,13 @@ def test_estimators_return_observation_shape(frame8, wicksell512, runs):
     for fhat in (need, adapt, proj):
         assert fhat.shape == obs.y.shape == ((runs,) if runs else ()) + (513,)
     assert np.all(need[..., frame8.budget :] == 0.0)
-    # a model shorter than the observation is refused, not truncated to
+    # a model shorter than the observation is refused, not truncated to,
+    # whatever the projection cutoff
     short = wicksell_model(256)
     with pytest.raises(ValueError, match="^model holds 257 singular values, observation 513$"):
         svd_adaptive(short, obs, make_adaptive_config(short, eps, 1024))
+    with pytest.raises(ValueError, match="^model holds 257 singular values, observation 513$"):
+        svd_projection(short, obs, 100)
 
 
 def test_need_d_nan_observation_rejected(frame8, wicksell512, rng):

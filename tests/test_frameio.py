@@ -224,12 +224,14 @@ def test_round_trip_keeps_analysis_and_synthesis_bits(frame8, tmp_path):
                r"expected \(16, 5, 11\)"),
         (1, 8, r"level 3 block shape .* = \(8, 5, 11\)"),
         (3, 2**30, r"^truncated frame container$"),
+        (1, 2**32 - 16, r"level 3 block shape .* = \(-16, 5, 11\)"),
     ],
-    ids=["freq-lo-off-by-one", "paper-node-count", "huge-n-freq"],
+    ids=["freq-lo-off-by-one", "paper-node-count", "huge-n-freq", "negative-n-nodes"],
 )
 def test_reject_shape_record_not_of_its_level(small_frame, tmp_path, field, value, message):
     # a record must match its level in the frame's node mode, and a claimed
-    # size past the end of the file fails before anything is allocated
+    # size past the end of the file (or below zero) fails before anything is
+    # allocated
     path = tmp_path / "frame.ndlt"
     save_frame(small_frame, path)
     blob = bytearray(path.read_bytes())

@@ -7,6 +7,7 @@ which integrates every polynomial the smaller rule claims exactly.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -290,19 +291,52 @@ def test_rule_at_order_8192_certifies_or_raises(alpha, beta, certifies):
     # at the top order 2^13, over the corners of the exponent range
     # (-1/2, 1000], a rule is certified or a NodeSolveError and nothing else;
     # (35, 0.5) and (1000, 1000) fail today, so only the two that certify are
-    # pinned. At (1000, 1000) the asymptotic starts overflow to NaN nodes,
-    # which the certification refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            rule = gauss_jacobi_rule(jacobi_basis(alpha, beta), 8192)
-        except NodeSolveError:
-            assert not certifies
-            return
+    # pinned. At (1000, 1000) the asymptotic starts overflow the recurrence,
+    # whose first non-finite Newton step is refused without a RuntimeWarning.
+    try:
+        rule = gauss_jacobi_rule(jacobi_basis(alpha, beta), 8192)
+    except NodeSolveError:
+        assert not certifies
+        return
     assert rule.nodes.shape == rule.weights.shape == (8192,)
     assert np.all(np.abs(rule.nodes) < 1.0)
     assert np.all(np.diff(rule.nodes) < 0.0)
     assert np.all(rule.weights > 0.0)
     assert abs(rule.weights.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,n", [(50.0, 2048), (1000.0, 8192)])
+def test_diverging_start_fails_fast_without_warnings(alpha, n):
+    # these starts overflow the recurrence; the polish used to run on NaN
+    # for all its passes, with overflow warnings, and leave the NaN nodes
+    # to the certification
+    message = f"^Newton step is not finite for node \\d+ of the order-{n} rule$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NodeSolveError, match=message):
+            gauss_jacobi_rule(jacobi_basis(alpha, alpha), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.floats(-0.5, MAX_EXPONENT, exclude_min=True),
+    beta=st.floats(-0.5, MAX_EXPONENT, exclude_min=True),
+    log2_order=st.floats(0.0, 13.0),
+)
+def test_rule_certifies_or_raises_up_to_order_8192(alpha, beta, log2_order):
+    # over the whole exponent range and log-uniform orders up to 2^13 the
+    # rule passes all four certification conditions or raises
+    # NodeSolveError; a RuntimeWarning on the way fails tier-1 as an error
+    n = round(2.0**log2_order)
+    try:
+        rule = gauss_jacobi_rule(jacobi_basis(alpha, beta), n)
+    except NodeSolveError:
+        return
+    assert rule.order == n and rule.nodes.shape == rule.weights.shape == (n,)
+    assert np.all(np.abs(rule.nodes) < 1.0)
+    assert np.all(np.diff(rule.nodes) < 0.0)
+    assert np.all(rule.weights > 0.0)
+    assert abs(rule.weights.sum() - 1.0) <= 1e-12
 
 
 def test_certification_names_the_failed_condition():

@@ -275,6 +275,20 @@ def test_rate_study_validation(frame8, wicksell512):
         rate_study(wicksell512, frame8, coeffs, [0.1, 0.03, 0.01, 1.5], runs=10)
 
 
+def test_rate_study_refuses_repeated_levels(frame8, wicksell512, monkeypatch):
+    # a repeated level redraws the same seeded runs: the fit degenerated
+    # (all equal) or reported a vanishing stderr (pairs), after every draw
+    def no_draw(*args):
+        raise AssertionError("drew runs before refusing the levels")
+
+    monkeypatch.setattr("needlets.simlab._draw_runs", no_draw)
+    coeffs = np.zeros(513)
+    coeffs[:32] = np.exp(-np.arange(32) / 4.0)
+    for eps, named in (([0.1] * 4, "0.1"), ([0.1, 0.1, 0.01, 0.01], "0.1, 0.01")):
+        with pytest.raises(ValueError, match=f"^noise levels must be distinct, repeated: {named}$"):
+            rate_study(wicksell512, frame8, coeffs, eps, runs=10)
+
+
 def test_rate_study_smooth_target_slope(frame8, wicksell512):
     coeffs = np.zeros(513)
     coeffs[:32] = np.exp(-np.arange(32) / 4.0)
