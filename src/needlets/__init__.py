@@ -32,6 +32,7 @@ from .filters import (
     profile_phi,
 )
 from .frame import (
+    MAX_JMAX,
     NODES_EXACT,
     NODES_PAPER,
     FrameLevel,
@@ -39,13 +40,14 @@ from .frame import (
     analyze,
     build_frame,
     frame_invariants,
+    frame_levels,
     level_frame_norms,
     level_sigma,
     localization_check,
     needlet_values,
     synthesize,
 )
-from .frameio import FORMAT_VERSION, load_frame, save_frame
+from .frameio import FORMAT_VERSION, load_frame, open_frame, save_frame, write_levels
 from .jacobi import (
     JacobiBasis,
     QuadratureRule,

@@ -29,8 +29,8 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, filter_a, make_filter, make_profile
-from .frame import NODES_EXACT, NODES_PAPER, frame_invariants, needlet_values
-from .frameio import load_frame, save_frame
+from .frame import NODES_EXACT, NODES_PAPER, frame_invariants, frame_levels, needlet_values
+from .frameio import load_frame, open_frame, write_levels
 from .jacobi import gauss_jacobi_rule, jacobi_basis
 from .models import SequenceObservation, direct_model, eval_e, wicksell_model
 from .simlab import (
@@ -86,18 +86,22 @@ def _frame_spec(args) -> FrameSpec:
 
 
 def _cmd_frame_build(args) -> int:
-    frame = _frame_spec(args).build()
-    save_frame(frame, args.out)
+    # each level is written once its self-check passes and dropped before
+    # the next is built; a failed level leaves --out as it was
+    spec = _frame_spec(args)
+    params = (spec.basis, spec.filt, spec.jmax, spec.nodes_per_level)
+    defect = write_levels(args.out, *params, frame_levels(*params))
     print(
-        f"wrote {args.out}: basis=jacobi j_max={frame.j_max} "
-        f"budget={frame.budget} defect={frame.exactness_defect:.3g}"
+        f"wrote {args.out}: basis=jacobi j_max={spec.jmax} "
+        f"budget={2 ** (spec.jmax + 1)} defect={defect:.3g}"
     )
     return 0
 
 
 def _cmd_frame_check(args) -> int:
-    frame = load_frame(args.path)
-    rows = frame_invariants(frame)
+    # levels are read, checked and dropped one at a time
+    with open_frame(args.path) as (frame, levels):
+        rows = frame_invariants(frame, levels)
     failed = False
     print(f"frame {args.path}: basis=jacobi j_max={frame.j_max} "
           f"nodes={frame.nodes_per_level}")

@@ -102,8 +102,8 @@ def _threshold_schedule(
     # below the smallest normal float 1/epsilon overflows
     if not (epsilon == 0.0 or sys.float_info.min <= epsilon < 1.0):
         raise ValueError(f"epsilon must be 0 or in [{sys.float_info.min}, 1), got {epsilon}")
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
     if epsilon == 0.0:
         return 0.0, frame.j_max
     t_eps = epsilon * math.sqrt(math.log(1.0 / epsilon))

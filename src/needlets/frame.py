@@ -8,9 +8,11 @@ window (2^{j-1}, 2^{j+1}), along the last axis of one vector (K,) or of
 a stack of runs (R, K). Both may stop at a top level: the levels above it
 are returned as zeros and never multiplied.
 
-Each level's psi is F-ordered and written degree by degree along the Jacobi
-recurrence; the build self-check, the invariant suite and level_sigma read
-it in blocks of BLOCK columns or rows, so beside the frame they hold one
+Each level stands alone: frame_levels builds one at a time, j = -1..j_max
+with j_max at most MAX_JMAX, and build_frame holds them all. Each level's
+psi is F-ordered and written degree by degree along the Jacobi recurrence;
+the build self-check, the invariant suite and level_sigma read it in blocks
+of BLOCK columns or rows, so beside the levels they are given they hold one
 block at most. Needlets are evaluated on [-1, 1] one block of points at a
 time for whole levels (norms, localization): one basis table of at most
 TABLE entries and one product with the psi rows per block, so no whole-grid
@@ -22,6 +24,7 @@ the grid or the BLAS threading.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +45,8 @@ __all__ = [
     "FrameLevel",
     "NeedletFrame",
     "build_frame",
+    "frame_levels",
+    "check_j_max",
     "analyze",
     "synthesize",
     "level_sigma",
@@ -51,14 +56,18 @@ __all__ = [
     "localization_check",
     "NODES_EXACT",
     "NODES_PAPER",
+    "MAX_JMAX",
 ]
 
 NODES_EXACT = "exact"
 NODES_PAPER = "paper"
 
 _SELF_CHECK_TOL = 1e-9
-# columns (Gram defect) or rows (needlet norms, frame save and load) of psi
-# taken at once; at jmax 11 a block's products stay near 10 MB
+# the top level accepted anywhere a frame is built or read: level 13's psi
+# takes 1.61 GB, level 14's would take 6.4 GB
+MAX_JMAX = 13
+# columns (Gram defect) or rows (needlet norms) of psi taken at once; at
+# jmax 11 a block's products stay near 10 MB
 BLOCK = 512
 # basis-table entries (degrees x points) formed at once when needlets are
 # evaluated on [-1, 1]; a level has no more psi rows than degrees, so a
@@ -132,19 +141,21 @@ def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
     a time: the block's own square with a^2 taken off its diagonal, then its
     products with all columns to its right (the entries to its left are the
     transposes of products already checked). No Gram-sized array is formed.
+    A NaN entry counts as an infinite defect, so it fails every tolerance.
     """
     n = psi.shape[1]
-    worst = 0.0
+    peaks = []
     for c0 in range(0, n, BLOCK):
         c1 = min(c0 + BLOCK, n)
         blk = psi[:, c0:c1]
         gram = blk.T @ blk
         gram.flat[:: c1 - c0 + 1] -= a[c0:c1] ** 2
-        worst = max(worst, float(np.max(np.abs(gram, out=gram))))
+        peaks.append(np.max(np.abs(gram, out=gram)))
         if c1 < n:
             right = blk.T @ psi[:, c1:]
-            worst = max(worst, float(np.max(np.abs(right, out=right))))
-    return worst
+            peaks.append(np.max(np.abs(right, out=right)))
+    worst = float(np.max(peaks))  # unlike max(), np.max keeps a NaN
+    return math.inf if math.isnan(worst) else worst
 
 
 def _level_psi(basis: JacobiBasis, nodes, weights, lo: int, avals: np.ndarray) -> np.ndarray:
@@ -163,49 +174,76 @@ def _level_psi(basis: JacobiBasis, nodes, weights, lo: int, avals: np.ndarray) -
     return psi
 
 
+def check_j_max(j_max: int) -> None:
+    """Refuse a top level outside 0..MAX_JMAX, naming it."""
+    if j_max < 0:
+        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    if j_max > MAX_JMAX:
+        raise ValueError(f"j_max must be <= {MAX_JMAX}, got {j_max}")
+
+
+def _build_level(
+    basis: JacobiBasis, filt: Filter, j: int, nodes_per_level: str
+) -> tuple[FrameLevel, float]:
+    """Level j of frame_levels and its Gram defect; "exact" mode raises above tolerance."""
+    n_nodes, lo, avals = _level_window(filt, j, nodes_per_level)
+    if j == -1:
+        nodes, weights = np.zeros(1), np.ones(1)
+    else:
+        try:
+            rule = gauss_jacobi_rule(basis, n_nodes)
+        except InvariantError as exc:
+            raise InvariantError(f"level {j}: {exc}") from exc
+        nodes, weights = rule.nodes, rule.weights
+    psi = _level_psi(basis, nodes, weights, lo, avals)
+    defect = _gram_defect(psi, avals)
+    if nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
+        raise InvariantError(
+            f"quadrature exactness self-check failed at level {j} "
+            f"(defect {defect:.3e})"
+        )
+    for arr in (nodes, weights, psi):
+        arr.setflags(write=False)
+    return FrameLevel(j, nodes, weights, lo, psi), defect
+
+
+def frame_levels(
+    basis: JacobiBasis,
+    filt: Filter,
+    j_max: int,
+    nodes_per_level: str = NODES_EXACT,
+) -> Iterator[tuple[FrameLevel, float]]:
+    """(level, Gram defect) for j = -1..j_max, each built when it is asked for.
+
+    The arguments are checked at once; the levels are not built until they
+    are iterated, and the iterator keeps no reference to a level it has
+    yielded, so a caller that drops each level before asking for the next
+    holds one level at a time.
+    """
+    check_j_max(j_max)
+    if nodes_per_level not in (NODES_EXACT, NODES_PAPER):
+        raise ValueError(f"unknown nodes_per_level: {nodes_per_level!r}")
+    return (_build_level(basis, filt, j, nodes_per_level) for j in range(-1, j_max + 1))
+
+
 def build_frame(
     basis: JacobiBasis,
     filt: Filter,
     j_max: int,
     nodes_per_level: str = NODES_EXACT,
 ) -> NeedletFrame:
-    """Build the needlet frame with levels -1..j_max in one loop over _level_window.
+    """Build the needlet frame with levels -1..j_max: every level of frame_levels, held.
 
     Level j >= 0 takes the Gauss-Jacobi rule of its node count, level -1 node
     0 with weight 1. In the default "exact" mode every level's node count
     makes the quadrature exact for products of two level-j needlets, which is
     verified per level (Psi^T Psi = diag(a_i^2)); a violation aborts with the
     offending level. The "paper" mode (half as many nodes) skips the abort and
-    records the defect on the frame instead, since the identity provably fails.
+    records the largest defect on the frame instead, since the identity
+    provably fails.
     """
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
-    if nodes_per_level not in (NODES_EXACT, NODES_PAPER):
-        raise ValueError(f"unknown nodes_per_level: {nodes_per_level!r}")
-    levels = []
-    worst = 0.0
-    for j in range(-1, j_max + 1):
-        n_nodes, lo, avals = _level_window(filt, j, nodes_per_level)
-        if j == -1:
-            nodes, weights = np.zeros(1), np.ones(1)
-        else:
-            try:
-                rule = gauss_jacobi_rule(basis, n_nodes)
-            except InvariantError as exc:
-                raise InvariantError(f"level {j}: {exc}") from exc
-            nodes, weights = rule.nodes, rule.weights
-        psi = _level_psi(basis, nodes, weights, lo, avals)
-        defect = _gram_defect(psi, avals)
-        worst = max(worst, defect)
-        if nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
-            raise InvariantError(
-                f"quadrature exactness self-check failed at level {j} "
-                f"(defect {defect:.3e})"
-            )
-        for arr in (nodes, weights, psi):
-            arr.setflags(write=False)
-        levels.append(FrameLevel(j, nodes, weights, lo, psi))
-    return NeedletFrame(basis, filt, j_max, nodes_per_level, tuple(levels), worst)
+    levels, defects = zip(*frame_levels(basis, filt, j_max, nodes_per_level))
+    return NeedletFrame(basis, filt, j_max, nodes_per_level, levels, max(defects))
 
 
 def _check_coeffs(frame: NeedletFrame, f_coeffs) -> np.ndarray:
@@ -281,29 +319,40 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
         raise ValueError(f"need {frame.budget} singular values, got shape {b.shape}")
     b = b[: frame.budget]
     require_entries(b, np.isfinite(b) & (b > 0.0), "singular value b", "finite and > 0")
-    out = np.empty(len(frame.levels))
-    for li, lev in enumerate(frame.levels):
-        b_lev = b[lev.freq_lo : lev.freq_hi + 1]
-        peaks = []
-        for r0 in range(0, lev.n_nodes, BLOCK):
-            scaled = lev.psi[r0 : r0 + BLOCK] / b_lev
-            np.square(scaled, out=scaled)
-            peaks.append(np.max(np.sum(scaled, axis=1)))
-            del scaled
-        out[li] = math.sqrt(float(np.max(peaks)))
-    return out
+    return np.array(
+        [_level_sigma(lev.psi, b[lev.freq_lo : lev.freq_hi + 1]) for lev in frame.levels]
+    )
 
 
-def frame_invariants(frame: NeedletFrame) -> list[tuple[str, float, float]]:
-    """(name, measured, tolerance) rows of the invariant suite; Gram rows use _level_window's a."""
-    gram_defect = zero_sum = 0.0
-    for lev in frame.levels:
+def _level_sigma(psi: np.ndarray, b_lev: np.ndarray) -> float:
+    """sigma of one level: the largest row norm of psi / b_lev, BLOCK rows at a time."""
+    peaks = []
+    for r0 in range(0, psi.shape[0], BLOCK):
+        scaled = psi[r0 : r0 + BLOCK] / b_lev
+        np.square(scaled, out=scaled)
+        peaks.append(np.max(np.sum(scaled, axis=1)))
+        del scaled
+    return math.sqrt(float(np.max(peaks)))
+
+
+def frame_invariants(
+    frame: NeedletFrame, levels: Iterable[FrameLevel] | None = None
+) -> list[tuple[str, float, float]]:
+    """(name, measured, tolerance) rows of the invariant suite; Gram rows use _level_window's a.
+
+    frame gives the filter, node mode and top level; levels, frame.levels
+    by default, may be read one at a time (frameio.open_frame): each level
+    is checked and dropped before the next is asked for.
+    """
+    gram_defect = zero_sum = norm_max = 0.0
+    for lev in frame.levels if levels is None else levels:
         a = _level_window(frame.filt, lev.j, frame.nodes_per_level)[2]
         gram_defect = max(gram_defect, _gram_defect(lev.psi, a))
         if lev.j >= 0:
             zero_sum = max(zero_sum, float(np.max(np.abs(np.sqrt(lev.weights) @ lev.psi))))
-    # with unit singular values sigma_j is the largest needlet norm of level j
-    norm_max = float(np.max(level_sigma(frame, np.ones(frame.budget))))
+        # with unit singular values sigma_j is the largest needlet norm of level j
+        norm_max = max(norm_max, _level_sigma(lev.psi, np.ones(lev.psi.shape[1])))
+        del lev
     xi = np.linspace(1.0, float(2**frame.j_max), 4001)
     return [
         ("partition-of-unity", check_partition(frame.filt, xi), 1e-12),

@@ -59,9 +59,9 @@ from .estimators import (
     svd_adaptive,
     svd_projection,
 )
-from .filters import POLYNOMIAL_SHAPE, make_filter, make_profile
-from .frame import NODES_EXACT, NeedletFrame, build_frame
-from .jacobi import jacobi_basis
+from .filters import POLYNOMIAL_SHAPE, Filter, make_filter, make_profile
+from .frame import NODES_EXACT, NeedletFrame, build_frame, check_j_max
+from .jacobi import JacobiBasis, jacobi_basis
 from .losses import weighted_loss
 from .models import (
     SequenceObservation,
@@ -103,10 +103,21 @@ class FrameSpec:
     m: int = 2
     nodes_per_level: str = NODES_EXACT
 
+    def __post_init__(self):
+        check_j_max(self.jmax)
+
+    @property
+    def basis(self) -> JacobiBasis:
+        return jacobi_basis(self.alpha, self.beta)
+
+    @property
+    def filt(self) -> Filter:
+        """The order-m polynomial-shape filter."""
+        return make_filter(make_profile(POLYNOMIAL_SHAPE, self.m))
+
     def build(self) -> NeedletFrame:
-        """The frame on jacobi_basis(alpha, beta) with the order-m polynomial-shape filter."""
-        filt = make_filter(make_profile(POLYNOMIAL_SHAPE, self.m))
-        return build_frame(jacobi_basis(self.alpha, self.beta), filt, self.jmax, self.nodes_per_level)
+        """The frame on basis with filt."""
+        return build_frame(self.basis, self.filt, self.jmax, self.nodes_per_level)
 
 
 @dataclass(frozen=True)

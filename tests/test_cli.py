@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 import needlets
-from needlets import forward, wicksell_model
+import needlets.cli
+import needlets.frame
+from needlets import build_frame, forward, jacobi_basis, save_frame, wicksell_model
 from needlets.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -106,6 +108,50 @@ def test_frame_basis_is_jacobi_only(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("frame", "check", str(frame_path)) == 1
     assert "unknown basis code 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact", "paper"])
+def test_frame_build_writes_the_saved_frame_bytes(tmp_path, filt, mode):
+    # levels are built and written one at a time; the file is the one a
+    # held frame saves
+    out = tmp_path / "f.ndlt"
+    assert run_cli("frame", "build", "--jmax", "8", "--nodes-per-level", mode, "--out", str(out)) == 0
+    held = tmp_path / "held.ndlt"
+    save_frame(build_frame(jacobi_basis(0.0, 1.0), filt, 8, mode), held)
+    assert out.read_bytes() == held.read_bytes()
+
+
+def test_frame_build_failure_leaves_out_untouched(tmp_path, capsys, monkeypatch):
+    # a level failing its self-check ends the build with exit 2; the levels
+    # already written go with their temporary file
+    real = needlets.frame._gram_defect
+
+    def fail_level_3(psi, a):
+        return 1.0 if psi.shape[0] == 16 else real(psi, a)
+
+    monkeypatch.setattr(needlets.frame, "_gram_defect", fail_level_3)
+    out = tmp_path / "f.ndlt"
+    assert run_cli("frame", "build", "--jmax", "5", "--out", str(out)) == 2
+    assert "self-check failed at level 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"an earlier frame")
+    assert run_cli("frame", "build", "--jmax", "5", "--out", str(out)) == 2
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"an earlier frame"
+
+
+def test_frame_build_refuses_jmax_above_max(tmp_path, capsys, monkeypatch):
+    # the refusal comes before any level is built or written
+    def never(*args, **kwargs):
+        raise AssertionError("a level was asked for")
+
+    monkeypatch.setattr(needlets.cli, "frame_levels", never)
+    monkeypatch.setattr(needlets.cli, "write_levels", never)
+    out = tmp_path / "f.ndlt"
+    jmax = needlets.MAX_JMAX + 1
+    assert run_cli("frame", "build", "--jmax", str(jmax), "--out", str(out)) == 1
+    assert f"j_max must be <= {needlets.MAX_JMAX}, got {jmax}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_model_dump(capsys):

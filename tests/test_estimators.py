@@ -253,6 +253,13 @@ def test_threshold_plan_argument_errors(frame8, wicksell512):
         make_threshold_plan(frame8, wicksell512, 0.01, kappa=0.0)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_threshold_plan_refuses_non_finite_kappa(frame8, wicksell512, kappa):
+    # kappa <= 0 is false for NaN, whose thresholds then keep no coefficient
+    with pytest.raises(ValueError, match=f"kappa must be finite and > 0, got {kappa}"):
+        make_threshold_plan(frame8, wicksell512, 0.01, kappa=kappa)
+
+
 @settings(max_examples=40, deadline=None)
 @given(eps=st.floats(5e-324, 1.0, exclude_max=True))
 @example(eps=5e-324)

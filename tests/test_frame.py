@@ -13,10 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needlets import (
+    MAX_JMAX,
+    FrameSpec,
     InvariantError,
+    SimulationConfig,
     analyze,
     build_frame,
     filter_a,
+    frame_levels,
     jacobi_basis,
     level_sigma,
     make_filter,
@@ -243,3 +247,35 @@ def test_gram_defect_sees_one_off_diagonal_entry():
     psi[3, BLOCK + 100] = 1e-3
     assert _gram_defect(psi, np.ones(n)) == 1e-3
     assert float(np.max(np.abs(psi.T @ psi - np.eye(n)))) == 1e-3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_defect_fails_on_a_non_finite_entry(filt, bad):
+    # max() skips a NaN, so one NaN in psi gave a passing defect of 0.0
+    psi = np.array(build_frame(jacobi_basis(0.0, 1.0), filt, j_max=4).level(4).psi)
+    a = filter_a(filt, np.arange(9, 32) / 2.0**4)
+    assert _gram_defect(psi, a) <= 1e-9
+    psi[3, 5] = bad
+    assert _gram_defect(psi, a) == math.inf
+
+
+def test_top_level_above_max_jmax_is_refused(filt):
+    # frame_levels checks its arguments at once and builds nothing until it
+    # is iterated, so a missing check cannot allocate a jmax-14 frame here
+    message = f"j_max must be <= {MAX_JMAX}, got {MAX_JMAX + 1}"
+    with pytest.raises(ValueError, match=message):
+        frame_levels(jacobi_basis(0.0, 1.0), filt, MAX_JMAX + 1)
+    with pytest.raises(ValueError, match=message):
+        FrameSpec(jmax=MAX_JMAX + 1)
+    with pytest.raises(ValueError, match=message):
+        SimulationConfig.from_dict({"frame": {"jmax": MAX_JMAX + 1}})
+    assert FrameSpec(jmax=MAX_JMAX).jmax == MAX_JMAX
+
+
+def test_frame_levels_are_build_frame_levels(frame7, filt):
+    levels = list(frame_levels(jacobi_basis(0.0, 1.0), filt, 7))
+    assert [lev.j for lev, _ in levels] == list(range(-1, 8))
+    assert max(d for _, d in levels) == frame7.exactness_defect
+    for (lev, _), held in zip(levels, frame7.levels):
+        np.testing.assert_array_equal(lev.psi, held.psi)
+        np.testing.assert_array_equal(lev.nodes, held.nodes)

@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 from needlets import (
+    MAX_JMAX,
     analyze,
     build_frame,
     frame_invariants,
+    frame_levels,
     jacobi_basis,
     load_frame,
     make_filter,
     make_profile,
+    open_frame,
     save_frame,
     synthesize,
+    write_levels,
 )
-from needlets.frameio import _HEADER, _LEVEL
+from needlets.frame import BLOCK
+from needlets.frameio import _HEADER, _LEVEL, TILE
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +266,75 @@ def test_streamed_layers_hold_one_frame_plus_a_block(filt, tmp_path):
         tracemalloc.stop()
     assert build_peak <= 1.5 * psi_bytes
     assert check_peak <= 1.5 * psi_bytes
+
+
+def test_reject_j_max_above_max_jmax(small_frame, tmp_path):
+    # refused from the header, before any level is read
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    _with_header(path, j_max=MAX_JMAX + 1, n_levels=MAX_JMAX + 3)
+    with pytest.raises(ValueError, match=f"j_max must be <= {MAX_JMAX}, got {MAX_JMAX + 1}"):
+        load_frame(path)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (TILE + 3, 17), (255, 126)])
+def test_reject_non_finite_psi_in_any_row_block(frame8, tmp_path, entry):
+    # level 7 has 256 rows, read TILE at a time; the message counts the
+    # level's bad entries, as a whole-level check does
+    path = tmp_path / "frame.ndlt"
+    save_frame(frame8, path)
+    lev = frame8.level(7)
+    at = _shape_record_at(frame8, 7) + _LEVEL.size + 8 * (
+        2 * lev.n_nodes + np.ravel_multi_index(entry, lev.psi.shape)
+    )
+    blob = bytearray(path.read_bytes())
+    blob[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    message = (rf"level 7 psi\[{entry[0]}, {entry[1]}\] = nan is not finite "
+               rf"\(1 of {lev.psi.size} entries are not\)")
+    with pytest.raises(ValueError, match=message):
+        load_frame(path)
+
+
+def test_streamed_levels_match_the_held_frame(frame8, filt, tmp_path):
+    # write_levels over frame_levels writes save_frame's bytes, and
+    # open_frame yields load_frame's levels
+    held, streamed = tmp_path / "held.ndlt", tmp_path / "streamed.ndlt"
+    save_frame(frame8, held)
+    basis = jacobi_basis(0.0, 1.0)
+    defect = write_levels(streamed, basis, filt, 8, "exact", frame_levels(basis, filt, 8))
+    assert defect == frame8.exactness_defect
+    assert streamed.read_bytes() == held.read_bytes()
+    with open_frame(streamed) as (head, levels):
+        assert head.levels == () and head.exactness_defect == defect
+        for lev, built in zip(levels, frame8.levels):
+            np.testing.assert_array_equal(lev.psi, built.psi)
+            assert lev.psi.flags.f_contiguous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["held.ndlt", "streamed.ndlt"]
+
+
+def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path):
+    # each peaks near the top level's psi plus one block of products (the
+    # Gram check's, 1.18 blocks of 512 rows here), where holding the frame
+    # adds every lower level (0.67 blocks)
+    path = tmp_path / "frame.ndlt"
+    basis = jacobi_basis(0.0, 1.0)
+    tracemalloc.start()
+    try:
+        write_levels(path, basis, filt, 9, "exact", frame_levels(basis, filt, 9))
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        tracemalloc.start()
+        with open_frame(path) as (head, levels):
+            rows = frame_invariants(head, levels)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frame = load_frame(path)
+    assert rows == frame_invariants(frame)
+    top = frame.level(9).psi
+    block = 8 * BLOCK * top.shape[1]
+    whole = sum(lev.psi.nbytes for lev in frame.levels)
+    assert whole - top.nbytes > 0.6 * block
+    assert build_peak <= top.nbytes + 1.4 * block
+    assert check_peak <= top.nbytes + 1.4 * block
