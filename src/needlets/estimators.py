@@ -175,12 +175,14 @@ def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np
     return fhat
 
 
-def projection_gram(e_vals: np.ndarray) -> np.ndarray:
-    """Gram matrix G = E W E^T of a (K, n) basis table under the weighted grid loss."""
-    return (e_vals * grid_weights(e_vals.shape[1])) @ e_vals.T
+def projection_gram(e_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and transposed strict lower triangle of G = E W E^T, the weighted-loss
+    Gram matrix of a (K, n) basis table: what projection_cutoff reads, formed once per table."""
+    gram = (e_vals * grid_weights(e_vals.shape[1])) @ e_vals.T
+    return np.diag(gram), np.tril(gram, -1).T
 
 
-def projection_cutoff(ybars, e_vals: np.ndarray, f_vals: np.ndarray, gram: np.ndarray) -> int:
+def projection_cutoff(ybars, e_vals: np.ndarray, f_vals: np.ndarray, gram: tuple) -> int:
     """Cutoff N minimizing the summed weighted RMSE of the runs' partial sums.
 
     ybars holds one naive inverse per row (R, K), e_vals is the (K, n) basis
@@ -196,7 +198,8 @@ def projection_cutoff(ybars, e_vals: np.ndarray, f_vals: np.ndarray, gram: np.nd
     """
     y = np.atleast_2d(ybars)
     wf = grid_weights(f_vals.shape[0]) * f_vals
-    terms = y * (y * np.diag(gram) + 2.0 * (y @ np.tril(gram, -1).T) - 2.0 * (e_vals @ wf))
+    diag, lower_t = gram
+    terms = y * (y * diag + 2.0 * (y @ lower_t) - 2.0 * (e_vals @ wf))
     sq_err = float(f_vals @ wf) + np.cumsum(terms, axis=1)
     score = np.sqrt(np.maximum(sq_err, 0.0)).sum(axis=0)
     if not np.all(np.isfinite(score)):

@@ -9,16 +9,17 @@ a stack of runs (R, K). Both may stop at a top level: the levels above it
 are returned as zeros and never multiplied.
 
 Each level stands alone: frame_levels builds one at a time, j = -1..j_max
-with j_max at most MAX_JMAX, and build_frame holds them all. Each level's
-psi is F-ordered and written degree by degree along the Jacobi recurrence;
-the build self-check, the invariant suite and level_sigma read it in blocks
-of BLOCK columns or rows, so beside the levels they are given they hold one
-block at most. Needlets are evaluated on [-1, 1] one block of points at a
-time for whole levels (norms, localization): one basis table of at most
-TABLE entries and one product with the psi rows per block, so no whole-grid
-table is formed. A single needlet (rendering) is summed degree by degree
-along the recurrence, so its values round the same at every point whatever
-the grid or the BLAS threading.
+with j_max at most MAX_JMAX, and build_frame holds them all. After its
+rule's Newton polish a level takes one recurrence sweep over the nodes,
+which gives the Christoffel weights and psi's F-ordered columns degree by
+degree; the build self-check, the invariant suite and level_sigma read psi
+in blocks of BLOCK columns or rows, so beside the levels they are given
+they hold one block at most. Needlets are evaluated on [-1, 1] one block
+of points at a time for whole levels (norms, localization): one basis
+table of at most TABLE entries and one product with the psi rows per
+block, so no whole-grid table is formed. A single needlet (rendering) is
+summed degree by degree along the recurrence, so its values round the same
+at every point whatever the grid or the BLAS threading.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .errors import InvariantError, NormResolutionError, require_entries
 from .filters import Filter, check_partition, filter_a
 from .jacobi import (
     JacobiBasis,
+    _christoffel_rule,
     _orthonormal,
+    _polish,
     _recurrence,
-    gauss_jacobi_rule,
     gauss_legendre_panels,
     generalized_weight,
     jacobi_eval_all,
@@ -158,22 +160,6 @@ def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
-def _level_psi(basis: JacobiBasis, nodes, weights, lo: int, avals: np.ndarray) -> np.ndarray:
-    """psi[nu, i - lo] = sqrt(w_nu) * (a_i * Pi_i(x_nu)), filled degree by degree.
-
-    psi is F-ordered, so each degree's column is contiguous; the levels read
-    and written by frameio use the same layout, which keeps BLAS rounding in
-    analyze/synthesize the same for built and loaded frames.
-    """
-    hi = lo + avals.shape[0] - 1
-    psi = np.empty((nodes.shape[0], avals.shape[0]), order="F")
-    sqrt_w = np.sqrt(weights)
-    for i, p in enumerate(_orthonormal(*_recurrence(basis, hi + 1), hi, nodes)):
-        if i >= lo:
-            psi[:, i - lo] = sqrt_w * (avals[i - lo] * p)
-    return psi
-
-
 def check_j_max(j_max: int) -> None:
     """Refuse a top level outside 0..MAX_JMAX, naming it."""
     if j_max < 0:
@@ -185,26 +171,39 @@ def check_j_max(j_max: int) -> None:
 def _build_level(
     basis: JacobiBasis, filt: Filter, j: int, nodes_per_level: str
 ) -> tuple[FrameLevel, float]:
-    """Level j of frame_levels and its Gram defect; "exact" mode raises above tolerance."""
+    """Level j of frame_levels and its Gram defect; "exact" mode raises above tolerance.
+
+    One recurrence sweep after the Newton polish gives the Christoffel sums
+    and psi's columns; the rule is certified before psi is scaled by sqrt(w).
+    """
     n_nodes, lo, avals = _level_window(filt, j, nodes_per_level)
-    if j == -1:
-        nodes, weights = np.zeros(1), np.ones(1)
-    else:
-        try:
-            rule = gauss_jacobi_rule(basis, n_nodes)
-        except InvariantError as exc:
-            raise InvariantError(f"level {j}: {exc}") from exc
-        nodes, weights = rule.nodes, rule.weights
-    psi = _level_psi(basis, nodes, weights, lo, avals)
+    hi = lo + avals.shape[0] - 1
+    diag, off = _recurrence(basis, max(n_nodes, hi) + 1)
+    try:
+        nodes = np.zeros(1) if j == -1 else _polish(basis, diag, off, n_nodes)
+        # F-ordered, so each degree's column is contiguous; frameio reads and
+        # writes the same layout, which keeps BLAS rounding in analyze and
+        # synthesize the same for built and loaded frames
+        psi = np.empty((n_nodes, avals.shape[0]), order="F")
+        kernel = np.zeros(n_nodes)
+        with np.errstate(all="ignore"):
+            for i, p in enumerate(_orthonormal(diag, off, hi, nodes)):
+                if i < n_nodes:
+                    kernel += p * p
+                if i >= lo:
+                    np.multiply(p, avals[i - lo], out=psi[:, i - lo])
+        rule = _christoffel_rule(basis, nodes, kernel)
+    except InvariantError as exc:
+        raise InvariantError(f"level {j}: {exc}") from exc
+    psi *= np.sqrt(rule.weights)[:, None]
     defect = _gram_defect(psi, avals)
     if nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
         raise InvariantError(
             f"quadrature exactness self-check failed at level {j} "
             f"(defect {defect:.3e})"
         )
-    for arr in (nodes, weights, psi):
-        arr.setflags(write=False)
-    return FrameLevel(j, nodes, weights, lo, psi), defect
+    psi.setflags(write=False)
+    return FrameLevel(j, rule.nodes, rule.weights, lo, psi), defect
 
 
 def frame_levels(

@@ -5,7 +5,8 @@ with the derivative from a closed-form Jacobi identity. Newton starts from
 the eigenvalues of the dense Jacobi matrix up to order 64 and from Hale &
 Townsend's asymptotic guesses above (interior formula plus Bessel-zero
 formulas at both ends); weights are Christoffel weights
-w = 1 / sum_{k<N} Pi_k(node)^2. Only numpy is needed.
+w = 1 / sum_{k<N} Pi_k(node)^2, whose sum a frame level takes from the same
+sweep that fills its psi. Only numpy is needed.
 
 Everything is normalized against the probability measure
 dgamma_{alpha,beta}(x) = c_norm (1-x)^alpha (1+x)^beta dx on [-1, 1],
@@ -231,24 +232,36 @@ def _initial_nodes(basis: JacobiBasis, diag: np.ndarray, off: np.ndarray, n: int
 def gauss_jacobi_rule(basis: JacobiBasis, N: int) -> QuadratureRule:
     """N-node Gauss-Jacobi rule, exact on polynomials of degree <= 2N-1.
 
-    Nodes are the zeros of Pi_N, Newton-polished to 1e-14. Newton starts
-    from the eigenvalues of the dense Jacobi matrix for N <= 64, and above
-    that from asymptotic guesses (Hale & Townsend, SIAM J. Sci. Comput.
-    35(2), 2013): Tricomi's interior formula with the Gatteschi-Pittaluga
-    correction, and Gatteschi's Bessel-zero formula for the 10 nodes nearest
-    each end. Each Newton pass runs the recurrence for values only and takes
-    the derivative from the Jacobi identity, with s = alpha + beta,
-    (1 - x^2) p_N' = N (alpha - beta - (2N+s) x) p_N / (2N+s)
-                     + sqrt(b_N) (2N+s+1) p_{N-1}.
-    Weights are Christoffel weights w = 1 / sum_{k<N} Pi_k(node)^2. Raises
-    NodeSolveError rather than returning an uncertified rule, and fails fast
-    without a RuntimeWarning when a start diverges: the first non-finite
-    Newton step is refused by node, and a weight sum that overflows leaves a
-    weight of 0 or NaN, which the certification refuses.
+    Nodes are the zeros of Pi_N (_polish), weights the Christoffel weights
+    w = 1 / sum_{k<N} Pi_k(node)^2 (_christoffel_rule). Frame levels call
+    the same two steps and take the sum from the sweep that fills their psi.
+    Raises NodeSolveError rather than returning an uncertified rule.
     """
     if N < 1:
         raise ValueError(f"rule order must be >= 1, got {N}")
     diag, off = _recurrence(basis, N + 1)
+    nodes = _polish(basis, diag, off, N)
+    with np.errstate(all="ignore"):
+        kernel = sum(p * p for p in _orthonormal(diag, off, N - 1, nodes))
+    return _christoffel_rule(basis, nodes, kernel)
+
+
+def _polish(basis: JacobiBasis, diag: np.ndarray, off: np.ndarray, N: int) -> np.ndarray:
+    """Zeros of Pi_N in strictly decreasing order, Newton-polished to 1e-14.
+
+    diag and off are _recurrence's coefficients, at least N + 1 of each.
+    Newton starts from the eigenvalues of the dense Jacobi matrix for
+    N <= 64, and above that from asymptotic guesses (Hale & Townsend, SIAM
+    J. Sci. Comput. 35(2), 2013): Tricomi's interior formula with the
+    Gatteschi-Pittaluga correction, and Gatteschi's Bessel-zero formula for
+    the 10 nodes nearest each end. Each Newton pass runs the recurrence for
+    values only and takes the derivative from the Jacobi identity, with
+    s = alpha + beta,
+    (1 - x^2) p_N' = N (alpha - beta - (2N+s) x) p_N / (2N+s)
+                     + sqrt(b_N) (2N+s+1) p_{N-1}.
+    A diverging start fails fast, without a RuntimeWarning: the first
+    non-finite Newton step raises NodeSolveError naming its node.
+    """
     twice_n_s = 2.0 * N + basis.alpha + basis.beta
     lead = N * (basis.alpha - basis.beta) / twice_n_s
     tail = off[N - 1] * (twice_n_s + 1.0)
@@ -275,10 +288,13 @@ def gauss_jacobi_rule(basis: JacobiBasis, N: int) -> QuadratureRule:
             raise NodeSolveError(
                 f"Newton polish did not converge for node {worst} of the order-{N} rule"
             )
-        kernel = sum(p * p for p in _orthonormal(diag, off, N - 1, nodes))
-        # store in strictly decreasing order (theta = arccos increasing)
-        rule = QuadratureRule(N, nodes[::-1].copy(), 1.0 / kernel[::-1], basis)
-    return _certify(rule)
+    # strictly decreasing order (theta = arccos increasing)
+    return nodes[::-1].copy()
+
+
+def _christoffel_rule(basis: JacobiBasis, nodes: np.ndarray, kernel: np.ndarray) -> QuadratureRule:
+    """The certified rule with weights 1 / kernel; an overflowed kernel gives a weight it refuses."""
+    return _certify(QuadratureRule(nodes.shape[0], nodes, 1.0 / kernel, basis))
 
 
 def _first_false(ok: np.ndarray) -> int | None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnresolvedIntegrandError, require_entries
-from .jacobi import JacobiBasis, gauss_legendre_panels, jacobi_basis, jacobi_eval_all, jacobi_weighted_sums
+from .jacobi import JacobiBasis, _orthonormal, _recurrence, gauss_legendre_panels, jacobi_basis, jacobi_eval_all
 
 __all__ = [
     "SvdModel",
@@ -163,23 +163,28 @@ def coeffs_from_function(model: SvdModel, f, kmax: int, breakpoints=()) -> np.nd
     The integrals are computed in the x-domain, where
     integral f e_k dmu = integral_0^1 f(x) Pi_k(2x^2-1) x dx has a smooth
     integrand; pass breakpoints at known jumps/kinks of f. The rule is
-    _piece_nodes' composite Gauss-Legendre in arccos(x), and the sums over
-    its nodes are taken degree by degree along the Jacobi recurrence
-    (jacobi_weighted_sums), so no basis table is formed. The result is
+    _piece_nodes' composite Gauss-Legendre in arccos(x) at a coarse order
+    and at twice it. One Jacobi recurrence sweep runs over both rules'
+    nodes, and each degree is summed on each rule's own contiguous slice, as
+    jacobi_weighted_sums sums it; no basis table is formed. The result is
     verified stable under order doubling (1e-6 relative), and
     UnresolvedIntegrandError is raised otherwise.
     """
     if kmax < 0 or kmax > model.kmax:
         raise ValueError(f"kmax must be in 0..{model.kmax}, got {kmax}")
-
-    def one_pass(order: int) -> np.ndarray:
-        x, w = _piece_nodes(breakpoints, order)
-        v = np.asarray(f(x), dtype=float) * x * w
-        return jacobi_weighted_sums(model.basis, kmax, 2.0 * x * x - 1.0, v)
-
     order = max(4 * kmax, 256)
-    coarse = one_pass(order)
-    fine = one_pass(2 * order)
+    rules = [_piece_nodes(breakpoints, o) for o in (order, 2 * order)]
+    v = np.concatenate([np.asarray(f(x), dtype=float) * x * w for x, w in rules])
+    x = np.concatenate([x for x, _ in rules])
+    n_coarse = rules[0][0].shape[0]
+    halves = (slice(None, n_coarse), slice(n_coarse, None))
+    sums = np.empty((2, kmax + 1))
+    degrees = _orthonormal(*_recurrence(model.basis, kmax + 1), kmax, 2.0 * x * x - 1.0)
+    next(degrees)  # Pi_0 = 1 sums to v.sum(), as in jacobi_weighted_sums
+    sums[:, 0] = [v[h].sum() for h in halves]
+    for k, p in enumerate(degrees, 1):
+        sums[:, k] = [p[h] @ v[h] for h in halves]
+    coarse, fine = sums
     scale = max(float(np.max(np.abs(fine))), 1.0)
     drift = float(np.max(np.abs(fine - coarse)))
     if drift > 1e-6 * scale:
@@ -193,16 +198,17 @@ def coeffs_from_function(model: SvdModel, f, kmax: int, breakpoints=()) -> np.nd
 def forward(model: SvdModel, f_coeffs, y=None):
     """Apply the operator: g_k = b_k f_k, plus Kf values at y when requested.
 
+    f_coeffs is one coefficient vector (K,) or a stack of them (T, K).
     Returns the coefficient array, or a (coefficients, samples) pair if y is
     given; samples are synthesized through the g_k basis.
     """
     c = np.asarray(f_coeffs, dtype=float)
-    if c.shape[0] > model.kmax + 1:
-        raise ValueError(f"got {c.shape[0]} coefficients, model holds {model.kmax + 1}")
-    g = model.b[: c.shape[0]] * c
+    if c.shape[-1] > model.kmax + 1:
+        raise ValueError(f"got {c.shape[-1]} coefficients, model holds {model.kmax + 1}")
+    g = model.b[: c.shape[-1]] * c
     if y is None:
         return g
-    return g, g @ eval_g(model, c.shape[0] - 1, y)
+    return g, g @ eval_g(model, c.shape[-1] - 1, y)
 
 
 def sample_observation(
@@ -220,19 +226,25 @@ def calibrate_epsilon(model: SvdModel, f_coeffs, rsnr, n: int) -> float | np.nda
     """Noise amplitude from a root signal-to-noise ratio on the n-point grid.
 
     sigma = sd(Kf on grid)/rsnr with equal grid weights, then eps = sigma/sqrt(n)
-    (the regression/white-noise calibration). rsnr may be one ratio or an
-    array of them; the result has its shape, and sd(Kf) is computed once,
-    so each entry equals the scalar call's bit for bit.
+    (the regression/white-noise calibration). f_coeffs is one target (K,) or
+    a stack (T, K), rsnr one ratio or an array; the result has shape
+    f_coeffs.shape[:-1] + shape(rsnr). The table g_k(grid) is built once and
+    each target's Kf is its own vector-matrix product with it, so each entry
+    equals the call for one target and one ratio bit for bit.
     """
     if np.any(np.asarray(rsnr) <= 0):
         raise ValueError(f"rsnr must be positive, got {rsnr}")
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
-    grid = np.arange(1, n + 1) / n
-    _, kf = forward(model, f_coeffs, grid)
-    sd = float(np.std(kf))
-    if sd <= 1e-13 * max(1.0, float(np.max(np.abs(kf)))):
-        raise ValueError("Kf is constant on the grid; rsnr calibration undefined")
+    g = forward(model, f_coeffs)
+    table = eval_g(model, g.shape[-1] - 1, np.arange(1, n + 1) / n)
+    sds = []
+    for row in g.reshape(-1, g.shape[-1]):
+        kf = row @ table
+        sds.append(float(np.std(kf)))
+        if sds[-1] <= 1e-13 * max(1.0, float(np.max(np.abs(kf)))):
+            raise ValueError("Kf is constant on the grid; rsnr calibration undefined")
+    sd = sds[0] if g.ndim == 1 else np.reshape(sds, g.shape[:-1] + (1,) * np.ndim(rsnr))
     return sd / rsnr / math.sqrt(n)
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -169,8 +170,10 @@ class SimulationConfig:
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad or not self.estimators:
             raise ValueError(f"unknown estimators {bad}; choose from {ESTIMATOR_NAMES}")
-        if self.epsilon_override is not None and not 0.0 <= self.epsilon_override < 1.0:
-            raise ValueError(f"epsilon override must be in [0, 1), got {self.epsilon_override}")
+        # below the smallest normal float 1/epsilon overflows in the estimators
+        eps = self.epsilon_override
+        if eps is not None and not (eps == 0.0 or sys.float_info.min <= eps < 1.0):
+            raise ValueError(f"epsilon override must be 0 or in [{sys.float_info.min}, 1), got {eps}")
 
     def to_dict(self) -> dict:
         """The config as JSON: the dataclass fields in order, '_' written as '-' in keys."""
@@ -326,33 +329,43 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
     coefficient_targets maps extra target names to coefficient vectors,
     letting tests probe exactly representable signals; their true grid
     values come from the basis expansion instead of a closed formula.
+
+    Every target is calibrated before any run is drawn, so each table that
+    depends only on (model, frame, grid) is formed once per experiment; the
+    frame is built only when needd is configured.
     """
     coefficient_targets = coefficient_targets or {}
-    frame = config.frame.build()
-    model = wicksell_model(kmax=frame.budget)
+    model = wicksell_model(kmax=2 ** (config.frame.jmax + 1))
     n = config.n
     grid = np.arange(1, n + 1) / n
     e_vals = eval_e(model, model.kmax, grid)
     gram = projection_gram(e_vals) if "svd-proj" in config.estimators else None
 
-    cells = []
+    truths = []
     for target in config.targets:
         if target in coefficient_targets:
             f_coeffs = _pad(np.asarray(coefficient_targets[target], dtype=float), model.kmax + 1)
-            true_vals = f_coeffs @ e_vals
+            truths.append((f_coeffs, f_coeffs @ e_vals))
         elif target in TARGET_NAMES:
             f = target_function(target)
             f_coeffs = coeffs_from_function(model, f, model.kmax, target_breakpoints(target))
-            true_vals = f(grid)
+            truths.append((f_coeffs, f(grid)))
         else:
             raise ValueError(f"unknown target {target!r} and no coefficients supplied")
+    if config.epsilon_override is not None:
+        epsilons = [[config.epsilon_override] * len(config.rsnr)] * len(truths)
+    else:
+        # sd(Kf) depends on the target only: one table, one sd per target
+        stack = np.stack([f_coeffs for f_coeffs, _ in truths])
+        epsilons = calibrate_epsilon(model, stack, np.asarray(config.rsnr), n).tolist()
+    if "needd" in config.estimators:
+        frame = config.frame.build()
+        every_eps = [e for row in epsilons for e in row]
+        plan_for = dict(zip(every_eps, make_threshold_plan(frame, model, every_eps, config.needd.kappa)))
 
-        if config.epsilon_override is not None:
-            epsilons = [config.epsilon_override] * len(config.rsnr)
-        else:
-            # sd(Kf) depends on the target only: one grid synthesis for all rsnr
-            epsilons = calibrate_epsilon(model, f_coeffs, np.asarray(config.rsnr), n).tolist()
-        for rsnr, epsilon in zip(config.rsnr, epsilons):
+    cells = []
+    for target, (f_coeffs, true_vals), target_eps in zip(config.targets, truths, epsilons):
+        for rsnr, epsilon in zip(config.rsnr, target_eps):
             seeds, obs = _draw_runs(
                 model, f_coeffs, epsilon, config.seed, config.runs, target, f"rsnr={rsnr:g}"
             )
@@ -362,8 +375,7 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
                     n_star = projection_cutoff(obs.y / model.b, e_vals, true_vals, gram)
                     coeffs = svd_projection(model, obs, n_star)
                 elif estimator == "needd":
-                    plan = make_threshold_plan(frame, model, epsilon, kappa=config.needd.kappa)
-                    coeffs = need_d(frame, model, obs, plan).coeffs
+                    coeffs = need_d(frame, model, obs, plan_for[epsilon]).coeffs
                 else:
                     adapt_cfg = make_adaptive_config(
                         model, epsilon, n, config.adaptive.gamma, config.adaptive.logbase

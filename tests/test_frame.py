@@ -21,14 +21,18 @@ from needlets import (
     build_frame,
     filter_a,
     frame_levels,
+    gauss_jacobi_rule,
     jacobi_basis,
+    jacobi_eval_all,
     level_sigma,
     make_filter,
     make_profile,
     synthesize,
     wicksell_model,
 )
-from needlets.frame import BLOCK, _gram_defect
+import needlets.frame
+import needlets.jacobi
+from needlets.frame import BLOCK, _gram_defect, _level_window
 
 
 def _random_supported(frame, rng):
@@ -279,3 +283,55 @@ def test_frame_levels_are_build_frame_levels(frame7, filt):
     for (lev, _), held in zip(levels, frame7.levels):
         np.testing.assert_array_equal(lev.psi, held.psi)
         np.testing.assert_array_equal(lev.nodes, held.nodes)
+
+
+@pytest.mark.parametrize("mode", ["exact", "paper"])
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (2.5, 0.5)])
+def test_level_rule_and_psi_are_the_rule_and_the_table(filt, mode, alpha, beta):
+    # jmax 7 holds levels of 64 nodes or fewer (dense Newton starts) and of
+    # 128 or 256 (asymptotic starts); each level's one sweep must give the
+    # rule's nodes and weights and sqrt(w) * a * the basis table, bit for bit
+    basis = jacobi_basis(alpha, beta)
+    for lev, _ in frame_levels(basis, filt, 7, mode):
+        a = _level_window(filt, lev.j, mode)[2]
+        if lev.j == -1:
+            assert lev.nodes.tolist() == [0.0] and lev.weights.tolist() == [1.0]
+        else:
+            rule = gauss_jacobi_rule(basis, lev.n_nodes)
+            np.testing.assert_array_equal(lev.nodes, rule.nodes)
+            np.testing.assert_array_equal(lev.weights, rule.weights)
+        table = jacobi_eval_all(basis, lev.freq_hi, lev.nodes)[lev.freq_lo :]
+        want = np.sqrt(lev.weights)[:, None] * (a[:, None] * table).T
+        np.testing.assert_array_equal(lev.psi, want)
+        assert lev.psi.flags.f_contiguous and not lev.psi.flags.writeable
+
+
+@pytest.mark.parametrize("mode", ["exact", "paper"])
+def test_level_sweeps_the_recurrence_once_after_the_polish(filt, monkeypatch, mode):
+    # a Newton pass runs the recurrence to degree N = n_nodes; after the
+    # last pass one sweep gives the weights and psi together
+    calls = []
+    real = needlets.jacobi._orthonormal
+
+    def counting(diag, off, n, x):
+        calls.append(n)
+        return real(diag, off, n, x)
+
+    monkeypatch.setattr(needlets.jacobi, "_orthonormal", counting)
+    monkeypatch.setattr(needlets.frame, "_orthonormal", counting)
+    for lev, _ in frame_levels(jacobi_basis(0.0, 1.0), filt, 8, mode):
+        # from level 1 on the sweep's top degree freq_hi differs from N
+        if lev.j >= 1:
+            passes = calls.count(lev.n_nodes)
+            assert passes >= 1
+            assert len(calls) == passes + 1, (lev.j, calls)
+        calls.clear()
+
+
+@pytest.mark.parametrize("mode, j", [("exact", 6), ("paper", 7)])
+def test_uncertified_level_rule_names_the_level(filt, mode, j):
+    # at (35, 0.5) the asymptotic starts of the order-128 rule put two nodes
+    # on one root; the level's certification refuses it and names the level
+    message = rf"^level {j}: order-128 rule failed certification \(nodes not strictly decreasing"
+    with pytest.raises(InvariantError, match=message):
+        build_frame(jacobi_basis(35.0, 0.5), filt, j, mode)

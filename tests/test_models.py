@@ -17,6 +17,7 @@ import pytest
 import scipy.integrate
 
 from needlets import (
+    TARGET_NAMES,
     SequenceObservation,
     SvdModel,
     UnresolvedIntegrandError,
@@ -28,6 +29,7 @@ from needlets import (
     eval_g,
     forward,
     jacobi_basis,
+    jacobi_weighted_sums,
     sample_observation,
     target_breakpoints,
     target_function,
@@ -174,6 +176,34 @@ def test_coeffs_need_breakpoints_for_jumps(wicksell512):
     assert np.isfinite(c).all() and abs(c[0]) > 0.01
 
 
+def _two_passes(model, f, kmax, breakpoints=()):
+    # the coarse and the fine rule of coeffs_from_function, one sum pass each
+    order = max(4 * kmax, 256)
+    passes = []
+    for o in (order, 2 * order):
+        x, w = _piece_nodes(breakpoints, o)
+        v = np.asarray(f(x), dtype=float) * x * w
+        passes.append(jacobi_weighted_sums(model.basis, kmax, 2.0 * x * x - 1.0, v))
+    return passes
+
+
+@pytest.mark.parametrize("target", TARGET_NAMES)
+def test_coeffs_from_function_is_the_two_weighted_sum_passes(wicksell512, target):
+    # one recurrence sweep over both rules' nodes sums each rule on its own
+    # slice, so the result is the fine pass bit for bit
+    f, breakpoints = target_function(target), target_breakpoints(target)
+    _, fine = _two_passes(wicksell512, f, 512, breakpoints)
+    np.testing.assert_array_equal(coeffs_from_function(wicksell512, f, 512, breakpoints), fine)
+
+
+def test_order_doubling_check_compares_the_two_passes(wicksell512):
+    f = lambda x: np.sign(np.asarray(x) - 1.0 / 3.0)
+    coarse, fine = _two_passes(wicksell512, f, 8)
+    drift = float(np.max(np.abs(fine - coarse)))
+    with pytest.raises(UnresolvedIntegrandError, match=f"moved {drift:.3e} "):
+        coeffs_from_function(wicksell512, f, 8)
+
+
 def _uniform_piece_nodes(breakpoints, order):
     # the earlier rule: ceil(order/32) panels on every piece, however narrow
     inner = sorted(b for b in breakpoints if 0.0 < b < 1.0)
@@ -274,6 +304,23 @@ def test_calibration_scales_with_rsnr(wicksell512):
     assert many.tolist() == [calibrate_epsilon(wicksell512, c, r, 1024) for r in (3.0, 5.0, 10.0)]
     with pytest.raises(ValueError, match="rsnr must be positive"):
         calibrate_epsilon(wicksell512, c, np.array([3.0, 0.0]), 1024)
+
+
+def test_calibration_of_a_target_stack_is_each_targets_call(wicksell512):
+    # one image-side table for the stack; each row's epsilons keep the bits
+    # of the call for that target alone
+    targets = [
+        coeffs_from_function(wicksell512, target_function(t), 512, target_breakpoints(t))
+        for t in TARGET_NAMES
+    ]
+    rsnr = np.array([3.0, 5.0, 7.0])
+    stacked = calibrate_epsilon(wicksell512, np.stack(targets), rsnr, 1024)
+    assert stacked.shape == (len(targets), 3)
+    assert stacked.tolist() == [calibrate_epsilon(wicksell512, c, rsnr, 1024).tolist() for c in targets]
+    one_ratio = calibrate_epsilon(wicksell512, np.stack(targets), 5.0, 1024)
+    assert one_ratio.tolist() == [calibrate_epsilon(wicksell512, c, 5.0, 1024) for c in targets]
+    with pytest.raises(ValueError, match="Kf is constant"):
+        calibrate_epsilon(wicksell512, np.stack([targets[0], np.zeros(513)]), rsnr, 1024)
 
 
 def test_calibration_rejects_constant_image(wicksell512):

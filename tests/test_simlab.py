@@ -10,9 +10,16 @@ per run) is kept here as the reference it must agree with.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import needlets.estimators
+import needlets.models
+import needlets.simlab
 
 from needlets import (
     ESTIMATOR_NAMES,
@@ -111,6 +118,85 @@ def test_config_value_of_wrong_type_rejected(raw, key, value, tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("eps", [5e-324, sys.float_info.min / 2.0])
+def test_config_refuses_subnormal_epsilon_override(eps, tmp_path, capsys):
+    # below the smallest normal float 1/epsilon overflows in the estimators;
+    # the config refuses it before any work
+    with pytest.raises(ValueError, match=f"got {eps}$") as exc:
+        SimulationConfig.from_dict({"epsilon-override": eps})
+    assert "epsilon override must be 0 or in" in str(exc.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epsilon-override": eps, "estimators": ["svd-proj"]}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    for ok in (0.0, sys.float_info.min, 1.0 - 2.0**-53):
+        assert SimulationConfig.from_dict({"epsilon-override": ok}).epsilon_override == ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps=st.floats(0.0, 1.0, exclude_max=True))
+@example(eps=0.0)
+@example(eps=5e-324)
+@example(eps=sys.float_info.min)
+@example(eps=1.0 - 2.0**-53)
+def test_epsilon_override_gives_finite_tables_or_refusal(eps):
+    # every override in [0, 1) through the whole experiment: finite losses
+    # for every estimator, or the config's refusal naming the value
+    try:
+        cfg = _tiny_config(n=1024, frame=FrameSpec(jmax=4), epsilon_override=eps)
+    except ValueError as exc:
+        assert 0.0 < eps < sys.float_info.min
+        assert str(exc).endswith(f"got {eps}")
+        return
+    report = run_experiment(cfg)
+    assert len(report.cells) == len(ESTIMATOR_NAMES)
+    for cell in report.cells:
+        assert cell.epsilon == eps
+        assert np.all(np.isfinite(cell.l1)) and np.all(np.isfinite(cell.rmse))
+
+
+def test_frame_is_built_only_for_needd(monkeypatch):
+    full = run_experiment(_tiny_config())
+
+    def no_frame(*args):
+        raise AssertionError("frame built without needd")
+
+    monkeypatch.setattr(needlets.simlab, "build_frame", no_frame)
+    report = run_experiment(_tiny_config(estimators=("svd-proj", "svd-adapt")))
+    assert [c.estimator for c in report.cells] == ["svd-proj", "svd-adapt"]
+    # the model still takes the frame budget 2^(jmax+1), so the cells keep their bits
+    for cell in report.cells:
+        ref = full.cell(cell.target, cell.rsnr, cell.estimator)
+        assert (cell.epsilon, cell.n_star) == (ref.epsilon, ref.n_star)
+        np.testing.assert_array_equal(cell.l1, ref.l1)
+        np.testing.assert_array_equal(cell.rmse, ref.rmse)
+    with pytest.raises(AssertionError, match="without needd"):
+        run_experiment(_tiny_config())
+
+
+def test_each_experiment_table_is_formed_once(monkeypatch):
+    # on the default config: one image-side table for every epsilon, one
+    # level_sigma for every threshold plan, one Gram triangle for every
+    # projection sweep
+    counts = {"eval_g": 0, "level_sigma": 0, "tril": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(needlets.models, "eval_g")
+    counted(needlets.estimators, "level_sigma")
+    counted(np, "tril")
+    report = run_experiment(SimulationConfig())
+    assert len(report.cells) == 36
+    assert counts == {"eval_g": 1, "level_sigma": 1, "tril": 1}
 
 
 def test_report_key_order(tmp_path):
