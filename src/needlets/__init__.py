@@ -9,13 +9,16 @@ from .errors import (
 )
 from .estimators import (
     KAPPA_DEFAULT,
+    STACK_ROWS,
     AdaptiveSvdConfig,
     NeedDResult,
     ThresholdPlan,
+    ladder_blocks,
     make_adaptive_config,
     make_blocks,
     make_threshold_plan,
     need_d,
+    need_d_stack,
     projection_cutoff,
     projection_gram,
     svd_adaptive,

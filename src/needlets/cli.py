@@ -211,25 +211,24 @@ def _cmd_rates(args) -> int:
     coeffs = np.exp(-np.arange(64) / 4.0)
     coeffs /= math.sqrt(float(np.sum(coeffs**2)))
     s = 4.0
-    rows = []
-    studies = []
-    for model in (wicksell_model(frame.budget), direct_model(frame.budget)):
-        study = rate_study(
-            model,
-            frame,
-            coeffs,
-            eps_list,
-            config.runs,
-            n=config.n,
-            kappa=config.needd.kappa,
-            master_seed=config.seed,
-        )
-        studies.append((model, study))
-        for e, m in zip(study.eps, study.mean_rmse):
-            rows.append([model.kind, f"{e:.17g}", f"{m:.17g}",
-                         f"{study.slope:.17g}", f"{study.slope_stderr:.17g}"])
+    models = (wicksell_model(frame.budget), direct_model(frame.budget))
+    studies = rate_study(
+        models,
+        frame,
+        coeffs,
+        eps_list,
+        config.runs,
+        n=config.n,
+        kappa=config.needd.kappa,
+        master_seed=config.seed,
+    )
+    rows = [
+        [model.kind, f"{e:.17g}", f"{m:.17g}", f"{study.slope:.17g}", f"{study.slope_stderr:.17g}"]
+        for model, study in zip(models, studies)
+        for e, m in zip(study.eps, study.mean_rmse)
+    ]
     _write_csv(args.out, ["model", "eps", "mean_rmse", "slope", "slope_stderr"], rows)
-    for model, study in studies:
+    for model, study in zip(models, studies):
         # theoretical rate exponent of a smoothness-s target at ill-posedness nu
         mu = s / (s + model.nu + 0.5)
         print(f"{model.kind}: slope={study.slope:.4f} (stderr {study.slope_stderr:.4f}), "

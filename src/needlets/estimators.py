@@ -6,18 +6,27 @@ filter. All consume a SequenceObservation and return one coefficient per
 observed index in the model's SVD basis, a stack of runs (R, K) row by row.
 projection_cutoff picks one cutoff for a stack against the truth on a grid,
 from its runs' summed scores.
+
+need_d_stack thresholds several (observation, plan) pairs, such as a ladder
+of noise levels, as one stack of rows, and need_d is its one-pair case.
+With the plans in decreasing j_top, each frame level is analyzed and
+synthesized only for the leading rows whose j_top reaches it, so its psi
+is multiplied once per stack. ladder_blocks orders a ladder by j_top with a
+stable sort and cuts it into stacks of whole levels of at most STACK_ROWS
+runs; the rate study scores each stack against one grid table per call.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantError
-from .frame import NeedletFrame, analyze, level_sigma, synthesize
+from .frame import NeedletFrame, _level_reach, analyze, level_sigma, synthesize
 from .losses import grid_weights
 from .models import SequenceObservation, SvdModel
 
@@ -27,6 +36,9 @@ __all__ = [
     "NeedDResult",
     "make_threshold_plan",
     "need_d",
+    "need_d_stack",
+    "ladder_blocks",
+    "STACK_ROWS",
     "svd_projection",
     "projection_gram",
     "projection_cutoff",
@@ -37,6 +49,11 @@ __all__ = [
 ]
 
 KAPPA_DEFAULT = 0.75 * math.sqrt(2.0)
+# runs of a ladder of noise levels put in one need_d_stack: at jmax 10 a
+# stack holds about 80 kB per run at its peak. 60 runs keep the peak RSS of
+# `rates` within 1 MB of one stack per level; 100 ran 0.01 s faster and
+# peaked 3.5 MB higher
+STACK_ROWS = 60
 
 
 def _log(z: float, base: float) -> float:
@@ -70,10 +87,15 @@ class ThresholdPlan:
 
 @dataclass(frozen=True)
 class NeedDResult:
-    """Kept frame coefficients per level and the synthesized sequence, in the observation's shape."""
+    """Kept frame coefficients per level and the synthesized sequence, in the observation's shape.
+
+    n_kept counts the coefficients kept at each level, one row per run
+    (runs, levels); it is 0 at every level above the plan's j_top.
+    """
 
     beta: list
     coeffs: np.ndarray
+    n_kept: np.ndarray
 
 
 def _require_same_basis(frame: NeedletFrame, model: SvdModel) -> None:
@@ -141,29 +163,71 @@ def need_d(
 ) -> NeedDResult:
     """Hard-threshold the needlet analysis of the naive inverse Y_i/b_i.
 
-    Levels above plan.j_top are dropped wholesale: analyze and synthesize
-    stop at j_top, so their psi is never multiplied, and they are returned
-    as zeros. At and below j_top, a coefficient survives iff its magnitude
-    reaches the plan's level threshold (the constant level included, at its
-    own sigma). The plan must be for the observation's epsilon. The result
-    has the observation's shape; from the frame budget on it is zero.
+    Levels above plan.j_top are dropped wholesale: their psi is never
+    multiplied, and they are returned as zeros. At and below j_top, a
+    coefficient survives iff its magnitude reaches the plan's level
+    threshold (the constant level included, at its own sigma). The plan
+    must be for the observation's epsilon. The result has the observation's
+    shape; from the frame budget on it is zero. This is need_d_stack of
+    the one pair.
     """
+    res = need_d_stack(frame, model, [obs], [plan])
+    if obs.y.ndim == 2:
+        return res
+    return NeedDResult([b[0] for b in res.beta], res.coeffs[0], res.n_kept[0])
+
+
+def ladder_blocks(plans: Sequence[ThresholdPlan], runs: int) -> list[tuple[int, ...]]:
+    """Indices of a ladder of plans, each for `runs` runs, cut into stacks for need_d_stack.
+
+    The plans are ordered by decreasing j_top (a stable sort) and cut into
+    blocks of whole plans of at most STACK_ROWS runs, one plan at least.
+    """
+    order = sorted(range(len(plans)), key=lambda i: -plans[i].j_top)
+    per_block = max(1, STACK_ROWS // runs)
+    return [tuple(order[i : i + per_block]) for i in range(0, len(order), per_block)]
+
+
+def need_d_stack(
+    frame: NeedletFrame,
+    model: SvdModel,
+    obs: Sequence[SequenceObservation],
+    plans: Sequence[ThresholdPlan],
+) -> NeedDResult:
+    """need_d of every (obs[p], plans[p]) pair as one stack of rows, the pairs' runs in order.
+
+    The plans must come in decreasing j_top, so the rows whose j_top reaches
+    a level are a leading block of rows: only those are analyzed,
+    thresholded in place at their own level threshold and synthesized, level
+    by level; the other rows keep zeros there. Each level's psi is thus
+    multiplied once per stack. The observations must have one length.
+    """
+    if len(obs) != len(plans) or not plans:
+        raise ValueError(f"need one plan per observation, got {len(plans)} for {len(obs)}")
     _require_same_basis(frame, model)
-    _require_same_epsilon(plan.epsilon, obs, "plan")
+    for o, plan in zip(obs, plans):
+        _require_same_epsilon(plan.epsilon, o, "plan")
+        if o.kmax + 1 < frame.budget:
+            raise ValueError(f"need {frame.budget} observed coefficients, got {o.kmax + 1}")
+    if model.kmax + 1 < frame.budget:
+        raise ValueError(f"model holds {model.kmax + 1} singular values, frame needs {frame.budget}")
+    if len({o.kmax for o in obs}) > 1:
+        raise ValueError(f"observations differ in length: {sorted({o.kmax + 1 for o in obs})}")
+    ys = [np.atleast_2d(o.y) for o in obs]
+    sizes = [len(y) for y in ys]
     budget = frame.budget
-    if obs.kmax + 1 < budget:
-        raise ValueError(f"need {budget} observed coefficients, got {obs.kmax + 1}")
-    if model.kmax + 1 < budget:
-        raise ValueError(f"model holds {model.kmax + 1} singular values, frame needs {budget}")
-    top = min(plan.j_top, frame.j_max)
-    ybar = obs.y[..., :budget] / model.b[:budget]
-    kept = [
-        np.where(np.abs(b) >= plan.threshold(lev.j), b, 0.0) if lev.j <= top else b
-        for lev, b in zip(frame.levels, analyze(frame, ybar, top))
-    ]
-    coeffs = np.zeros(obs.y.shape)
-    coeffs[..., :budget] = synthesize(frame, kept, top)
-    return NeedDResult(kept, coeffs)
+    tops = np.repeat([min(p.j_top, frame.j_max) for p in plans], sizes)
+    cuts = np.repeat([[p.threshold(lev.j) for lev in frame.levels] for p in plans], sizes, axis=0)
+    beta = analyze(frame, np.concatenate([y[:, :budget] for y in ys]) / model.b[:budget], tops)
+    n_kept = np.zeros(cuts.shape, dtype=int)
+    for li, (b, count) in enumerate(zip(beta, _level_reach(frame, tops))):
+        live = b[:count]
+        keep = np.abs(live) >= cuts[:count, li, None]
+        np.putmask(live, ~keep, 0.0)
+        n_kept[:count, li] = keep.sum(axis=1)
+    coeffs = np.zeros((len(tops), ys[0].shape[1]))
+    coeffs[:, :budget] = synthesize(frame, beta, tops)
+    return NeedDResult(beta, coeffs, n_kept)
 
 
 def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np.ndarray:

@@ -6,7 +6,9 @@ a(i / 2^j) * e_i(node_nu). Level -1 is the single constant needlet.
 Analysis and synthesis are exact finite sums over each level's frequency
 window (2^{j-1}, 2^{j+1}), along the last axis of one vector (K,) or of
 a stack of runs (R, K). Both may stop at a top level: the levels above it
-are returned as zeros and never multiplied.
+are returned as zeros and never multiplied. A stack may also stop at one
+top level per run, in decreasing order; each level is then multiplied for
+the leading runs that reach it only.
 
 Each level stands alone: frame_levels builds one at a time, j = -1..j_max
 with j_max at most MAX_JMAX, and build_frame holds them all. After its
@@ -265,44 +267,86 @@ def _top_level(frame: NeedletFrame, j_top: int | None) -> int:
     return j_top
 
 
-def analyze(frame: NeedletFrame, f_coeffs, j_top: int | None = None) -> list[np.ndarray]:
+def _reach(frame: NeedletFrame, runs: tuple, j_top) -> list[int]:
+    """Per level, how many leading runs of a vector () or stack (R,) reach it under j_top.
+
+    j_top is None (the frame's top), one level, or for a stack one level per
+    run in decreasing order; a vector counts as one run.
+    """
+    count = runs[0] if runs else 1
+    if j_top is None or np.ndim(j_top) == 0:
+        top = _top_level(frame, j_top)
+        return [count if lev.j <= top else 0 for lev in frame.levels]
+    tops = np.asarray(j_top)
+    if tops.shape != runs or np.any(tops[1:] > tops[:-1]):
+        raise ValueError(
+            f"need one top level per run in decreasing order for {count} runs, got {tops.tolist()}"
+        )
+    if count:
+        _top_level(frame, int(tops[0]))
+        _top_level(frame, int(tops[-1]))
+    return _level_reach(frame, tops)
+
+
+def _level_reach(frame: NeedletFrame, tops: np.ndarray) -> list[int]:
+    """Per level, how many of the runs with top levels tops (R,) reach it."""
+    return (tops[:, None] >= [lev.j for lev in frame.levels]).sum(axis=0).tolist()
+
+
+def _lead(a: np.ndarray, count: int) -> np.ndarray:
+    """The leading count runs of a stack, or a whole vector."""
+    return a[:count] if a.ndim == 2 else a
+
+
+def analyze(
+    frame: NeedletFrame, f_coeffs, j_top: int | np.ndarray | None = None
+) -> list[np.ndarray]:
     """Needlet coefficients beta_{j,eta} = sum_i f_i psi^i_{j,eta}, one array per level.
 
     Levels above j_top (default: the frame's top) come back as zeros of
-    their shape; their psi is not read.
+    their shape; their psi is not read. For a stack of runs, j_top may hold
+    one top level per run, in decreasing order: each level then multiplies
+    only the leading runs that reach it, and is zero for the others.
     """
     f = _check_coeffs(frame, f_coeffs)
-    top = _top_level(frame, j_top)
-    return [
-        f[..., lev.freq_lo : lev.freq_hi + 1] @ lev.psi.T
-        if lev.j <= top
-        else np.zeros(f.shape[:-1] + (lev.n_nodes,))
-        for lev in frame.levels
-    ]
+    beta = []
+    for lev, count in zip(frame.levels, _reach(frame, f.shape[:-1], j_top)):
+        b = np.zeros(f.shape[:-1] + (lev.n_nodes,))
+        if count:
+            window = _lead(f, count)[..., lev.freq_lo : lev.freq_hi + 1]
+            np.matmul(window, lev.psi.T, out=_lead(b, count))
+        beta.append(b)
+    return beta
 
 
-def synthesize(frame: NeedletFrame, beta: list[np.ndarray], j_top: int | None = None) -> np.ndarray:
+def synthesize(
+    frame: NeedletFrame, beta: list[np.ndarray], j_top: int | np.ndarray | None = None
+) -> np.ndarray:
     """Basis coefficients sum_{j,eta} beta_{j,eta} psi^i_{j,eta} over levels -1..j_top.
 
     beta holds one array per level; those above j_top (default: the frame's
     top) are neither checked nor multiplied, which for all-zero levels
-    leaves every output bit as the full sum does.
+    leaves every output bit as the full sum does. j_top may hold one top
+    level per run, as for analyze: each level then adds only the leading
+    runs that reach it.
     """
     if len(beta) != len(frame.levels):
         raise ValueError(
             f"expected {len(frame.levels)} coefficient levels, got {len(beta)}"
         )
-    top = _top_level(frame, j_top)
     runs = np.shape(beta[0])[:-1]
     out = np.zeros(runs + (frame.budget,))
-    for lev, b in zip(frame.levels[: top + 2], beta):
+    for lev, b, count in zip(frame.levels, beta, _reach(frame, runs, j_top)):
+        if not count:
+            continue
         b = np.asarray(b, dtype=float)
         if b.shape != runs + (lev.n_nodes,):
             raise ValueError(
                 f"level {lev.j}: expected shape {runs + (lev.n_nodes,)}, got {b.shape}"
             )
+        b = _lead(b, count)
         require_entries(b, np.isfinite(b), f"level {lev.j} beta", "finite")
-        out[..., lev.freq_lo : lev.freq_hi + 1] += b @ lev.psi
+        _lead(out, count)[..., lev.freq_lo : lev.freq_hi + 1] += b @ lev.psi
     return out
 
 

@@ -24,10 +24,16 @@ Q >= 0.013 while ||f||_w^2 is about 1, and the best and second-best cutoff
 scores of a setting differ by at least 1.4e-4 relative. The losses
 reported at the chosen cutoff are computed directly, not from Q.
 
-A setting's runs go through every estimator as one (R, K) stack (so do
-the rate study's runs at each noise level), with one seeded generator per
-run, and are scored with one (R, K) @ (K, n) product and the row-wise
-losses.weighted_loss.
+A setting's runs go through every estimator as one (R, K) stack, with one
+seeded generator per run, and are scored with one (R, K) @ (K, n) product
+and the row-wise losses.weighted_loss.
+
+The rate study stacks further: a model's whole noise ladder is cut by
+estimators.ladder_blocks into stacks of whole levels, at most STACK_ROWS
+runs each and ordered by j_top, and each stack is thresholded by one
+need_d_stack and scored with one product. The grid table e_k(grid) is
+formed once per rate_study call, which takes one model or a sequence of
+them. Run seeds are keyed on each noise level's repr.
 
 The JSON config and report formats are the dataclasses themselves: a
 config is SimulationConfig and its three group specs field by field, in
@@ -44,6 +50,7 @@ import json
 import math
 import sys
 import typing
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -52,9 +59,11 @@ from numpy.random import default_rng
 from .errors import InvariantError
 from .estimators import (
     KAPPA_DEFAULT,
+    ladder_blocks,
     make_adaptive_config,
     make_threshold_plan,
     need_d,
+    need_d_stack,
     projection_cutoff,
     projection_gram,
     svd_adaptive,
@@ -399,7 +408,7 @@ class RateStudy:
 
 
 def rate_study(
-    model: SvdModel,
+    model: SvdModel | Sequence[SvdModel],
     frame: NeedletFrame,
     target_coeffs,
     eps_list,
@@ -408,12 +417,14 @@ def rate_study(
     n: int = 1024,
     kappa: float = KAPPA_DEFAULT,
     master_seed: int = 65537,
-) -> RateStudy:
+) -> RateStudy | tuple[RateStudy, ...]:
     """Fit the log-log slope of mean thresholding RMSE against noise level.
 
     target_coeffs must be in-budget (exactly representable) so the measured
     decay reflects the noise, not a fixed truncation floor. The noise levels
     must be distinct: a repeated one would redraw the same seeded runs.
+    A sequence of models gives a tuple of studies sharing one grid table;
+    each model's ladder is thresholded in the stacks of ladder_blocks.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) < 4:
@@ -425,19 +436,33 @@ def rate_study(
     if runs < 10:
         raise ValueError(f"need at least 10 runs per level, got {runs}")
 
-    f_coeffs = _pad(np.asarray(target_coeffs, dtype=float), model.kmax + 1)
+    models = (model,) if isinstance(model, SvdModel) else tuple(model)
+    # the plans check each model against the frame's basis, so one table serves all
+    plans = [make_threshold_plan(frame, m, eps, kappa) for m in models]
     grid = np.arange(1, n + 1) / n
-    e_vals = eval_e(model, model.kmax, grid)
-    true_vals = f_coeffs @ e_vals
+    e_all = eval_e(models[0], max(m.kmax for m in models), grid)
 
-    means = []
-    for epsilon, plan in zip(eps, make_threshold_plan(frame, model, eps, kappa)):
-        _, obs = _draw_runs(
-            model, f_coeffs, epsilon, master_seed, runs, f"rate-{model.kind}", f"eps={epsilon:g}"
-        )
-        coeffs = need_d(frame, model, obs, plan).coeffs
-        means.append(float(np.mean(weighted_loss(true_vals, coeffs @ e_vals, n, 2))))
+    studies = []
+    for m, m_plans in zip(models, plans):
+        f_coeffs = _pad(np.asarray(target_coeffs, dtype=float), m.kmax + 1)
+        e_vals = e_all[: m.kmax + 1]
+        true_vals = f_coeffs @ e_vals
+        means = [0.0] * len(eps)
+        for block in ladder_blocks(m_plans, runs):
+            # the seed key is the level's repr, so distinct levels never share runs
+            draws = [
+                _draw_runs(m, f_coeffs, eps[i], master_seed, runs, f"rate-{m.kind}", f"eps={eps[i]!r}")[1]
+                for i in block
+            ]
+            coeffs = need_d_stack(frame, m, draws, [m_plans[i] for i in block]).coeffs
+            rmse = weighted_loss(true_vals, coeffs @ e_vals, n, 2)
+            for i, level_rmse in zip(block, np.split(rmse, len(block))):
+                means[i] = float(np.mean(level_rmse))
+        studies.append(_rate_fit(eps, means))
+    return studies[0] if isinstance(model, SvdModel) else tuple(studies)
 
+
+def _rate_fit(eps: list, means: list) -> RateStudy:
     if any(m <= 0.0 for m in means):
         raise InvariantError("degenerate fit: a mean RMSE vanished, log is undefined")
     x = np.log(np.asarray(eps))

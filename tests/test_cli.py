@@ -366,6 +366,19 @@ def test_rates_smoke(tmp_path, capsys):
     assert slopes["direct"] > slopes["wicksell"] > 0.0
 
 
+def test_rates_is_deterministic(tmp_path, capsys):
+    # criterion 12 covers simulate: two rates runs of the default ladder in
+    # one process write the same bytes
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 8}, "runs": 10}))
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert run_cli("rates", "--config", str(cfg_path), "--out", str(out)) == 0
+    first, second = (out.read_bytes() for out in outs)
+    assert first == second
+    assert len(first.decode("utf-8").splitlines()) == 1 + 2 * len(needlets.cli.RATE_EPS_DEFAULT)
+
+
 def test_unknown_subcommand():
     assert run_cli("transmogrify") == 1
 

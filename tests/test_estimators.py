@@ -19,16 +19,19 @@ from needlets import (
     AdaptiveSvdConfig,
     InvariantError,
     KAPPA_DEFAULT,
+    STACK_ROWS,
     SequenceObservation,
     analyze,
     build_frame,
     derive_seed,
     direct_model,
     jacobi_basis,
+    ladder_blocks,
     make_adaptive_config,
     make_blocks,
     make_threshold_plan,
     need_d,
+    need_d_stack,
     projection_cutoff,
     projection_gram,
     sample_observation,
@@ -38,6 +41,7 @@ from needlets import (
     wicksell_model,
     eval_e,
 )
+from needlets.cli import RATE_EPS_DEFAULT
 from needlets.frame import level_sigma
 
 
@@ -182,6 +186,88 @@ def test_run_stack_rows_match_single_runs(frame8, wicksell512):
         np.testing.assert_allclose(res.coeffs[r], one.coeffs, rtol=1e-12, atol=1e-12 * np.max(np.abs(one.coeffs)))
         np.testing.assert_array_equal(adapt[r], svd_adaptive(wicksell512, obs, cfg))
         np.testing.assert_array_equal(proj[r], svd_projection(wicksell512, obs, 40))
+
+
+def _ladder_runs(model, frame, eps, runs=20):
+    c = _signal(frame)
+    return [
+        SequenceObservation(
+            np.stack([
+                sample_observation(model, c, e, np.random.default_rng(derive_seed(7, r, "t", repr(e)))).y
+                for r in range(runs)
+            ]),
+            e,
+        )
+        for e in eps
+    ]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_ladder_stacks_equal_their_parts(frame8, wicksell512, shuffled):
+    # a stack of ladder_blocks mixes noise levels of different j_top; a row
+    # whose j_top is below a level must be neither multiplied nor
+    # thresholded there, whatever order the levels were given in
+    eps = list(RATE_EPS_DEFAULT)
+    if shuffled:
+        np.random.default_rng(5).shuffle(eps)
+    plans = make_threshold_plan(frame8, wicksell512, eps)
+    obs = _ladder_runs(wicksell512, frame8, eps)
+    blocks = ladder_blocks(plans, 20)
+    assert sorted(i for block in blocks for i in block) == list(range(len(eps)))
+    assert all(len(block) * 20 <= STACK_ROWS for block in blocks)
+    tops = [plans[i].j_top for block in blocks for i in block]
+    assert tops == sorted(tops, reverse=True)
+    assert any(len({plans[i].j_top for i in block}) > 1 for block in blocks)
+    for block in blocks:
+        res = need_d_stack(frame8, wicksell512, [obs[i] for i in block], [plans[i] for i in block])
+        for k, i in enumerate(block):
+            rows = slice(20 * k, 20 * (k + 1))
+            one = need_d(frame8, wicksell512, obs[i], plans[i])
+            for level, want in zip(res.beta, one.beta):
+                np.testing.assert_array_equal(level[rows] != 0.0, want != 0.0)
+                np.testing.assert_allclose(level[rows], want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+            np.testing.assert_array_equal(res.n_kept[rows], one.n_kept)
+            np.testing.assert_allclose(
+                res.coeffs[rows], one.coeffs, rtol=1e-12, atol=1e-12 * np.max(np.abs(one.coeffs))
+            )
+
+
+def test_stack_refuses_plans_out_of_top_order(frame8, wicksell512):
+    eps = [1e-1, 1e-4]
+    plans = make_threshold_plan(frame8, wicksell512, eps)
+    assert plans[0].j_top < plans[1].j_top
+    obs = _ladder_runs(wicksell512, frame8, eps, runs=2)
+    with pytest.raises(ValueError, match="decreasing order"):
+        need_d_stack(frame8, wicksell512, obs, plans)
+    with pytest.raises(ValueError, match="one plan per observation"):
+        need_d_stack(frame8, wicksell512, obs, plans[:1])
+    short = SequenceObservation(obs[0].y[:, :-1], eps[0])
+    with pytest.raises(ValueError, match="differ in length"):
+        need_d_stack(frame8, wicksell512, [obs[1], short], plans[::-1])
+    stacked = need_d_stack(frame8, wicksell512, obs[::-1], plans[::-1])
+    assert stacked.coeffs.shape == (4, 513)
+
+
+def test_need_d_counts_the_kept_coefficients(frame8, wicksell512, rng):
+    # n_kept is the thresholding mask counted per run and level: what
+    # survives in beta, and nothing above j_top
+    c = _signal(frame8)
+    eps = 0.01
+    plan = make_threshold_plan(frame8, wicksell512, eps)
+    assert plan.j_top < frame8.j_max
+    one = sample_observation(wicksell512, c, eps, rng)
+    stack = SequenceObservation(
+        np.stack([one.y] + [sample_observation(wicksell512, c, eps, rng).y for _ in range(3)]), eps
+    )
+    above = np.array([lev.j > plan.j_top for lev in frame8.levels])
+    for obs in (one, stack):
+        res = need_d(frame8, wicksell512, obs, plan)
+        assert res.n_kept.dtype.kind == "i"
+        assert res.n_kept.shape == obs.y.shape[:-1] + (len(frame8.levels),)
+        counted = np.stack([np.count_nonzero(b, axis=-1) for b in res.beta], axis=-1)
+        np.testing.assert_array_equal(res.n_kept, counted)
+        assert np.all(res.n_kept[..., above] == 0)
+        assert np.all(res.n_kept[..., ~above].sum(axis=-1) > 0)
 
 
 def test_need_d_threshold_is_hard(frame8, wicksell512, rng):

@@ -120,6 +120,49 @@ def test_top_level_stops_analysis_and_synthesis(frame7, rng):
             synthesize(frame7, full, top)
 
 
+def test_per_run_top_levels_multiply_only_the_runs_that_reach_a_level(frame7, rng):
+    # a stack whose runs stop at different levels, in decreasing order: each
+    # run is what a call with its own top gives, and a level above a run's
+    # top is neither read nor multiplied for it, finite or not
+    runs = np.stack([_random_supported(frame7, rng) for _ in range(5)])
+    tops = [frame7.j_max, 5, 5, 2, -1]
+    beta = analyze(frame7, runs, tops)
+    back = synthesize(frame7, beta, tops)
+    for r, top in enumerate(tops):
+        want = analyze(frame7, runs[r], top)
+        for lev, level, row in zip(frame7.levels, beta, want):
+            if lev.j > top:
+                assert np.all(level[r] == 0.0)
+            np.testing.assert_allclose(level[r], row, rtol=1e-12, atol=1e-12 * np.max(np.abs(row)))
+        one = synthesize(frame7, want, top)
+        np.testing.assert_allclose(back[r], one, rtol=1e-12, atol=1e-12 * np.max(np.abs(one)))
+    poisoned = [b.copy() for b in beta]
+    for lev, b in zip(frame7.levels, poisoned):
+        b[[r for r, top in enumerate(tops) if lev.j > top]] = np.nan
+    np.testing.assert_array_equal(synthesize(frame7, poisoned, tops), back)
+
+
+@pytest.mark.parametrize(
+    "tops, message",
+    [
+        ([2, 5, 5], "decreasing order"),
+        ([5, 5], "decreasing order"),
+        ([5, 5, -2], "top level -2 outside"),
+        ([8, 5, 5], "top level 8 outside"),
+    ],
+)
+def test_per_run_top_levels_refused(frame7, tops, message):
+    runs = np.ones((3, frame7.budget))
+    beta = analyze(frame7, runs)
+    with pytest.raises(ValueError, match=message):
+        analyze(frame7, runs, tops)
+    with pytest.raises(ValueError, match=message):
+        synthesize(frame7, beta, tops)
+    # a vector has one top level, never a list of them
+    with pytest.raises(ValueError, match="decreasing order"):
+        analyze(frame7, runs[0], [5])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_coefficients_rejected(frame7, bad):
     f = np.ones(256)

@@ -10,6 +10,7 @@ per run) is kept here as the reference it must agree with.
 """
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from needlets import (
     SimulationReport,
     build_frame,
     coeffs_from_function,
+    direct_model,
     emit_report,
     eval_e,
     jacobi_basis,
@@ -43,7 +45,8 @@ from needlets import (
     weighted_loss,
     wicksell_model,
 )
-from needlets.cli import main
+from needlets.cli import RATE_EPS_DEFAULT, main
+from needlets.errors import InvariantError
 
 
 def _tiny_config(**kw):
@@ -391,3 +394,96 @@ def test_rate_study_smooth_target_slope(frame8, wicksell512):
     assert rmse.shape == (4,)
     assert np.all(np.diff(rmse) < 0.0)
 
+
+
+def _rate_target():
+    coeffs = np.zeros(513)
+    coeffs[:32] = np.exp(-np.arange(32) / 4.0)
+    return coeffs
+
+
+def test_rate_study_keys_runs_on_the_level_repr(frame8, wicksell512, monkeypatch):
+    # levels that agree to 6 digits used to share the ':g' key and so every
+    # seed; the default ladder keeps the ids, and so the runs, it had
+    drawn = {}
+    real = needlets.simlab._draw_runs
+
+    def record(model, f_coeffs, epsilon, master_seed, runs, target_id, noise_id):
+        seeds, obs = real(model, f_coeffs, epsilon, master_seed, runs, target_id, noise_id)
+        drawn[epsilon] = (noise_id, seeds, obs.y)
+        return seeds, obs
+
+    monkeypatch.setattr(needlets.simlab, "_draw_runs", record)
+    rate_study(wicksell512, frame8, _rate_target(), RATE_EPS_DEFAULT, runs=10)
+    assert {e: ids[0] for e, ids in drawn.items()} == {e: f"eps={e:g}" for e in RATE_EPS_DEFAULT}
+
+    drawn.clear()
+    close = (1e-1, 1e-2, 1e-3, 1.0000001e-3)
+    assert f"{close[2]:g}" == f"{close[3]:g}"
+    rate_study(wicksell512, frame8, _rate_target(), close, runs=10)
+    assert not set(drawn[close[2]][1]) & set(drawn[close[3]][1])
+    assert not np.any(drawn[close[2]][2] == drawn[close[3]][2])
+
+
+def test_rate_study_shuffled_ladder_matches_sorted(frame8, wicksell512):
+    # the ladder is stacked by j_top whatever order it comes in
+    eps = list(RATE_EPS_DEFAULT)
+    np.random.default_rng(9).shuffle(eps)
+    assert eps != sorted(eps) and eps != sorted(eps, reverse=True)
+    ordered = rate_study(wicksell512, frame8, _rate_target(), RATE_EPS_DEFAULT, runs=10)
+    shuffled = rate_study(wicksell512, frame8, _rate_target(), eps, runs=10)
+    assert shuffled.eps == tuple(eps)
+    means = dict(zip(shuffled.eps, shuffled.mean_rmse))
+    for e, m in zip(ordered.eps, ordered.mean_rmse):
+        assert abs(means[e] - m) <= 1e-12 * m
+    assert abs(shuffled.slope - ordered.slope) <= 1e-12 * abs(ordered.slope)
+    assert abs(shuffled.slope_stderr - ordered.slope_stderr) <= 1e-10 * ordered.slope_stderr
+
+
+def test_rate_study_forms_one_grid_table_for_its_models(frame8, monkeypatch):
+    models = (wicksell_model(512), direct_model(512))
+    eps = (3e-2, 1e-2, 3e-3, 1e-3)
+    singles = tuple(rate_study(m, frame8, _rate_target(), eps, runs=10) for m in models)
+    calls = []
+    real = needlets.simlab.eval_e
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(needlets.simlab, "eval_e", counted)
+    assert rate_study(models, frame8, _rate_target(), eps, runs=10) == singles
+    assert calls == [512]
+
+
+@pytest.fixture(scope="module")
+def frame4():
+    return FrameSpec(jmax=4).build()
+
+
+_LADDER_EPS = st.one_of(
+    st.floats(sys.float_info.min, 1e-300),
+    st.floats(1e-300, 0.5),
+    st.floats(0.5, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps=st.lists(_LADDER_EPS, min_size=4, max_size=6, unique=True))
+@example(eps=[sys.float_info.min, 1e-300, 0.5, 1.0 - 2.0**-53])
+@example(eps=[1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 3 * 2.0**-53, 1.0 - 2.0**-51])
+@example(eps=[2.0 * sys.float_info.min, sys.float_info.min, 3.0 * sys.float_info.min, 1e-307, 1e-306, 1e-305])
+def test_rate_study_gives_finite_fits_or_typed_errors(frame4, eps):
+    # whole rate studies near both ends of (0, 1), in any order, at kmax =
+    # the frame budget: finite means and slopes, or a typed refusal; a
+    # RuntimeWarning fails the test (see pyproject's filterwarnings)
+    models = (wicksell_model(frame4.budget), direct_model(frame4.budget))
+    coeffs = np.exp(-np.arange(frame4.exact_dim) / 4.0)
+    try:
+        studies = rate_study(models, frame4, coeffs, eps, runs=10)
+    except (ValueError, InvariantError):
+        return
+    for study in studies:
+        assert study.eps == tuple(eps)
+        assert np.all(np.isfinite(study.mean_rmse)) and np.all(np.asarray(study.mean_rmse) > 0.0)
+        assert math.isfinite(study.slope) and math.isfinite(study.slope_stderr)
