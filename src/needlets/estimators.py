@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .frame import NeedletFrame, _level_reach, analyze, level_sigma, synthesize
+from .frame import NeedletFrame, _reach, analyze, level_sigma, synthesize
 from .losses import grid_weights
 from .models import SequenceObservation, SvdModel
 
@@ -54,6 +54,9 @@ KAPPA_DEFAULT = 0.75 * math.sqrt(2.0)
 # `rates` within 1 MB of one stack per level; 100 ran 0.01 s faster and
 # peaked 3.5 MB higher
 STACK_ROWS = 60
+# rows of the basis table weighted and multiplied at once by projection_gram:
+# a block holds GRAM_BLOCK x n floats, 1 MB on the default 1024-point grid
+GRAM_BLOCK = 128
 
 
 def _log(z: float, base: float) -> float:
@@ -216,16 +219,18 @@ def need_d_stack(
     ys = [np.atleast_2d(o.y) for o in obs]
     sizes = [len(y) for y in ys]
     budget = frame.budget
-    tops = np.repeat([min(p.j_top, frame.j_max) for p in plans], sizes)
+    plan_tops = [min(p.j_top, frame.j_max) for p in plans]
+    # runs that share one top level take the scalar top level, which keeps no per-run reach
+    tops = plan_tops[0] if len(set(plan_tops)) == 1 else np.repeat(plan_tops, sizes)
     cuts = np.repeat([[p.threshold(lev.j) for lev in frame.levels] for p in plans], sizes, axis=0)
     beta = analyze(frame, np.concatenate([y[:, :budget] for y in ys]) / model.b[:budget], tops)
     n_kept = np.zeros(cuts.shape, dtype=int)
-    for li, (b, count) in enumerate(zip(beta, _level_reach(frame, tops))):
+    for li, (b, count) in enumerate(zip(beta, _reach(frame, (len(cuts),), tops))):
         live = b[:count]
         keep = np.abs(live) >= cuts[:count, li, None]
         np.putmask(live, ~keep, 0.0)
         n_kept[:count, li] = keep.sum(axis=1)
-    coeffs = np.zeros((len(tops), ys[0].shape[1]))
+    coeffs = np.zeros((len(cuts), ys[0].shape[1]))
     coeffs[:, :budget] = synthesize(frame, beta, tops)
     return NeedDResult(beta, coeffs, n_kept)
 
@@ -241,9 +246,28 @@ def svd_projection(model: SvdModel, obs: SequenceObservation, n_keep: int) -> np
 
 def projection_gram(e_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and transposed strict lower triangle of G = E W E^T, the weighted-loss
-    Gram matrix of a (K, n) basis table: what projection_cutoff reads, formed once per table."""
-    gram = (e_vals * grid_weights(e_vals.shape[1])) @ e_vals.T
-    return np.diag(gram), np.tril(gram, -1).T
+    Gram matrix of a (K, n) basis table: what projection_cutoff reads, formed once per table.
+
+    G is formed GRAM_BLOCK rows at a time, straight into the two outputs:
+    a block of rows of E is weighted and multiplied by the rows of E up to
+    its last, into the triangle's rows, and the entries on and above the
+    diagonal are then read into the diagonal and zeroed. Beside the outputs
+    one weighted block is held; no weighted copy of E and no full G is
+    formed. Each block rounds as OpenBLAS's product of its rows does, so a
+    few entries of G differ by one or two ulps from one whole
+    (K, n) @ (n, K) product.
+    """
+    k, n = e_vals.shape
+    w = grid_weights(n)
+    diag = np.empty(k)
+    lower = np.zeros((k, k))
+    for r0 in range(0, k, GRAM_BLOCK):
+        r1 = min(r0 + GRAM_BLOCK, k)
+        np.matmul(e_vals[r0:r1] * w, e_vals[:r1].T, out=lower[r0:r1, :r1])
+        square = lower[r0:r1, r0:r1]
+        diag[r0:r1] = square.diagonal()
+        square[...] = np.tril(square, -1)
+    return diag, lower.T
 
 
 def projection_cutoff(ybars, e_vals: np.ndarray, f_vals: np.ndarray, gram: tuple) -> int:

@@ -144,19 +144,25 @@ def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
     Every entry of the Gram matrix is checked, one block of BLOCK columns at
     a time: the block's own square with a^2 taken off its diagonal, then its
     products with all columns to its right (the entries to its left are the
-    transposes of products already checked). No Gram-sized array is formed.
-    A NaN entry counts as an infinite defect, so it fails every tolerance.
+    transposes of products already checked). Both products of every block
+    are written, at their own shapes, into one buffer sized for the first
+    block's larger one, so no Gram-sized array is formed and no block's
+    product outlives it. A NaN entry counts as an infinite defect, so it
+    fails every tolerance.
     """
     n = psi.shape[1]
+    first = min(BLOCK, n)
+    buf = np.empty(first * max(first, n - first))
     peaks = []
     for c0 in range(0, n, BLOCK):
         c1 = min(c0 + BLOCK, n)
+        w = c1 - c0
         blk = psi[:, c0:c1]
-        gram = blk.T @ blk
-        gram.flat[:: c1 - c0 + 1] -= a[c0:c1] ** 2
+        gram = np.matmul(blk.T, blk, out=buf[: w * w].reshape(w, w))
+        gram.flat[:: w + 1] -= a[c0:c1] ** 2
         peaks.append(np.max(np.abs(gram, out=gram)))
         if c1 < n:
-            right = blk.T @ psi[:, c1:]
+            right = np.matmul(blk.T, psi[:, c1:], out=buf[: w * (n - c1)].reshape(w, n - c1))
             peaks.append(np.max(np.abs(right, out=right)))
     worst = float(np.max(peaks))  # unlike max(), np.max keeps a NaN
     return math.inf if math.isnan(worst) else worst

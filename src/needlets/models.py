@@ -116,7 +116,9 @@ def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:
     Wicksell: g_k = 2 U_{2k+1} (odd Chebyshev, second kind), the unit-norm
     family under pi^{-1} sqrt(1-y^2) dy on [0,1]. The factor 2 is what makes
     K e_k = b_k g_k hold exactly for the kernel and singular values above;
-    it is verified in closed form for k = 0, 1 in the tests.
+    it is verified in closed form for k = 0, 1 in the tests. The table is
+    the one array formed at its size: the recurrence writes its rows and
+    the factor 2, exact in floating point, scales it in place.
     """
     ys = np.asarray(y, dtype=float)
     if np.any((ys < -1.0) | (ys > 1.0)):
@@ -130,7 +132,8 @@ def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:
         u_prev, u = u, 2.0 * ys * u - u_prev
         if m % 2 == 0:
             out[(m + 1) // 2] = u
-    return 2.0 * out
+    out *= 2.0
+    return out
 
 
 def _piece_nodes(breakpoints, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +235,9 @@ def calibrate_epsilon(model: SvdModel, f_coeffs, rsnr, n: int) -> float | np.nda
     each target's Kf is its own vector-matrix product with it, so each entry
     equals the call for one target and one ratio bit for bit.
     """
-    if np.any(np.asarray(rsnr) <= 0):
-        raise ValueError(f"rsnr must be positive, got {rsnr}")
+    ratios = np.asarray(rsnr, dtype=float)
+    if not np.all(np.isfinite(ratios) & (ratios > 0)):
+        raise ValueError(f"rsnr must be positive and finite, got {rsnr}")
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
     g = forward(model, f_coeffs)

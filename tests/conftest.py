@@ -4,6 +4,8 @@ Frame construction dominates test startup, so the common frames are built
 once per session. Tests that need a nonstandard frame build their own.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,22 @@ def wicksell512():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """traced_peak(fn) -> (fn(), the peak bytes traced while fn ran), so a memory bound takes one line.
+
+    numpy reports its buffers to tracemalloc, so arrays formed before the
+    call are not counted and arrays fn forms are.
+    """
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

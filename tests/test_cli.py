@@ -340,6 +340,14 @@ def test_rates_refuses_repeated_levels(tmp_path, capsys):
     assert capsys.readouterr().err == "error: noise levels must be distinct, repeated: 0.1\n"
 
 
+def test_rates_names_a_level_outside_0_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 3}}))
+    levels = [arg for e in ("0.1", "0.01", "1.5", "nan") for arg in ("--eps", e)]
+    assert run_cli("rates", "--config", str(cfg_path), *levels, "--out", str(tmp_path / "r.csv")) == 1
+    assert capsys.readouterr().err == "error: every noise level must lie in (0, 1), got 1.5\n"
+
+
 def test_rates_smoke(tmp_path, capsys):
     cfg = {
         "targets": ["heavisine"],

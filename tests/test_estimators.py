@@ -43,6 +43,7 @@ from needlets import (
 )
 from needlets.cli import RATE_EPS_DEFAULT
 from needlets.frame import level_sigma
+from needlets.losses import grid_weights
 
 
 def _signal(frame, seed=0):
@@ -232,6 +233,38 @@ def test_ladder_stacks_equal_their_parts(frame8, wicksell512, shuffled):
             )
 
 
+def test_shared_top_level_matches_the_per_run_path(frame8, wicksell512, monkeypatch):
+    # plans sharing one j_top pass one scalar top level to analyze and
+    # synthesize; one top level per run, as a mixed stack passes, must give
+    # the same bits in beta, coeffs and n_kept
+    eps = [1.2e-2, 1e-2]
+    plans = make_threshold_plan(frame8, wicksell512, eps)
+    assert plans[0].j_top == plans[1].j_top < frame8.j_max
+    obs = _ladder_runs(wicksell512, frame8, eps)
+    tops_seen = []
+
+    def spy(real, per_run):
+        def wrapper(frame, values, j_top):
+            tops_seen.append(np.ndim(j_top))
+            runs = len(values) if isinstance(values, np.ndarray) else len(values[0])
+            return real(frame, values, np.full(runs, j_top) if per_run else j_top)
+
+        return wrapper
+
+    for pairs in (slice(None), slice(1)):
+        results = []
+        for per_run in (False, True):
+            monkeypatch.setattr(estimators, "analyze", spy(analyze, per_run))
+            monkeypatch.setattr(estimators, "synthesize", spy(synthesize, per_run))
+            results.append(need_d_stack(frame8, wicksell512, obs[pairs], plans[pairs]))
+        shared, per_run = results
+        for got, want in zip(shared.beta, per_run.beta):
+            assert got.tobytes() == want.tobytes()
+        assert shared.coeffs.tobytes() == per_run.coeffs.tobytes()
+        assert shared.n_kept.tobytes() == per_run.n_kept.tobytes()
+    assert tops_seen == [0] * 8
+
+
 def test_stack_refuses_plans_out_of_top_order(frame8, wicksell512):
     eps = [1e-1, 1e-4]
     plans = make_threshold_plan(frame8, wicksell512, eps)
@@ -239,6 +272,12 @@ def test_stack_refuses_plans_out_of_top_order(frame8, wicksell512):
     obs = _ladder_runs(wicksell512, frame8, eps, runs=2)
     with pytest.raises(ValueError, match="decreasing order"):
         need_d_stack(frame8, wicksell512, obs, plans)
+    # equal first and last top levels do not make a stack share one
+    dip = [plans[1], plans[0], make_threshold_plan(frame8, wicksell512, 1.2e-4)]
+    assert dip[0].j_top == dip[2].j_top > dip[1].j_top
+    dip_obs = [obs[1], obs[0], *_ladder_runs(wicksell512, frame8, [1.2e-4], runs=2)]
+    with pytest.raises(ValueError, match="decreasing order"):
+        need_d_stack(frame8, wicksell512, dip_obs, dip)
     with pytest.raises(ValueError, match="one plan per observation"):
         need_d_stack(frame8, wicksell512, obs, plans[:1])
     short = SequenceObservation(obs[0].y[:, :-1], eps[0])
@@ -515,6 +554,21 @@ def test_projection_oracle_brute_force(wicksell512, rng):
         cand = svd_projection(wicksell512, obs, n_keep)
         losses.append(weighted_loss(f_vals, cand @ e_vals, 128, 2))
     assert n_star == int(np.argmin(losses))
+
+
+def test_projection_gram_is_the_whole_products_triangle(wicksell512):
+    # the triangle is formed GRAM_BLOCK rows at a time into the outputs;
+    # against one whole product on the default table 214 of 263,169 entries
+    # of G differ, by one or two ulps, and the layout is the same
+    n = 1024
+    e_vals = eval_e(wicksell512, 512, (1.0 + np.arange(n)) / n)
+    whole = (e_vals * grid_weights(n)) @ e_vals.T
+    want = np.tril(whole, -1).T
+    diag, lower_t = projection_gram(e_vals)
+    assert lower_t.flags.f_contiguous and want.flags.f_contiguous
+    np.testing.assert_array_max_ulp(diag, np.diag(whole), maxulp=2)
+    np.testing.assert_array_max_ulp(lower_t, want, maxulp=2)
+    assert np.all(np.tril(lower_t) == 0.0)
 
 
 def test_projection_oracle_ties_break_to_smaller(wicksell512, rng):

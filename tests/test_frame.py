@@ -5,7 +5,6 @@ supported there must satisfy Parseval and reconstruct to rounding error.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,7 +221,7 @@ def test_level_sigma_scaling(frame8):
     assert 5.0 < ratios.min() and ratios.max() < 50.0
 
 
-def test_level_sigma_holds_one_row_block(filt):
+def test_level_sigma_holds_one_row_block(filt, traced_peak):
     # at jmax 10 the top level's psi is 25 MB, and the dense formula below
     # forms two whole-level temporaries (psi / b and its squares, 50 MB
     # traced). The frame exists before tracing starts, so the traced peak is
@@ -230,12 +229,7 @@ def test_level_sigma_holds_one_row_block(filt):
     frame = build_frame(jacobi_basis(0.0, 1.0), filt, j_max=10)
     b = wicksell_model(frame.budget).b
     block_bytes = BLOCK * max(lev.psi.shape[1] for lev in frame.levels) * 8
-    tracemalloc.start()
-    try:
-        sigma = level_sigma(frame, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sigma, peak = traced_peak(lambda: level_sigma(frame, b))
     assert peak < 1.5 * block_bytes
     # the dense formula, one whole level at a time, gives the same bits
     dense = [

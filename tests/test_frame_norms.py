@@ -6,7 +6,6 @@ Pilot constants frozen here were measured on the Jacobi(0,1) frame, J_max=7.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,18 +35,12 @@ def test_l2_norms_at_most_one(frame7):
 
 
 @pytest.mark.parametrize("p", [np.inf, 2.0])
-def test_level_norms_hold_one_point_block(frame8, p):
+def test_level_norms_hold_one_point_block(frame8, p, traced_peak):
     # level 8's psi is 1.6 MB; its whole basis table over the norm grids
     # used to be formed at once, a traced peak of 537 MB (p = inf) and
     # 806 MB (p = 2); one block of 4096 points (frame.TABLE entries) stays
     # near 34 MB
-    tracemalloc.start()
-    try:
-        level_frame_norms(frame8, 8, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6
+    assert traced_peak(lambda: level_frame_norms(frame8, 8, p))[1] < 64e6
 
 
 @pytest.mark.parametrize("p,spread_cap", [(1.0, 6.0), (4.0, 4.0), (np.inf, 8.0)])

@@ -304,6 +304,9 @@ def test_calibration_scales_with_rsnr(wicksell512):
     assert many.tolist() == [calibrate_epsilon(wicksell512, c, r, 1024) for r in (3.0, 5.0, 10.0)]
     with pytest.raises(ValueError, match="rsnr must be positive"):
         calibrate_epsilon(wicksell512, c, np.array([3.0, 0.0]), 1024)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rsnr must be positive and finite"):
+            calibrate_epsilon(wicksell512, c, np.array([3.0, bad]), 1024)
 
 
 def test_calibration_of_a_target_stack_is_each_targets_call(wicksell512):

@@ -37,6 +37,7 @@ from needlets import (
     load_report,
     make_filter,
     make_profile,
+    projection_gram,
     rate_study,
     run_experiment,
     sample_observation,
@@ -47,6 +48,7 @@ from needlets import (
 )
 from needlets.cli import RATE_EPS_DEFAULT, main
 from needlets.errors import InvariantError
+from needlets.estimators import GRAM_BLOCK
 
 
 def _tiny_config(**kw):
@@ -77,6 +79,8 @@ def test_config_validation():
         SimulationConfig(n=32)
     with pytest.raises(ValueError):
         SimulationConfig(rsnr=(3.0, -1.0))
+    with pytest.raises(ValueError, match="^rsnr must hold at least one level$"):
+        SimulationConfig(rsnr=())
     with pytest.raises(ValueError):
         SimulationConfig(estimators=("needd", "ridge"))
     with pytest.raises(ValueError):
@@ -138,6 +142,24 @@ def test_config_refuses_subnormal_epsilon_override(eps, tmp_path, capsys):
         assert SimulationConfig.from_dict({"epsilon-override": ok}).epsilon_override == ok
 
 
+@pytest.mark.parametrize("rsnr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_config_refuses_rsnr_that_is_not_finite_and_positive(rsnr, tmp_path, capsys, monkeypatch):
+    # a NaN rsnr passed r <= 0 and failed after the quadrature, naming
+    # epsilon; an infinite one silently ran at epsilon 0. The config refuses
+    # both before any work, naming the value
+    with pytest.raises(ValueError, match=f"^every rsnr level must be finite and > 0, got {rsnr}$") as exc:
+        SimulationConfig(rsnr=(3.0, rsnr))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"rsnr": [5.0, rsnr]}))
+
+    def no_work(*args):
+        raise AssertionError("quadrature ran before the config was checked")
+
+    monkeypatch.setattr(needlets.simlab, "coeffs_from_function", no_work)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
 @settings(max_examples=25, deadline=None)
 @given(eps=st.floats(0.0, 1.0, exclude_max=True))
 @example(eps=0.0)
@@ -181,9 +203,9 @@ def test_frame_is_built_only_for_needd(monkeypatch):
 
 def test_each_experiment_table_is_formed_once(monkeypatch):
     # on the default config: one image-side table for every epsilon, one
-    # level_sigma for every threshold plan, one Gram triangle for every
-    # projection sweep
-    counts = {"eval_g": 0, "level_sigma": 0, "tril": 0}
+    # level_sigma for every threshold plan, one Gram triangle
+    # (projection_gram) for every projection sweep
+    counts = {"eval_g": 0, "level_sigma": 0, "projection_gram": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -196,10 +218,26 @@ def test_each_experiment_table_is_formed_once(monkeypatch):
 
     counted(needlets.models, "eval_g")
     counted(needlets.estimators, "level_sigma")
-    counted(np, "tril")
+    counted(needlets.simlab, "projection_gram")
     report = run_experiment(SimulationConfig())
     assert len(report.cells) == 36
-    assert counts == {"eval_g": 1, "level_sigma": 1, "tril": 1}
+    assert counts == {"eval_g": 1, "level_sigma": 1, "projection_gram": 1}
+
+
+def test_each_experiment_table_is_held_once(traced_peak):
+    # on the default table (513 x 1024): eval_g holds its table alone, and
+    # projection_gram its two outputs and one block of weighted rows, with
+    # no weighted copy of the table and no full G beside its triangle.
+    # Formed whole they took 2.0 tables and 4.0 blocks beyond the outputs
+    model = wicksell_model(512)
+    n = 1024
+    grid = np.arange(1, n + 1) / n
+    table, peak = traced_peak(lambda: needlets.models.eval_g(model, model.kmax, grid))
+    assert table.shape == (513, n)
+    assert peak <= 1.05 * table.nbytes
+    e_vals = eval_e(model, model.kmax, grid)
+    (diag, lower_t), peak = traced_peak(lambda: projection_gram(e_vals))
+    assert peak <= diag.nbytes + lower_t.nbytes + 1.1 * 8 * GRAM_BLOCK * n
 
 
 def test_report_key_order(tmp_path):
@@ -360,8 +398,10 @@ def test_rate_study_validation(frame8, wicksell512):
         rate_study(wicksell512, frame8, coeffs, [0.1, 0.01, 0.001], runs=10)
     with pytest.raises(ValueError):
         rate_study(wicksell512, frame8, coeffs, [0.1, 0.03, 0.01, 0.003], runs=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"every noise level must lie in \(0, 1\), got 1.5$"):
         rate_study(wicksell512, frame8, coeffs, [0.1, 0.03, 0.01, 1.5], runs=10)
+    with pytest.raises(ValueError, match=r"lie in \(0, 1\), got nan$"):
+        rate_study(wicksell512, frame8, coeffs, [0.1, math.nan, 0.01, 0.0], runs=10)
 
 
 def test_rate_study_refuses_repeated_levels(frame8, wicksell512, monkeypatch):
