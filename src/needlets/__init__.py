@@ -58,7 +58,6 @@ from .jacobi import (
     generalized_weight,
     jacobi_basis,
     jacobi_eval_all,
-    jacobi_weighted_sums,
 )
 from .losses import grid_weights, weighted_loss
 from .models import (

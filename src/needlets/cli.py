@@ -236,6 +236,17 @@ def _cmd_rates(args) -> int:
     return 0
 
 
+def _point_count(text: str) -> int:
+    """Parse a --points value: a whole number >= 1 (one point gives a one-row table)."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="needlets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = filt.add_parser("plot", help="emit (xi, a(xi)) samples as CSV")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--points", type=int, default=501)
+    p.add_argument("--points", type=_point_count, default=501)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_filter_plot)
 
@@ -274,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _frame_build_args(p)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--nu", type=int, required=True, help="1-based node index within the level")
-    p.add_argument("--points", type=int, default=1001)
+    p.add_argument("--points", type=_point_count, default=1001)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_frame_render)
 
@@ -299,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=1024, help="grid resolution bounding the adaptive cutoff")
     p.add_argument("--out", required=True)
     p.add_argument("--render", help="also write the natural-domain rendering (x, fhat(x))")
-    p.add_argument("--points", type=int, default=512, help="rendering grid size")
+    p.add_argument("--points", type=_point_count, default=512, help="rendering grid size")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="run the Monte-Carlo bake-off")

@@ -34,7 +34,6 @@ __all__ = [
     "MAX_EXPONENT",
     "jacobi_basis",
     "jacobi_eval_all",
-    "jacobi_weighted_sums",
     "generalized_weight",
     "gauss_jacobi_rule",
     "gauss_legendre_panels",
@@ -150,26 +149,6 @@ def jacobi_eval_all(basis: JacobiBasis, kmax: int, x) -> np.ndarray:
     for k, p in enumerate(_orthonormal(diag, off, kmax, xs)):
         out[k] = p
     return out
-
-
-def jacobi_weighted_sums(basis: JacobiBasis, kmax: int, x, v) -> np.ndarray:
-    """Sums out[k] = sum_i Pi_k(x_i) v_i for k = 0..kmax.
-
-    Equal to jacobi_eval_all(basis, kmax, x) @ v up to rounding, but the
-    recurrence runs once over the points and each degree is reduced against
-    v as it is formed, so no (kmax+1) x len(x) table is ever held.
-    """
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
-    xs = np.asarray(x, dtype=float)
-    vs = np.asarray(v, dtype=float)
-    if xs.ndim != 1 or vs.shape != xs.shape:
-        raise ValueError(f"need points and values of one shape (n,), got {xs.shape}, {vs.shape}")
-    if np.any(np.abs(xs) > 1.0):
-        raise ValueError("evaluation points must lie in [-1, 1]")
-    degrees = _orthonormal(*_recurrence(basis, kmax + 1), kmax, xs)
-    next(degrees)  # Pi_0 = 1 sums to vs.sum()
-    return np.array([vs.sum(), *(p @ vs for p in degrees)])
 
 
 # orders up to this take eigenvalues of the dense Jacobi matrix as Newton

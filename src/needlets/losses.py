@@ -37,11 +37,17 @@ def weighted_loss(f_vals, fhat_vals, n: int, p: int) -> float | np.ndarray:
             f"expected length-{n} values and length-{n} estimate rows, got {f.shape} and {g.shape}"
         )
     w = _density(n)
-    d = np.abs(f - g)
+    # one difference array, worked in place: a stack of estimates is scored
+    # beside one array of its size, with the bits of the out-of-place forms
+    d = f - g
+    np.abs(d, out=d)
     if p == 1:
-        loss = np.mean(d * w, axis=-1)
+        d *= w
+        loss = np.mean(d, axis=-1)
     elif p == 2:
-        loss = np.sqrt(np.mean(d * d * w, axis=-1))
+        d *= d
+        d *= w
+        loss = np.sqrt(np.mean(d, axis=-1))
     else:
         raise ValueError(f"p must be 1 or 2, got {p}")
     return float(loss) if g.ndim == 1 else loss

@@ -168,33 +168,50 @@ def coeffs_from_function(model: SvdModel, f, kmax: int, breakpoints=()) -> np.nd
     integrand; pass breakpoints at known jumps/kinks of f. The rule is
     _piece_nodes' composite Gauss-Legendre in arccos(x) at a coarse order
     and at twice it. One Jacobi recurrence sweep runs over both rules'
-    nodes, and each degree is summed on each rule's own contiguous slice, as
-    jacobi_weighted_sums sums it; no basis table is formed. The result is
-    verified stable under order doubling (1e-6 relative), and
-    UnresolvedIntegrandError is raised otherwise.
+    nodes, and each degree is summed on each rule's own contiguous slice;
+    no basis table is formed.
+
+    f is one callable, giving the (K,) coefficients, or a sequence of T
+    callables, giving a (T, K) stack: the functions share the one rule,
+    split at breakpoints (pass the union of theirs), and each degree takes
+    one product per rule against the (nodes, T) value matrix. A stack's row
+    is as accurate as a call for its function alone on its own breakpoints,
+    but not of the same bits; one callable keeps the vector path. Each
+    function is verified stable under order doubling (1e-6 relative), and
+    UnresolvedIntegrandError, naming the first that is not, is raised
+    otherwise.
     """
     if kmax < 0 or kmax > model.kmax:
         raise ValueError(f"kmax must be in 0..{model.kmax}, got {kmax}")
+    fs = (f,) if callable(f) else tuple(f)
     order = max(4 * kmax, 256)
     rules = [_piece_nodes(breakpoints, o) for o in (order, 2 * order)]
-    v = np.concatenate([np.asarray(f(x), dtype=float) * x * w for x, w in rules])
     x = np.concatenate([x for x, _ in rules])
+    v = np.empty((x.shape[0], len(fs)))
+    for t, g in enumerate(fs):
+        v[:, t] = g(x)
+    v *= x[:, None]
+    v *= np.concatenate([w for _, w in rules])[:, None]
+    if callable(f):
+        v = v[:, 0]
     n_coarse = rules[0][0].shape[0]
     halves = (slice(None, n_coarse), slice(n_coarse, None))
-    sums = np.empty((2, kmax + 1))
+    sums = np.empty((2,) + v.shape[1:] + (kmax + 1,))
     degrees = _orthonormal(*_recurrence(model.basis, kmax + 1), kmax, 2.0 * x * x - 1.0)
-    next(degrees)  # Pi_0 = 1 sums to v.sum(), as in jacobi_weighted_sums
-    sums[:, 0] = [v[h].sum() for h in halves]
+    next(degrees)  # Pi_0 = 1 sums to the values' own sum
+    sums[..., 0] = [v[h].sum(axis=0) for h in halves]
     for k, p in enumerate(degrees, 1):
-        sums[:, k] = [p[h] @ v[h] for h in halves]
+        sums[..., k] = [p[h] @ v[h] for h in halves]
     coarse, fine = sums
-    scale = max(float(np.max(np.abs(fine))), 1.0)
-    drift = float(np.max(np.abs(fine - coarse)))
-    if drift > 1e-6 * scale:
-        raise UnresolvedIntegrandError(
-            f"coefficient integrals moved {drift:.3e} (x{scale:.3g}) under order "
-            "doubling; pass the integrand's breakpoints or a smoother f"
-        )
+    for g, c, cf in zip(fs, np.atleast_2d(coarse), np.atleast_2d(fine)):
+        scale = max(float(np.max(np.abs(cf))), 1.0)
+        drift = float(np.max(np.abs(cf - c)))
+        if drift > 1e-6 * scale:
+            raise UnresolvedIntegrandError(
+                f"coefficient integrals of {getattr(g, '__qualname__', repr(g))} moved "
+                f"{drift:.3e} (x{scale:.3g}) under order doubling; pass the integrand's "
+                "breakpoints or a smoother f"
+            )
     return fine
 
 

@@ -28,9 +28,16 @@ Q >= 0.013 while ||f||_w^2 is about 1, and the best and second-best cutoff
 scores of a setting differ by at least 1.4e-4 relative. The losses
 reported at the chosen cutoff are computed directly, not from Q.
 
+The standard targets' coefficients come from one coeffs_from_function
+call: all four, whichever the config lists, on one rule split at the union
+of their breakpoints, so the recurrence runs once per experiment and a
+target's coefficients do not depend on the config's other targets.
+
 A setting's runs go through every estimator as one (R, K) stack, with one
-seeded generator per run, and are scored with one (R, K) @ (K, n) product
-and the row-wise losses.weighted_loss.
+seeded generator per run. The estimators' stacks are scored together: one
+(E R, K) @ (K, n) product and one row-wise losses.weighted_loss call per
+loss, split back per estimator. Each row keeps the bits of its estimator's
+own product.
 
 The rate study stacks further: a model's whole noise ladder is cut by
 estimators.ladder_blocks into stacks of whole levels, at most STACK_ROWS
@@ -357,14 +364,20 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
     e_vals = eval_e(model, model.kmax, grid)
     gram = projection_gram(e_vals) if "svd-proj" in config.estimators else None
 
+    if any(t in TARGET_NAMES and t not in coefficient_targets for t in config.targets):
+        # every standard target, whichever the config lists: a stack's rows
+        # keep their bits only at one stack width
+        fs = [target_function(t) for t in TARGET_NAMES]
+        breakpoints = [b for t in TARGET_NAMES for b in target_breakpoints(t)]
+        stack = coeffs_from_function(model, fs, model.kmax, breakpoints)
+        standard = dict(zip(TARGET_NAMES, zip(fs, stack)))
     truths = []
     for target in config.targets:
         if target in coefficient_targets:
             f_coeffs = _pad(np.asarray(coefficient_targets[target], dtype=float), model.kmax + 1)
             truths.append((f_coeffs, f_coeffs @ e_vals))
         elif target in TARGET_NAMES:
-            f = target_function(target)
-            f_coeffs = coeffs_from_function(model, f, model.kmax, target_breakpoints(target))
+            f, f_coeffs = standard[target]
             truths.append((f_coeffs, f(grid)))
         else:
             raise ValueError(f"unknown target {target!r} and no coefficients supplied")
@@ -385,6 +398,7 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
             seeds, obs = _draw_runs(
                 model, f_coeffs, epsilon, config.seed, config.runs, target, f"rsnr={rsnr:g}"
             )
+            estimates, n_stars = [], []
             for estimator in config.estimators:
                 n_star = None
                 if estimator == "svd-proj":
@@ -397,9 +411,14 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
                         model, epsilon, n, config.adaptive.gamma, config.adaptive.logbase
                     )
                     coeffs = svd_adaptive(model, obs, adapt_cfg)
-                fhat_vals = coeffs @ e_vals
-                l1 = weighted_loss(true_vals, fhat_vals, n, 1)
-                rmse = weighted_loss(true_vals, fhat_vals, n, 2)
+                estimates.append(coeffs)
+                n_stars.append(n_star)
+            # one product and one loss call per p for the cell's whole stack
+            fhat_vals = np.concatenate(estimates) @ e_vals
+            l1s, rmses = (
+                np.split(weighted_loss(true_vals, fhat_vals, n, p), len(estimates)) for p in (1, 2)
+            )
+            for estimator, n_star, l1, rmse in zip(config.estimators, n_stars, l1s, rmses):
                 cells.append(
                     CellResult(target, rsnr, estimator, float(epsilon), seeds, l1, rmse, n_star)
                 )

@@ -3,7 +3,9 @@
 The four classics (blocks, bumps, heavisine, doppler) with their usual
 parameter tables. Each is normalized by its sd on the 1024-point grid
 (i/1024) so noise calibration treats all targets alike; all four vanish
-at x = 0, as the weighted losses require.
+at x = 0, as the weighted losses require. Each target's breakpoints split
+its own coefficient quadrature; the simulation harness integrates all four
+at once on one rule split at the union of them (17 points).
 """
 
 from __future__ import annotations
@@ -80,10 +82,15 @@ def _scale(name: str) -> float:
 
 
 def target_function(name: str):
-    """Evaluator for the sd-normalized target."""
+    """Evaluator for the sd-normalized target, named after it."""
     raw = target_raw(name)
     s = _scale(name)
-    return lambda x: raw(np.asarray(x, dtype=float)) / s
+
+    def f(x):
+        return raw(np.asarray(x, dtype=float)) / s
+
+    f.__name__ = f.__qualname__ = name
+    return f
 
 
 def target_breakpoints(name: str) -> tuple:

@@ -175,6 +175,40 @@ def _write_observation(path, epsilon=0.0, kmax=512, seed=3):
     return c
 
 
+def _point_commands(tmp_path, points):
+    """Each command with a --points flag, writing to tmp_path / "out.csv"; the
+    estimate command renders one observation file."""
+    obs_path = tmp_path / "obs.csv"
+    _write_observation(obs_path, kmax=64)
+    out = str(tmp_path / "out.csv")
+    return {
+        "estimate --render": [
+            "estimate", "--input", str(obs_path), "--method", "svd-proj", "--epsilon", "0.001",
+            "--out", str(tmp_path / "fhat.csv"), "--render", out, "--points", points,
+        ],
+        "frame render": [
+            "frame", "render", "--jmax", "2", "--j", "1", "--nu", "1", "--points", points, "--out", out,
+        ],
+        "filter plot": ["filter", "plot", "--points", points, "--out", out],
+    }
+
+
+@pytest.mark.parametrize("command", ["estimate --render", "frame render", "filter plot"])
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_point_count_below_one_is_refused_at_parse_time(tmp_path, capsys, command, points):
+    argv = _point_commands(tmp_path, points)[command]
+    assert run_cli(*argv) == 1
+    assert f"argument --points: expected a whole number >= 1, got {points}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "fhat.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate --render", "frame render", "filter plot"])
+def test_one_point_is_a_one_row_table(tmp_path, command):
+    assert run_cli(*_point_commands(tmp_path, "1")[command]) == 0
+    rows = list(csv.reader(open(tmp_path / "out.csv")))
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for v in rows[1])
+
+
 @pytest.mark.parametrize("method", ["svd-proj", "svd-adapt", "needd"])
 def test_estimate_methods(tmp_path, method):
     obs_path = tmp_path / "obs.csv"
@@ -422,6 +456,32 @@ def test_readme_usage_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README usage line does not parse: {line}")
+
+
+def test_simulate_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the cell scoring multiplies each cell's estimators as one stack; its
+    # rows, and so the CSV tables, keep their bytes at 1 and 2 BLAS threads.
+    # The variable acts only if set before numpy loads, so each count runs
+    # in its own process. sim.json may still differ in its last digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=str(Path(needlets.__file__).resolve().parents[1]),
+        )
+        stem = tmp_path / f"sim{threads}"
+        r = subprocess.run(
+            [sys.executable, "-m", "needlets", "simulate", "--config", str(cfg), "--out", str(stem)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert r.returncode == 0, r.stderr
+        tables.append([Path(f"{stem}_{loss}.csv").read_bytes() for loss in ("L1", "RMSE")])
+    assert tables[0] == tables[1]
 
 
 def test_runtime_imports_no_scipy():

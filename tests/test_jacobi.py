@@ -19,13 +19,15 @@ from hypothesis import strategies as st
 from needlets import (
     JacobiBasis,
     NodeSolveError,
+    SvdModel,
+    coeffs_from_function,
     gauss_jacobi_rule,
     generalized_weight,
     jacobi_eval_all,
     jacobi_basis,
-    jacobi_weighted_sums,
 )
 from needlets.jacobi import MAX_EXPONENT, _recurrence
+from needlets.models import _piece_nodes
 
 PARAM_GRID = [(0.0, 0.0), (0.0, 1.0), (0.5, -0.3), (2.0, 3.0)]
 
@@ -178,24 +180,20 @@ def test_eval_matches_scipy_normalized():
 @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.5, 0.5)])
 @pytest.mark.parametrize("kmax", [0, 1, 2, 64, 512])
 def test_weighted_sums_match_table_product(alpha, beta, kmax):
+    # coeffs_from_function reduces each degree of one recurrence sweep
+    # against its rule's values, for one function or a stack of them, and
+    # never forms the basis table it is compared with here
     basis = jacobi_basis(alpha, beta)
-    rng = np.random.default_rng(kmax)
-    t = np.concatenate([rng.uniform(-1.0, 1.0, 2000), [-1.0, 1.0]])
-    v = rng.standard_normal(t.shape[0])
-    want = jacobi_eval_all(basis, kmax, t) @ v
-    got = jacobi_weighted_sums(basis, kmax, t, v)
-    assert got.shape == (kmax + 1,)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_weighted_sums_reject_bad_input():
-    basis = jacobi_basis(0.0, 1.0)
-    with pytest.raises(ValueError):
-        jacobi_weighted_sums(basis, -1, np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError):
-        jacobi_weighted_sums(basis, 4, np.zeros(3), np.ones(4))
-    with pytest.raises(ValueError):
-        jacobi_weighted_sums(basis, 4, np.array([0.0, 1.5]), np.ones(2))
+    model = SvdModel("unit", np.ones(kmax + 1), 0.0, basis)
+    fs = [lambda x: np.cos(3.0 * x), lambda x: np.exp(-x)]
+    x, w = _piece_nodes((), 2 * max(4 * kmax, 256))
+    table = jacobi_eval_all(basis, kmax, 2.0 * x * x - 1.0)
+    stack = coeffs_from_function(model, fs, kmax)
+    assert stack.shape == (2, kmax + 1)
+    for f, row in zip(fs, stack):
+        want = table @ (f(x) * x * w)
+        for got in (coeffs_from_function(model, f, kmax), row):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_interlacing():

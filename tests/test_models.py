@@ -29,13 +29,12 @@ from needlets import (
     eval_g,
     forward,
     jacobi_basis,
-    jacobi_weighted_sums,
     sample_observation,
     target_breakpoints,
     target_function,
     wicksell_model,
 )
-from needlets.jacobi import jacobi_eval_all
+from needlets.jacobi import _orthonormal, _recurrence, jacobi_eval_all
 from needlets.models import _piece_nodes
 
 
@@ -177,13 +176,16 @@ def test_coeffs_need_breakpoints_for_jumps(wicksell512):
 
 
 def _two_passes(model, f, kmax, breakpoints=()):
-    # the coarse and the fine rule of coeffs_from_function, one sum pass each
+    # the coarse and the fine rule of coeffs_from_function, one recurrence
+    # sweep and one sum per degree on each rule alone
     order = max(4 * kmax, 256)
     passes = []
     for o in (order, 2 * order):
         x, w = _piece_nodes(breakpoints, o)
         v = np.asarray(f(x), dtype=float) * x * w
-        passes.append(jacobi_weighted_sums(model.basis, kmax, 2.0 * x * x - 1.0, v))
+        degrees = _orthonormal(*_recurrence(model.basis, kmax + 1), kmax, 2.0 * x * x - 1.0)
+        next(degrees)  # Pi_0 = 1 sums to v.sum()
+        passes.append(np.array([v.sum(), *(p @ v for p in degrees)]))
     return passes
 
 
@@ -202,6 +204,34 @@ def test_order_doubling_check_compares_the_two_passes(wicksell512):
     drift = float(np.max(np.abs(fine - coarse)))
     with pytest.raises(UnresolvedIntegrandError, match=f"moved {drift:.3e} "):
         coeffs_from_function(wicksell512, f, 8)
+
+
+def test_stacked_coeffs_match_each_targets_own_rule(wicksell512):
+    # one rule split at the union of the breakpoints serves every target as
+    # accurately as its own rule; the rows differ only by rounding
+    fs = [target_function(t) for t in TARGET_NAMES]
+    union = [b for t in TARGET_NAMES for b in target_breakpoints(t)]
+    stack = coeffs_from_function(wicksell512, fs, 512, union)
+    assert stack.shape == (len(TARGET_NAMES), 513)
+    for row, f, t in zip(stack, fs, TARGET_NAMES):
+        own = coeffs_from_function(wicksell512, f, 512, target_breakpoints(t))
+        assert np.max(np.abs(row - own)) <= 1e-13 * np.max(np.abs(own)), t
+
+
+def test_stack_names_the_function_that_is_not_resolved(wicksell512):
+    def smooth(x):
+        return np.asarray(x) ** 2
+
+    def jump_at_a_third(x):
+        return np.sign(np.asarray(x) - 1.0 / 3.0)
+
+    with pytest.raises(UnresolvedIntegrandError, match="of .*jump_at_a_third moved"):
+        coeffs_from_function(wicksell512, [smooth, jump_at_a_third], 8)
+    # with the jump's breakpoint both resolve, each row as accurate as alone
+    both = coeffs_from_function(wicksell512, [smooth, jump_at_a_third], 8, (1.0 / 3.0,))
+    for row, f in zip(both, (smooth, jump_at_a_third)):
+        alone = coeffs_from_function(wicksell512, f, 8, (1.0 / 3.0,))
+        np.testing.assert_allclose(row, alone, rtol=0, atol=1e-14)
 
 
 def _uniform_piece_nodes(breakpoints, order):

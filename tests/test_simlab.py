@@ -24,6 +24,7 @@ import needlets.simlab
 
 from needlets import (
     ESTIMATOR_NAMES,
+    TARGET_NAMES,
     CellResult,
     FrameSpec,
     SimulationConfig,
@@ -204,8 +205,10 @@ def test_frame_is_built_only_for_needd(monkeypatch):
 def test_each_experiment_table_is_formed_once(monkeypatch):
     # on the default config: one image-side table for every epsilon, one
     # level_sigma for every threshold plan, one Gram triangle
-    # (projection_gram) for every projection sweep
-    counts = {"eval_g": 0, "level_sigma": 0, "projection_gram": 0}
+    # (projection_gram) for every projection sweep, one coefficient
+    # quadrature for every target, and one loss call per p for each cell's
+    # three estimators
+    counts = {"eval_g": 0, "level_sigma": 0, "projection_gram": 0, "coeffs_from_function": 0, "weighted_loss": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -219,9 +222,60 @@ def test_each_experiment_table_is_formed_once(monkeypatch):
     counted(needlets.models, "eval_g")
     counted(needlets.estimators, "level_sigma")
     counted(needlets.simlab, "projection_gram")
+    counted(needlets.simlab, "coeffs_from_function")
+    counted(needlets.simlab, "weighted_loss")
     report = run_experiment(SimulationConfig())
     assert len(report.cells) == 36
-    assert counts == {"eval_g": 1, "level_sigma": 1, "projection_gram": 1}
+    assert counts == {
+        "eval_g": 1, "level_sigma": 1, "projection_gram": 1, "coeffs_from_function": 1, "weighted_loss": 24
+    }
+
+
+def test_one_target_config_gives_that_targets_cells_of_every_target_config():
+    # the standard targets are always integrated as one stack of all four,
+    # so a target's coefficients, and every cell, do not depend on which
+    # other targets the config lists
+    every = run_experiment(_tiny_config(targets=TARGET_NAMES))
+    for target in TARGET_NAMES:
+        alone = run_experiment(_tiny_config(targets=(target,)))
+        assert len(alone.cells) == len(ESTIMATOR_NAMES)
+        for cell in alone.cells:
+            want = every.cell(target, cell.rsnr, cell.estimator)
+            assert (cell.epsilon, cell.seeds, cell.n_star) == (want.epsilon, want.seeds, want.n_star)
+            np.testing.assert_array_equal(cell.l1, want.l1)
+            np.testing.assert_array_equal(cell.rmse, want.rmse)
+
+
+def test_stacked_scoring_is_row_by_row_scoring(monkeypatch):
+    # each cell scores its estimators' runs as one stack; on the default
+    # config every run's losses equal its estimator's own product and loss
+    # calls bit for bit
+    estimates = []
+
+    def recorded(name, pick=lambda out: out):
+        real = getattr(needlets.simlab, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            estimates.append(pick(out))
+            return out
+
+        monkeypatch.setattr(needlets.simlab, name, wrapper)
+
+    recorded("svd_projection")
+    recorded("svd_adaptive")
+    recorded("need_d", lambda res: res.coeffs)
+    cfg = SimulationConfig()
+    report = run_experiment(cfg)
+    assert len(estimates) == len(report.cells)
+    model = wicksell_model(2 ** (cfg.frame.jmax + 1))
+    grid = np.arange(1, cfg.n + 1) / cfg.n
+    e_vals = eval_e(model, model.kmax, grid)
+    truth = {t: target_function(t)(grid) for t in cfg.targets}
+    for cell, coeffs in zip(report.cells, estimates):
+        fhat_vals = coeffs @ e_vals
+        np.testing.assert_array_equal(cell.l1, weighted_loss(truth[cell.target], fhat_vals, cfg.n, 1))
+        np.testing.assert_array_equal(cell.rmse, weighted_loss(truth[cell.target], fhat_vals, cfg.n, 2))
 
 
 def test_each_experiment_table_is_held_once(traced_peak):
