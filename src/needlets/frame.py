@@ -15,18 +15,21 @@ with j_max at most MAX_JMAX, and build_frame holds them all. After its
 rule's Newton polish a level takes one recurrence sweep over the nodes,
 which gives the Christoffel weights and psi's F-ordered columns degree by
 degree; the build self-check, the invariant suite and level_sigma read psi
-in blocks of BLOCK columns or rows, so beside the levels they are given
-they hold one block at most. Needlets are evaluated on [-1, 1] one block
-of points at a time for whole levels (norms, localization): one basis
-table of at most TABLE entries and one product with the psi rows per
-block, so no whole-grid table is formed. A single needlet (rendering) is
-summed degree by degree along the recurrence, so its values round the same
-at every point whatever the grid or the BLAS threading.
+in blocks of BLOCK columns or BLOCK // 4 rows, so beside the levels they
+are given they hold one block at most. Each level's psi, built here or
+read by frameio, has a mapping of its own, unmapped once it is dropped.
+Needlets are evaluated on [-1, 1] one block of points at a time for whole
+levels (norms, localization): one basis table of at most TABLE entries
+and one product with the psi rows per block, so no whole-grid table is
+formed. A single needlet (rendering) is summed degree by degree along the
+recurrence, so its values round the same at every point whatever the grid
+or the BLAS threading.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -168,6 +171,17 @@ def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
     return math.inf if math.isnan(worst) else worst
 
 
+def _psi_array(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialized F-ordered psi in a private, hugepage-advised mapping of its own.
+
+    Unlike a heap block, it goes back to the system as soon as it is dropped.
+    """
+    buf = mmap.mmap(-1, 8 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf).reshape(shape, order="F")
+
+
 def check_j_max(j_max: int) -> None:
     """Refuse a top level outside 0..MAX_JMAX, naming it."""
     if j_max < 0:
@@ -192,7 +206,7 @@ def _build_level(
         # F-ordered, so each degree's column is contiguous; frameio reads and
         # writes the same layout, which keeps BLAS rounding in analyze and
         # synthesize the same for built and loaded frames
-        psi = np.empty((n_nodes, avals.shape[0]), order="F")
+        psi = _psi_array((n_nodes, avals.shape[0]))
         kernel = np.zeros(n_nodes)
         with np.errstate(all="ignore"):
             for i, p in enumerate(_orthonormal(diag, off, hi, nodes)):
@@ -360,8 +374,8 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
     """Per-level sigma_j, sigma_j^2 = sup_eta sum_i (psi^i_{j,eta} / b_i)^2.
 
     Index 0 of the result is level -1; index j+1 is level j. Each level is
-    reduced BLOCK rows at a time, each row summed in frequency order as over
-    the whole level, so one block of scaled squares is held at a time.
+    reduced BLOCK // 4 rows at a time, each row summed in frequency order as
+    over the whole level, so one block of scaled squares is held at a time.
     """
     b = np.asarray(singular_values, dtype=float)
     if b.ndim != 1 or b.shape[0] < frame.budget:
@@ -374,10 +388,10 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
 
 
 def _level_sigma(psi: np.ndarray, b_lev: np.ndarray) -> float:
-    """sigma of one level: the largest row norm of psi / b_lev, BLOCK rows at a time."""
+    """sigma of one level: the largest row norm of psi / b_lev, BLOCK // 4 rows at a time."""
     peaks = []
-    for r0 in range(0, psi.shape[0], BLOCK):
-        scaled = psi[r0 : r0 + BLOCK] / b_lev
+    for r0 in range(0, psi.shape[0], BLOCK // 4):
+        scaled = psi[r0 : r0 + BLOCK // 4] / b_lev
         np.square(scaled, out=scaled)
         peaks.append(np.max(np.sum(scaled, axis=1)))
         del scaled

@@ -27,6 +27,7 @@ entry, node outside (-1, 1) or non-positive weight, raises ValueError
 naming the value rather than returning a partially read or corrupt frame.
 Psi is tested for finiteness one row block at a time as it is read; its
 first bad entry is named once the level's nodes and weights have passed.
+A level that passes is read-only, as a built one is.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .frame import (
     FrameLevel,
     NeedletFrame,
     _level_window,
+    _psi_array,
     check_j_max,
 )
 from .jacobi import JacobiBasis, jacobi_basis
@@ -196,7 +198,7 @@ def _read_level(fh, size: int, j: int, filt: Filter, nodes_mode: str) -> FrameLe
     weights = np.empty(n_nodes, dtype="<f8")
     _read_into(fh, nodes)
     _read_into(fh, weights)
-    psi = np.empty((n_nodes, n_freq), dtype="<f8", order="F")
+    psi = _psi_array((n_nodes, n_freq))
     psi_finite = _read_psi(fh, psi)
     require_entries(nodes, np.abs(nodes) < 1.0, f"level {j} nodes", "inside (-1, 1)")
     require_entries(
@@ -210,6 +212,8 @@ def _read_level(fh, size: int, j: int, filt: Filter, nodes_mode: str) -> FrameLe
             f"level -1 must be node 0, weight 1, psi 1, "
             f"got node {nodes[0]}, weight {weights[0]}, psi {psi[0, 0]}"
         )
+    for a in (nodes, weights, psi):
+        a.setflags(write=False)
     return FrameLevel(j, nodes, weights, freq_lo, psi)
 
 

@@ -225,10 +225,11 @@ def test_level_sigma_holds_one_row_block(filt, traced_peak):
     # at jmax 10 the top level's psi is 25 MB, and the dense formula below
     # forms two whole-level temporaries (psi / b and its squares, 50 MB
     # traced). The frame exists before tracing starts, so the traced peak is
-    # the call's own: one block of BLOCK scaled rows, with room for small arrays
+    # the call's own: one block of BLOCK // 4 scaled rows (1.6 MB), with room
+    # for small arrays
     frame = build_frame(jacobi_basis(0.0, 1.0), filt, j_max=10)
     b = wicksell_model(frame.budget).b
-    block_bytes = BLOCK * max(lev.psi.shape[1] for lev in frame.levels) * 8
+    block_bytes = BLOCK // 4 * max(lev.psi.shape[1] for lev in frame.levels) * 8
     sigma, peak = traced_peak(lambda: level_sigma(frame, b))
     assert peak < 1.5 * block_bytes
     # the dense formula, one whole level at a time, gives the same bits

@@ -1,8 +1,17 @@
 """Binary frame container: bit-exact round trips, corruption detection, bounded memory."""
 
+import mmap
+import os
+import subprocess
+import sys
+import textwrap
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import needlets
 from needlets import (
     MAX_JMAX,
     analyze,
@@ -20,6 +29,31 @@ from needlets import (
 )
 from needlets.frame import BLOCK
 from needlets.frameio import _HEADER, _LEVEL, TILE
+
+
+def _mapping(psi):
+    """The mmap that holds psi's entries; tracemalloc does not see it."""
+    base = psi
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    assert isinstance(base, mmap.mmap)
+    return base
+
+
+def _released_in_turn(levels, maps):
+    """Pass on levels' items, (level, defect) pairs or levels, and a weak
+    reference to each level's mapping into maps; before the next item is
+    asked for, and so before its level is mapped, every level given so far
+    must have been released.
+    """
+    for item in levels:
+        lev = item[0] if isinstance(item, tuple) else item
+        maps.append(weakref.ref(_mapping(lev.psi)))
+        yield item
+        del item, lev  # this frame's own references, or the check could not fail
+        assert [m() for m in maps] == [None] * len(maps)
 
 
 @pytest.fixture(scope="module")
@@ -247,15 +281,19 @@ def test_reject_shape_record_not_of_its_level(small_frame, tmp_path, field, valu
 
 def test_streamed_layers_hold_one_frame_plus_a_block(filt, tmp_path, traced_peak):
     # build, and load followed by the invariant suite, each peak at most
-    # half a frame's psi above the frame itself
+    # half a frame's psi above the frame itself. Each level's psi lives in a
+    # mapping of its own, which tracemalloc does not see, so the traced peaks
+    # are the temporaries alone; the mappings go back once the frame is dropped
     path = tmp_path / "frame.ndlt"
     frame, build_peak = traced_peak(lambda: build_frame(jacobi_basis(0.0, 1.0), filt, j_max=10))
     psi_bytes = sum(lev.psi.nbytes for lev in frame.levels)
+    maps = [weakref.ref(_mapping(lev.psi)) for lev in frame.levels]
     save_frame(frame, path)
     del frame
+    assert [m() for m in maps] == [None] * len(maps)
     check_peak = traced_peak(lambda: frame_invariants(load_frame(path)))[1]
-    assert build_peak <= 1.5 * psi_bytes
-    assert check_peak <= 1.5 * psi_bytes
+    assert build_peak <= 0.5 * psi_bytes
+    assert check_peak <= 0.5 * psi_bytes
 
 
 def test_reject_j_max_above_max_jmax(small_frame, tmp_path):
@@ -304,26 +342,82 @@ def test_streamed_levels_match_the_held_frame(frame8, filt, tmp_path):
 
 
 def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, traced_peak):
-    # each peaks near the top level's psi plus one block of 512 rows, where
-    # holding the frame adds every lower level (0.67 blocks). The build's
-    # Gram check writes every product into one buffer (0.69 blocks here; a
-    # block's products formed beside the last block's took 1.18), and the
-    # check's level_sigma holds one block of scaled rows (1.05)
+    # each holds one level at a time: a level's mapping is released before
+    # the next level is mapped. Beside it, the traced temporaries stay within
+    # one block of 512 rows of the top level: the Gram check writes every
+    # product into one buffer (0.69 blocks here; a block's products formed
+    # beside the last block's took 1.18), and level_sigma holds BLOCK // 4
+    # scaled rows (0.25; BLOCK rows took 1.05)
     path = tmp_path / "frame.ndlt"
     basis = jacobi_basis(0.0, 1.0)
+    build_maps, check_maps = [], []
 
     def check():
         with open_frame(path) as (head, levels):
-            return frame_invariants(head, levels)
+            return frame_invariants(head, _released_in_turn(levels, check_maps))
 
-    levels = frame_levels(basis, filt, 9)  # built as write_levels asks for them
+    # built as write_levels asks for them
+    levels = _released_in_turn(frame_levels(basis, filt, 9), build_maps)
     build_peak = traced_peak(lambda: write_levels(path, basis, filt, 9, "exact", levels))[1]
     rows, check_peak = traced_peak(check)
+    assert len(build_maps) == len(check_maps) == 11
     frame = load_frame(path)
     assert rows == frame_invariants(frame)
-    top = frame.level(9).psi
-    block = 8 * BLOCK * top.shape[1]
-    whole = sum(lev.psi.nbytes for lev in frame.levels)
-    assert whole - top.nbytes > 0.6 * block
-    assert build_peak <= top.nbytes + block
-    assert check_peak <= top.nbytes + 1.4 * block
+    block = 8 * BLOCK * frame.level(9).psi.shape[1]
+    assert build_peak <= block
+    assert check_peak <= block
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_build_and_check_in_one_process_peak_at_one_level_plus_a_block(tmp_path):
+    # frame build and frame check at jmax 11 in one process raise its peak
+    # RSS by at most the top level's psi (100.6 MB) and one block of BLOCK
+    # columns (12.6 MB): a dropped level's psi is unmapped, so level 10's
+    # (25 MB) does not stay resident beside level 11's. A build and check at
+    # jmax 8 first take the process's one-time allocations (BLAS buffers,
+    # heap arenas), about 5 MB, out of the rise
+    code = textwrap.dedent("""
+        import sys
+        from needlets import cli
+
+        def peak():
+            with open("/proc/self/status") as fh:
+                return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) * 1024
+
+        small, big = sys.argv[1:]
+        cli.main(["frame", "build", "--jmax", "8", "--out", small])
+        cli.main(["frame", "check", small])
+        before = peak()
+        cli.main(["frame", "build", "--jmax", "11", "--out", big])
+        cli.main(["frame", "check", big])
+        print(peak() - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(needlets.__file__).resolve().parents[1]))
+    r = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "j8.ndlt"), str(tmp_path / "j11.ndlt")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    rise = int(r.stdout.splitlines()[-1])
+    n_nodes, n_freq = 2**12, 2**12 - 2**10 - 1  # level 11 of an "exact" frame
+    assert rise <= 8 * n_nodes * n_freq + 8 * BLOCK * n_freq
+
+
+@pytest.mark.parametrize("reader", ["load_frame", "open_frame"])
+def test_loaded_levels_are_read_only(small_frame, tmp_path, reader):
+    # as built levels are: no caller can change a loaded frame's nodes,
+    # weights or psi in place
+    path = tmp_path / "frame.ndlt"
+    save_frame(small_frame, path)
+    if reader == "load_frame":
+        levels = load_frame(path).levels
+    else:
+        with open_frame(path) as (_, stream):
+            levels = list(stream)
+    assert len(levels) == len(small_frame.levels)
+    for lev, built in zip(levels, small_frame.levels):
+        for name in ("nodes", "weights", "psi"):
+            assert not getattr(built, name).flags.writeable
+            assert not getattr(lev, name).flags.writeable, (lev.j, name)
