@@ -9,9 +9,9 @@ from its runs' summed scores.
 
 need_d_stack thresholds several (observation, plan) pairs, such as a ladder
 of noise levels, as one stack of rows, and need_d is its one-pair case.
-With the plans in decreasing j_top, each frame level is analyzed and
-synthesized only for the leading rows whose j_top reaches it, so its psi
-is multiplied once per stack. ladder_blocks orders a ladder by j_top with a
+The top level j_top is the estimators' own: the frame is given, per level,
+the count of leading rows whose j_top reaches it, so each level's psi is
+multiplied once per stack. ladder_blocks orders a ladder by j_top with a
 stable sort and cuts it into stacks of whole levels of at most STACK_ROWS
 runs; the rate study scores each stack against one grid table per call.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .frame import NeedletFrame, _reach, analyze, level_sigma, synthesize
+from .frame import NeedletFrame, analyze, level_sigma, synthesize
 from .losses import grid_weights
 from .models import SequenceObservation, SvdModel
 
@@ -199,39 +199,43 @@ def need_d_stack(
 ) -> NeedDResult:
     """need_d of every (obs[p], plans[p]) pair as one stack of rows, the pairs' runs in order.
 
-    The plans must come in decreasing j_top, so the rows whose j_top reaches
-    a level are a leading block of rows: only those are analyzed,
-    thresholded in place at their own level threshold and synthesized, level
-    by level; the other rows keep zeros there. Each level's psi is thus
-    multiplied once per stack. The observations must have one length.
+    The plans must be for this frame and in decreasing j_top, so the rows
+    whose j_top reaches a level are a leading block: only those (their count
+    per level is the reach of analyze and synthesize) are analyzed,
+    thresholded in place at their own level threshold and synthesized; the
+    others keep zeros there. Each level's psi is thus multiplied once per
+    stack. The observations must have one length.
     """
     if len(obs) != len(plans) or not plans:
         raise ValueError(f"need one plan per observation, got {len(plans)} for {len(obs)}")
     _require_same_basis(frame, model)
     for o, plan in zip(obs, plans):
         _require_same_epsilon(plan.epsilon, o, "plan")
+        if len(plan.sigma) != len(frame.levels):
+            raise ValueError(f"plan has {len(plan.sigma)} levels, frame has {len(frame.levels)}")
         if o.kmax + 1 < frame.budget:
             raise ValueError(f"need {frame.budget} observed coefficients, got {o.kmax + 1}")
     if model.kmax + 1 < frame.budget:
         raise ValueError(f"model holds {model.kmax + 1} singular values, frame needs {frame.budget}")
     if len({o.kmax for o in obs}) > 1:
         raise ValueError(f"observations differ in length: {sorted({o.kmax + 1 for o in obs})}")
+    tops = [p.j_top for p in plans]
+    if tops != sorted(tops, reverse=True):
+        raise ValueError(f"need plans in decreasing order of j_top, got {tops}")
     ys = [np.atleast_2d(o.y) for o in obs]
     sizes = [len(y) for y in ys]
     budget = frame.budget
-    plan_tops = [min(p.j_top, frame.j_max) for p in plans]
-    # runs that share one top level take the scalar top level, which keeps no per-run reach
-    tops = plan_tops[0] if len(set(plan_tops)) == 1 else np.repeat(plan_tops, sizes)
+    reach = [sum(n for top, n in zip(tops, sizes) if top >= lev.j) for lev in frame.levels]
     cuts = np.repeat([[p.threshold(lev.j) for lev in frame.levels] for p in plans], sizes, axis=0)
-    beta = analyze(frame, np.concatenate([y[:, :budget] for y in ys]) / model.b[:budget], tops)
+    beta = analyze(frame, np.concatenate([y[:, :budget] for y in ys]) / model.b[:budget], reach)
     n_kept = np.zeros(cuts.shape, dtype=int)
-    for li, (b, count) in enumerate(zip(beta, _reach(frame, (len(cuts),), tops))):
+    for li, (b, count) in enumerate(zip(beta, reach)):
         live = b[:count]
         keep = np.abs(live) >= cuts[:count, li, None]
         np.putmask(live, ~keep, 0.0)
         n_kept[:count, li] = keep.sum(axis=1)
     coeffs = np.zeros((len(cuts), ys[0].shape[1]))
-    coeffs[:, :budget] = synthesize(frame, beta, tops)
+    coeffs[:, :budget] = synthesize(frame, beta, reach)
     return NeedDResult(beta, coeffs, n_kept)
 
 

@@ -5,10 +5,9 @@ in the underlying basis: psi[nu, i - freq_lo] = sqrt(weight_nu) *
 a(i / 2^j) * e_i(node_nu). Level -1 is the single constant needlet.
 Analysis and synthesis are exact finite sums over each level's frequency
 window (2^{j-1}, 2^{j+1}), along the last axis of one vector (K,) or of
-a stack of runs (R, K). Both may stop at a top level: the levels above it
-are returned as zeros and never multiplied. A stack may also stop at one
-top level per run, in decreasing order; each level is then multiplied for
-the leading runs that reach it only.
+a stack of runs (R, K). Both may take one count of rows per level: each
+level is then multiplied for that many leading rows only, and its other
+rows are zeros that are never read.
 
 Each level stands alone: frame_levels builds one at a time, j = -1..j_max
 with j_max at most MAX_JMAX, and build_frame holds them all. After its
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,38 +278,14 @@ def _check_coeffs(frame: NeedletFrame, f_coeffs) -> np.ndarray:
     return f
 
 
-def _top_level(frame: NeedletFrame, j_top: int | None) -> int:
-    if j_top is None:
-        return frame.j_max
-    if not -1 <= j_top <= frame.j_max:
-        raise ValueError(f"top level {j_top} outside [-1, {frame.j_max}]")
-    return j_top
-
-
-def _reach(frame: NeedletFrame, runs: tuple, j_top) -> list[int]:
-    """Per level, how many leading runs of a vector () or stack (R,) reach it under j_top.
-
-    j_top is None (the frame's top), one level, or for a stack one level per
-    run in decreasing order; a vector counts as one run.
-    """
+def _reach(frame: NeedletFrame, runs: tuple, reach: Sequence[int] | None) -> Sequence[int]:
+    """reach, checked: per level, how many leading rows of a stack (R,) or vector to multiply."""
     count = runs[0] if runs else 1
-    if j_top is None or np.ndim(j_top) == 0:
-        top = _top_level(frame, j_top)
-        return [count if lev.j <= top else 0 for lev in frame.levels]
-    tops = np.asarray(j_top)
-    if tops.shape != runs or np.any(tops[1:] > tops[:-1]):
-        raise ValueError(
-            f"need one top level per run in decreasing order for {count} runs, got {tops.tolist()}"
-        )
-    if count:
-        _top_level(frame, int(tops[0]))
-        _top_level(frame, int(tops[-1]))
-    return _level_reach(frame, tops)
-
-
-def _level_reach(frame: NeedletFrame, tops: np.ndarray) -> list[int]:
-    """Per level, how many of the runs with top levels tops (R,) reach it."""
-    return (tops[:, None] >= [lev.j for lev in frame.levels]).sum(axis=0).tolist()
+    if reach is None:
+        return [count] * len(frame.levels)
+    if len(reach) != len(frame.levels) or not all(0 <= r <= count for r in reach):
+        raise ValueError(f"need {len(frame.levels)} counts in 0..{count}, got reach {list(reach)}")
+    return reach
 
 
 def _lead(a: np.ndarray, count: int) -> np.ndarray:
@@ -319,18 +294,17 @@ def _lead(a: np.ndarray, count: int) -> np.ndarray:
 
 
 def analyze(
-    frame: NeedletFrame, f_coeffs, j_top: int | np.ndarray | None = None
+    frame: NeedletFrame, f_coeffs, reach: Sequence[int] | None = None
 ) -> list[np.ndarray]:
     """Needlet coefficients beta_{j,eta} = sum_i f_i psi^i_{j,eta}, one array per level.
 
-    Levels above j_top (default: the frame's top) come back as zeros of
-    their shape; their psi is not read. For a stack of runs, j_top may hold
-    one top level per run, in decreasing order: each level then multiplies
-    only the leading runs that reach it, and is zero for the others.
+    Level l is multiplied for the leading reach[l] rows of the stack only
+    (default: every row); the other rows come back as zeros there, and a
+    level of count 0 does not read its psi.
     """
     f = _check_coeffs(frame, f_coeffs)
     beta = []
-    for lev, count in zip(frame.levels, _reach(frame, f.shape[:-1], j_top)):
+    for lev, count in zip(frame.levels, _reach(frame, f.shape[:-1], reach)):
         b = np.zeros(f.shape[:-1] + (lev.n_nodes,))
         if count:
             window = _lead(f, count)[..., lev.freq_lo : lev.freq_hi + 1]
@@ -340,15 +314,14 @@ def analyze(
 
 
 def synthesize(
-    frame: NeedletFrame, beta: list[np.ndarray], j_top: int | np.ndarray | None = None
+    frame: NeedletFrame, beta: list[np.ndarray], reach: Sequence[int] | None = None
 ) -> np.ndarray:
-    """Basis coefficients sum_{j,eta} beta_{j,eta} psi^i_{j,eta} over levels -1..j_top.
+    """Basis coefficients sum_{j,eta} beta_{j,eta} psi^i_{j,eta} over every level.
 
-    beta holds one array per level; those above j_top (default: the frame's
-    top) are neither checked nor multiplied, which for all-zero levels
-    leaves every output bit as the full sum does. j_top may hold one top
-    level per run, as for analyze: each level then adds only the leading
-    runs that reach it.
+    beta holds one array per level. Level l adds the leading reach[l] rows
+    only (default: every row), as for analyze; its other rows are neither
+    checked nor multiplied, which for all-zero rows leaves every output bit
+    as the full sum does.
     """
     if len(beta) != len(frame.levels):
         raise ValueError(
@@ -356,7 +329,7 @@ def synthesize(
         )
     runs = np.shape(beta[0])[:-1]
     out = np.zeros(runs + (frame.budget,))
-    for lev, b, count in zip(frame.levels, beta, _reach(frame, runs, j_top)):
+    for lev, b, count in zip(frame.levels, beta, _reach(frame, runs, reach)):
         if not count:
             continue
         b = np.asarray(b, dtype=float)

@@ -233,38 +233,6 @@ def test_ladder_stacks_equal_their_parts(frame8, wicksell512, shuffled):
             )
 
 
-def test_shared_top_level_matches_the_per_run_path(frame8, wicksell512, monkeypatch):
-    # plans sharing one j_top pass one scalar top level to analyze and
-    # synthesize; one top level per run, as a mixed stack passes, must give
-    # the same bits in beta, coeffs and n_kept
-    eps = [1.2e-2, 1e-2]
-    plans = make_threshold_plan(frame8, wicksell512, eps)
-    assert plans[0].j_top == plans[1].j_top < frame8.j_max
-    obs = _ladder_runs(wicksell512, frame8, eps)
-    tops_seen = []
-
-    def spy(real, per_run):
-        def wrapper(frame, values, j_top):
-            tops_seen.append(np.ndim(j_top))
-            runs = len(values) if isinstance(values, np.ndarray) else len(values[0])
-            return real(frame, values, np.full(runs, j_top) if per_run else j_top)
-
-        return wrapper
-
-    for pairs in (slice(None), slice(1)):
-        results = []
-        for per_run in (False, True):
-            monkeypatch.setattr(estimators, "analyze", spy(analyze, per_run))
-            monkeypatch.setattr(estimators, "synthesize", spy(synthesize, per_run))
-            results.append(need_d_stack(frame8, wicksell512, obs[pairs], plans[pairs]))
-        shared, per_run = results
-        for got, want in zip(shared.beta, per_run.beta):
-            assert got.tobytes() == want.tobytes()
-        assert shared.coeffs.tobytes() == per_run.coeffs.tobytes()
-        assert shared.n_kept.tobytes() == per_run.n_kept.tobytes()
-    assert tops_seen == [0] * 8
-
-
 def test_stack_refuses_plans_out_of_top_order(frame8, wicksell512):
     eps = [1e-1, 1e-4]
     plans = make_threshold_plan(frame8, wicksell512, eps)
@@ -285,6 +253,17 @@ def test_stack_refuses_plans_out_of_top_order(frame8, wicksell512):
         need_d_stack(frame8, wicksell512, [obs[1], short], plans[::-1])
     stacked = need_d_stack(frame8, wicksell512, obs[::-1], plans[::-1])
     assert stacked.coeffs.shape == (4, 513)
+
+
+def test_plan_for_another_frame_is_refused(frame7, frame8, wicksell512, rng):
+    # a plan holds one sigma per level of the frame it was made for: on a
+    # taller frame its thresholds would run past sigma, on a shorter one its
+    # schedule would not be the frame's
+    obs = sample_observation(wicksell512, _signal(frame8), 0.01, rng)
+    with pytest.raises(ValueError, match="plan has 9 levels, frame has 10"):
+        need_d(frame8, wicksell512, obs, make_threshold_plan(frame7, wicksell512, 0.01))
+    with pytest.raises(ValueError, match="plan has 10 levels, frame has 9"):
+        need_d(frame7, wicksell512, obs, make_threshold_plan(frame8, wicksell512, 0.01))
 
 
 def test_need_d_counts_the_kept_coefficients(frame8, wicksell512, rng):

@@ -5,6 +5,7 @@ supported there must satisfy Parseval and reconstruct to rounding error.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,68 +99,72 @@ def test_coefficient_shape_errors(frame7):
         synthesize(frame7, beta)
 
 
-def test_top_level_stops_analysis_and_synthesis(frame7, rng):
-    # levels above the top come back as zeros and are skipped by synthesis;
-    # the kept levels and the reconstruction keep the full call's bits
+def test_reach_stops_analysis_and_synthesis(frame7, rng):
+    # levels reached by no row come back as zeros and are skipped by
+    # synthesis; the kept levels and the reconstruction keep the full call's bits
     runs = np.stack([_random_supported(frame7, rng) for _ in range(3)])
     full = analyze(frame7, runs)
     for top in (-1, 3, frame7.j_max):
-        beta = analyze(frame7, runs, top)
+        reach = [3 if lev.j <= top else 0 for lev in frame7.levels]
+        beta = analyze(frame7, runs, reach)
         for lev, b, b_full in zip(frame7.levels, beta, full):
             np.testing.assert_array_equal(b, b_full if lev.j <= top else np.zeros(b_full.shape))
-        np.testing.assert_array_equal(synthesize(frame7, beta, top), synthesize(frame7, beta))
-    # synthesis reads nothing above the top, finite or not
-    beta = analyze(frame7, runs, 3)
+        np.testing.assert_array_equal(synthesize(frame7, beta, reach), synthesize(frame7, beta))
+    # synthesis reads nothing beyond the reach, finite or not
+    reach = [3 if lev.j <= 3 else 0 for lev in frame7.levels]
+    beta = analyze(frame7, runs, reach)
     beta[-1] = np.full(beta[-1].shape, np.nan)
-    np.testing.assert_array_equal(synthesize(frame7, beta, 3), synthesize(frame7, analyze(frame7, runs, 3)))
-    for top in (-2, frame7.j_max + 1):
-        with pytest.raises(ValueError, match=f"top level {top} outside"):
-            analyze(frame7, runs, top)
-        with pytest.raises(ValueError, match=f"top level {top} outside"):
-            synthesize(frame7, full, top)
-
-
-def test_per_run_top_levels_multiply_only_the_runs_that_reach_a_level(frame7, rng):
-    # a stack whose runs stop at different levels, in decreasing order: each
-    # run is what a call with its own top gives, and a level above a run's
-    # top is neither read nor multiplied for it, finite or not
-    runs = np.stack([_random_supported(frame7, rng) for _ in range(5)])
-    tops = [frame7.j_max, 5, 5, 2, -1]
-    beta = analyze(frame7, runs, tops)
-    back = synthesize(frame7, beta, tops)
-    for r, top in enumerate(tops):
-        want = analyze(frame7, runs[r], top)
-        for lev, level, row in zip(frame7.levels, beta, want):
-            if lev.j > top:
-                assert np.all(level[r] == 0.0)
-            np.testing.assert_allclose(level[r], row, rtol=1e-12, atol=1e-12 * np.max(np.abs(row)))
-        one = synthesize(frame7, want, top)
-        np.testing.assert_allclose(back[r], one, rtol=1e-12, atol=1e-12 * np.max(np.abs(one)))
-    poisoned = [b.copy() for b in beta]
-    for lev, b in zip(frame7.levels, poisoned):
-        b[[r for r, top in enumerate(tops) if lev.j > top]] = np.nan
-    np.testing.assert_array_equal(synthesize(frame7, poisoned, tops), back)
+    np.testing.assert_array_equal(
+        synthesize(frame7, beta, reach), synthesize(frame7, analyze(frame7, runs, reach))
+    )
 
 
 @pytest.mark.parametrize(
-    "tops, message",
+    "reach",
     [
-        ([2, 5, 5], "decreasing order"),
-        ([5, 5], "decreasing order"),
-        ([5, 5, -2], "top level -2 outside"),
-        ([8, 5, 5], "top level 8 outside"),
+        # leading rows whose top levels are [7, 5, 5, 2, -1]
+        [5, 4, 4, 4, 3, 3, 3, 1, 1],
+        # counts need not decrease with the level
+        [5, 5, 2, 4, 0, 3, 1, 5, 0],
     ],
 )
-def test_per_run_top_levels_refused(frame7, tops, message):
+def test_reach_multiplies_only_the_leading_rows(frame7, rng, reach):
+    # each row is what a one-row call with its own reach gives, and a level
+    # beyond a row's reach is neither read nor multiplied for it, finite or not
+    runs = np.stack([_random_supported(frame7, rng) for _ in range(5)])
+    beta = analyze(frame7, runs, reach)
+    back = synthesize(frame7, beta, reach)
+    for r in range(5):
+        own = [int(r < count) for count in reach]
+        want = analyze(frame7, runs[r], own)
+        for level, row, kept in zip(beta, want, own):
+            if not kept:
+                assert np.all(level[r] == 0.0) and np.all(row == 0.0)
+            np.testing.assert_allclose(level[r], row, rtol=1e-12, atol=1e-12 * np.max(np.abs(row)))
+        one = synthesize(frame7, want, own)
+        np.testing.assert_allclose(back[r], one, rtol=1e-12, atol=1e-12 * np.max(np.abs(one)))
+    poisoned = [b.copy() for b in beta]
+    for b, count in zip(poisoned, reach):
+        b[count:] = np.nan
+    np.testing.assert_array_equal(synthesize(frame7, poisoned, reach), back)
+
+
+@pytest.mark.parametrize(
+    "reach",
+    [[3] * 8, [3] * 10, [3, 3, 3, -1, 0, 0, 0, 0, 0], [3, 4, 3, 3, 0, 0, 0, 0, 0]],
+    ids=["short", "long", "below-0", "above-R"],
+)
+def test_bad_reach_refused(frame7, reach):
     runs = np.ones((3, frame7.budget))
     beta = analyze(frame7, runs)
+    message = re.escape(f"need 9 counts in 0..3, got reach {reach}")
     with pytest.raises(ValueError, match=message):
-        analyze(frame7, runs, tops)
+        analyze(frame7, runs, reach)
     with pytest.raises(ValueError, match=message):
-        synthesize(frame7, beta, tops)
-    # a vector has one top level, never a list of them
-    with pytest.raises(ValueError, match="decreasing order"):
-        analyze(frame7, runs[0], [5])
+        synthesize(frame7, beta, reach)
+    # a vector counts as one row
+    with pytest.raises(ValueError, match=re.escape("need 9 counts in 0..1, got reach [2, 2, 2")):
+        analyze(frame7, runs[0], [2] * 9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
