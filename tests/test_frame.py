@@ -6,6 +6,7 @@ supported there must satisfy Parseval and reconstruct to rounding error.
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from needlets import (
     MAX_JMAX,
     FrameSpec,
     InvariantError,
+    SequenceObservation,
     SimulationConfig,
     analyze,
     build_frame,
@@ -27,6 +29,8 @@ from needlets import (
     level_sigma,
     make_filter,
     make_profile,
+    make_threshold_plan,
+    need_d_stack,
     synthesize,
     wicksell_model,
 )
@@ -147,6 +151,30 @@ def test_reach_multiplies_only_the_leading_rows(frame7, rng, reach):
     for b, count in zip(poisoned, reach):
         b[count:] = np.nan
     np.testing.assert_array_equal(synthesize(frame7, poisoned, reach), back)
+
+
+@pytest.mark.parametrize(
+    "tops, message",
+    [
+        ([2, 5, 5], "decreasing order"),
+        ([5, 2, 5], "decreasing order"),
+    ],
+)
+def test_per_run_top_levels_refused(frame7, tops, message):
+    # per-run top levels are the estimators' notion: the frame takes any
+    # counts of leading rows, and need_d_stack refuses plans out of j_top order
+    model = wicksell_model(frame7.budget)
+    plans = [replace(make_threshold_plan(frame7, model, 1e-3), j_top=top) for top in tops]
+    obs = [SequenceObservation(np.ones((1, frame7.budget + 1)), 1e-3) for _ in tops]
+    with pytest.raises(ValueError, match=message):
+        need_d_stack(frame7, model, obs, plans)
+    reach = [sum(top >= lev.j for top in tops) for lev in frame7.levels]
+    runs = np.ones((len(tops), frame7.budget))
+    assert synthesize(frame7, analyze(frame7, runs, reach), reach).shape == runs.shape
+    ordered = sorted(plans, key=lambda p: p.j_top, reverse=True)
+    kept = need_d_stack(frame7, model, obs, ordered).n_kept
+    for plan, row in zip(ordered, kept):
+        assert not row[[lev.j > plan.j_top for lev in frame7.levels]].any()
 
 
 @pytest.mark.parametrize(
