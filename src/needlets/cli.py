@@ -44,6 +44,9 @@ from .simlab import (
 # four decades so the fitted slope is past the threshold-regime transient
 RATE_EPS_DEFAULT = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 
+# model constructors (of kmax) by kind; the first is the default, and rates runs all in order
+MODELS = {"wicksell": wicksell_model, "direct": direct_model}
+
 
 def _write_csv(path, header, rows):
     fh = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
@@ -81,15 +84,11 @@ def _cmd_filter_plot(args) -> int:
     return 0
 
 
-def _frame_spec(args) -> FrameSpec:
-    return FrameSpec(args.alpha, args.beta, args.jmax, args.m, args.nodes_per_level)
-
-
 def _cmd_frame_build(args) -> int:
     # each level is written once its self-check passes and dropped before
     # the next is built; a failed level leaves --out as it was
-    spec = _frame_spec(args)
-    params = (spec.basis, spec.filt, spec.jmax, spec.nodes_per_level)
+    spec = FrameSpec(args.jmax, args.m, args.nodes_per_level)
+    params = (jacobi_basis(args.alpha, args.beta), spec.filt, spec.jmax, spec.nodes_per_level)
     defect = write_levels(args.out, *params, frame_levels(*params))
     print(
         f"wrote {args.out}: basis=jacobi j_max={spec.jmax} "
@@ -115,7 +114,7 @@ def _cmd_frame_check(args) -> int:
 
 
 def _cmd_frame_render(args) -> int:
-    frame = load_frame(args.frame) if args.frame is not None else _frame_spec(args).build()
+    frame = load_frame(args.frame)
     x = np.linspace(-1.0, 1.0, args.points)
     psi_vals = needlet_values(frame, args.j, args.nu, x)
     _write_csv(
@@ -127,7 +126,7 @@ def _cmd_frame_render(args) -> int:
 
 
 def _cmd_model_dump(args) -> int:
-    model = wicksell_model(args.kmax) if args.kind == "wicksell" else direct_model(args.kmax)
+    model = MODELS[args.kind](args.kmax)
     _write_csv(
         args.out,
         ["k", "b"],
@@ -161,7 +160,7 @@ def _read_observation(path, epsilon) -> SequenceObservation:
 def _cmd_estimate(args) -> int:
     obs = _read_observation(args.input, args.epsilon)
     kmax = obs.kmax
-    model = wicksell_model(kmax) if args.model == "wicksell" else direct_model(kmax)
+    model = MODELS[args.model](kmax)
 
     if args.method == "needd":
         if args.frame is None:
@@ -206,12 +205,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rates(args) -> int:
     config = _load_config(args.config)
-    frame = config.frame.build()
+    models = [make(2 ** (config.frame.jmax + 1)) for make in MODELS.values()]
+    frame = config.frame.build(models[0].basis)
     eps_list = tuple(args.eps) if args.eps else RATE_EPS_DEFAULT
     coeffs = np.exp(-np.arange(64) / 4.0)
     coeffs /= math.sqrt(float(np.sum(coeffs**2)))
-    s = 4.0
-    models = (wicksell_model(frame.budget), direct_model(frame.budget))
     studies = rate_study(
         models,
         frame,
@@ -229,10 +227,7 @@ def _cmd_rates(args) -> int:
     ]
     _write_csv(args.out, ["model", "eps", "mean_rmse", "slope", "slope_stderr"], rows)
     for model, study in zip(models, studies):
-        # theoretical rate exponent of a smoothness-s target at ill-posedness nu
-        mu = s / (s + model.nu + 0.5)
-        print(f"{model.kind}: slope={study.slope:.4f} (stderr {study.slope_stderr:.4f}), "
-              f"theory mu={mu:.4f}, gap={study.slope - mu:+.4f}")
+        print(f"{model.kind}: slope={study.slope:.4f} (stderr {study.slope_stderr:.4f})")
     return 0
 
 
@@ -274,15 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     p = frame.add_parser("build", help="build a frame and save it")
-    _frame_build_args(p)
+    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--jmax", type=int, default=7)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--nodes-per-level", choices=(NODES_EXACT, NODES_PAPER), default=NODES_EXACT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_frame_build)
     p = frame.add_parser("check", help="run the frame invariant suite")
     p.add_argument("path")
     p.set_defaults(func=_cmd_frame_check)
     p = frame.add_parser("render", help="emit one needlet's graph as CSV")
-    p.add_argument("--frame", help="saved frame to load (otherwise built from the build flags)")
-    _frame_build_args(p)
+    p.add_argument("--frame", required=True, help="saved frame (see frame build)")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--nu", type=int, required=True, help="1-based node index within the level")
     p.add_argument("--points", type=_point_count, default=1001)
@@ -293,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     p = model.add_parser("dump", help="emit singular values as CSV")
-    p.add_argument("--kind", choices=("wicksell", "direct"), default="wicksell")
+    p.add_argument("--kind", choices=tuple(MODELS), default=next(iter(MODELS)))
     p.add_argument("--kmax", type=int, default=512)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_model_dump)
 
     p = sub.add_parser("estimate", help="estimate one observation file")
-    p.add_argument("--model", choices=("wicksell", "direct"), default="wicksell")
+    p.add_argument("--model", choices=tuple(MODELS), default=next(iter(MODELS)))
     p.add_argument("--frame", help="saved frame (required for needd)")
     p.add_argument("--input", required=True, help="CSV with rows (i, Y_i)")
     p.add_argument("--method", choices=("needd", "svd-proj", "svd-adapt"), required=True)
@@ -325,14 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rates)
 
     return parser
-
-
-def _frame_build_args(p) -> None:
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--jmax", type=int, default=7)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--nodes-per-level", choices=(NODES_EXACT, NODES_PAPER), default=NODES_EXACT)
 
 
 def main(argv=None) -> int:

@@ -49,7 +49,9 @@ them. Run seeds are keyed on each noise level's repr.
 The JSON config and report formats are the dataclasses themselves: a
 config is SimulationConfig and its three group specs field by field, in
 field order, with '-' for '_' in keys; a report cell is CellResult's
-fields plus its means and standard errors. Parsing maps keys back through
+fields plus its means and standard errors. The frame group names no
+basis, since the frame is built on the model's: a config or report that
+names one is refused as an unknown key. Parsing maps keys back through
 the same fields, so a field added to a dataclass is written and read with
 no other edit.
 """
@@ -82,7 +84,7 @@ from .estimators import (
 )
 from .filters import POLYNOMIAL_SHAPE, Filter, make_filter, make_profile
 from .frame import NODES_EXACT, NeedletFrame, build_frame, check_j_max
-from .jacobi import JacobiBasis, jacobi_basis
+from .jacobi import JacobiBasis
 from .losses import weighted_loss
 from .models import (
     SequenceObservation,
@@ -116,10 +118,8 @@ ESTIMATOR_NAMES = ("svd-proj", "svd-adapt", "needd")
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """Jacobi exponents, top level, cutoff order and node mode of one frame."""
+    """Top level, cutoff order and node mode of one frame; build takes the model's basis."""
 
-    alpha: float = 0.0
-    beta: float = 1.0
     jmax: int = 8
     m: int = 2
     nodes_per_level: str = NODES_EXACT
@@ -128,17 +128,13 @@ class FrameSpec:
         check_j_max(self.jmax)
 
     @property
-    def basis(self) -> JacobiBasis:
-        return jacobi_basis(self.alpha, self.beta)
-
-    @property
     def filt(self) -> Filter:
         """The order-m polynomial-shape filter."""
         return make_filter(make_profile(POLYNOMIAL_SHAPE, self.m))
 
-    def build(self) -> NeedletFrame:
+    def build(self, basis: JacobiBasis) -> NeedletFrame:
         """The frame on basis with filt."""
-        return build_frame(self.basis, self.filt, self.jmax, self.nodes_per_level)
+        return build_frame(basis, self.filt, self.jmax, self.nodes_per_level)
 
 
 @dataclass(frozen=True)
@@ -388,7 +384,7 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
         stack = np.stack([f_coeffs for f_coeffs, _ in truths])
         epsilons = calibrate_epsilon(model, stack, np.asarray(config.rsnr), n).tolist()
     if "needd" in config.estimators:
-        frame = config.frame.build()
+        frame = config.frame.build(model.basis)
         every_eps = [e for row in epsilons for e in row]
         plan_for = dict(zip(every_eps, make_threshold_plan(frame, model, every_eps, config.needd.kappa)))
 

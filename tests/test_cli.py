@@ -83,6 +83,25 @@ def test_frame_build_check_render(tmp_path, capsys):
     assert len(rows) == 200
     xs = [float(r["x"]) for r in rows]
     assert min(xs) >= -1.0 and max(xs) <= 1.0
+    # loading is bit-exact: the saved frame renders as the frame built in memory
+    built = needlets.FrameSpec(jmax=5).build(wicksell_model(64).basis)
+    want = needlets.needlet_values(built, 3, 4, np.linspace(-1.0, 1.0, 200))
+    assert [r["psi"] for r in rows] == [f"{v:.17g}" for v in want]
+
+
+@pytest.mark.parametrize("flags", [["--jmax", "9"], ["--alpha", "5"], ["--m", "3"]])
+def test_frame_render_reads_a_saved_frame_only(tmp_path, capsys, flags):
+    # render reads a saved frame only: a build flag is an error, never ignored
+    frame_path = tmp_path / "f.ndlt"
+    assert run_cli("frame", "build", "--jmax", "2", "--out", str(frame_path)) == 0
+    out = tmp_path / "psi.csv"
+    render = ["frame", "render", "--j", "1", "--nu", "1", "--out", str(out)]
+    assert run_cli(*render, "--frame", str(frame_path), *flags) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert run_cli(*render, *flags) == 1
+    assert run_cli(*render) == 1
+    assert "the following arguments are required: --frame" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_frame_check_catches_inexact_quadrature(tmp_path, capsys):
@@ -180,6 +199,8 @@ def _point_commands(tmp_path, points):
     estimate command renders one observation file."""
     obs_path = tmp_path / "obs.csv"
     _write_observation(obs_path, kmax=64)
+    frame_path = str(tmp_path / "f.ndlt")
+    assert run_cli("frame", "build", "--jmax", "2", "--out", frame_path) == 0
     out = str(tmp_path / "out.csv")
     return {
         "estimate --render": [
@@ -187,7 +208,7 @@ def _point_commands(tmp_path, points):
             "--out", str(tmp_path / "fhat.csv"), "--render", out, "--points", points,
         ],
         "frame render": [
-            "frame", "render", "--jmax", "2", "--j", "1", "--nu", "1", "--points", points, "--out", out,
+            "frame", "render", "--frame", frame_path, "--j", "1", "--nu", "1", "--points", points, "--out", out,
         ],
         "filter plot": ["filter", "plot", "--points", points, "--out", out],
     }
@@ -326,7 +347,7 @@ def test_simulate_and_rates(tmp_path):
         "runs": 2,
         "estimators": ["needd"],
         "seed": 7,
-        "frame": {"alpha": 0.0, "beta": 1.0, "jmax": 6, "m": 2, "nodes-per-level": "exact"},
+        "frame": {"jmax": 6, "m": 2, "nodes-per-level": "exact"},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -339,6 +360,16 @@ def test_simulate_and_rates(tmp_path):
     bad["runs"] = 0
     cfg_path.write_text(json.dumps(bad))
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 1
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_simulate_refuses_a_frame_basis(tmp_path, capsys, key):
+    # the basis is the model's: naming one is refused even when no frame is built
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frame": {key: 0.5}, "estimators": ["svd-proj"]}))
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")) == 1
+    assert capsys.readouterr().err == f"error: unknown frame config keys: ['{key}']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_simulate_log_base_not_above_one_exits_1(tmp_path, capsys):
@@ -390,7 +421,7 @@ def test_rates_smoke(tmp_path, capsys):
         "runs": 10,
         "estimators": ["needd"],
         "seed": 11,
-        "frame": {"alpha": 0.0, "beta": 1.0, "jmax": 8, "m": 2, "nodes-per-level": "exact"},
+        "frame": {"jmax": 8, "m": 2, "nodes-per-level": "exact"},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -406,6 +437,12 @@ def test_rates_smoke(tmp_path, capsys):
     assert kinds == {"wicksell", "direct"}
     slopes = {r["model"]: float(r["slope"]) for r in rows}
     assert slopes["direct"] > slopes["wicksell"] > 0.0
+    # one line per model with its fitted slope, and no theory exponent
+    firsts = rows[:: len(rows) // 2]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{r['model']}: slope={float(r['slope']):.4f} (stderr {float(r['slope_stderr']):.4f})"
+        for r in firsts
+    ]
 
 
 def test_rates_is_deterministic(tmp_path, capsys):

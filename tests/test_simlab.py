@@ -301,7 +301,7 @@ def test_report_key_order(tmp_path):
         "targets", "rsnr", "n", "runs", "estimators", "seed",
         "frame", "adaptive", "needd", "epsilon-override",
     ]
-    assert list(d["frame"]) == ["alpha", "beta", "jmax", "m", "nodes-per-level"]
+    assert list(d["frame"]) == ["jmax", "m", "nodes-per-level"]
     assert list(d["adaptive"]) == ["gamma", "logbase"]
     assert list(d["needd"]) == ["kappa"]
     cell = CellResult("heavisine", 5.0, "needd", 0.01, (1, 2), [0.1, 0.2], [0.3, 0.4])
@@ -374,6 +374,19 @@ def test_json_round_trip(tmp_path):
         load_report(path)
 
 
+def test_report_naming_a_frame_basis_is_refused(tmp_path):
+    # a report whose frame group names the Jacobi exponents, as older reports
+    # did, is refused by name: the basis is the model's
+    path = emit_report(run_experiment(_tiny_config()), str(tmp_path / "out"))[2]
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["config"]["frame"] = {"alpha": 0.0, "beta": 1.0, **payload["config"]["frame"]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match=r"^unknown frame config keys: \['alpha', 'beta'\]$"):
+        load_report(path)
+
+
 def test_seed_changes_results():
     r1 = run_experiment(_tiny_config(seed=1))
     r2 = run_experiment(_tiny_config(seed=2))
@@ -391,7 +404,7 @@ def test_projection_cells_carry_n_star():
 
 def _reference_projection_cell(cfg, cell, f_coeffs=None):
     """Direct cutoff sweep: every partial sum of every run on the grid."""
-    model = wicksell_model(kmax=cfg.frame.build().budget)
+    model = wicksell_model(kmax=2 ** (cfg.frame.jmax + 1))
     n = cfg.n
     grid = np.arange(1, n + 1) / n
     e_vals = eval_e(model, model.kmax, grid)
@@ -552,7 +565,7 @@ def test_rate_study_forms_one_grid_table_for_its_models(frame8, monkeypatch):
 
 @pytest.fixture(scope="module")
 def frame4():
-    return FrameSpec(jmax=4).build()
+    return FrameSpec(jmax=4).build(wicksell_model(32).basis)
 
 
 _LADDER_EPS = st.one_of(
