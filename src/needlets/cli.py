@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 
@@ -33,19 +32,21 @@ from .frame import NODES_EXACT, NODES_PAPER, frame_invariants, frame_levels, nee
 from .frameio import load_frame, open_frame, write_levels
 from .jacobi import gauss_jacobi_rule, jacobi_basis
 from .models import SequenceObservation, direct_model, eval_e, wicksell_model
-from .simlab import (
-    FrameSpec,
-    SimulationConfig,
-    emit_report,
-    rate_study,
-    run_experiment,
-)
+from .simlab import FrameSpec, RatesConfig, emit_report, load_config, rate_study, run_experiment
 
 # four decades so the fitted slope is past the threshold-regime transient
 RATE_EPS_DEFAULT = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 
 # model constructors (of kmax) by kind; the first is the default, and rates runs all in order
 MODELS = {"wicksell": wicksell_model, "direct": direct_model}
+
+# the estimate flags that belong to one method each, with their defaults;
+# a flag of another method than the one run is refused by name
+METHOD_FLAGS = {
+    "needd": {"frame": None, "kappa": KAPPA_DEFAULT},
+    "svd-proj": {"n_keep": None},
+    "svd-adapt": {"gamma": 0.1, "grid_n": 1024},
+}
 
 
 def _write_csv(path, header, rows):
@@ -157,7 +158,24 @@ def _read_observation(path, epsilon) -> SequenceObservation:
     return SequenceObservation(np.asarray([y for _, y in rows]), epsilon)
 
 
+def _method_flags(args) -> None:
+    """Refuse the flags of the methods args.method is not, and default its own."""
+    stray = [
+        "--" + name.replace("_", "-")
+        for method, flags in METHOD_FLAGS.items()
+        if method != args.method
+        for name in flags
+        if getattr(args, name) is not None
+    ]
+    if stray:
+        raise ValueError(f"--method {args.method} takes no {', '.join(stray)}")
+    for name, default in METHOD_FLAGS[args.method].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+
+
 def _cmd_estimate(args) -> int:
+    _method_flags(args)
     obs = _read_observation(args.input, args.epsilon)
     kmax = obs.kmax
     model = MODELS[args.model](kmax)
@@ -191,20 +209,15 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _load_config(path) -> SimulationConfig:
-    with open(path, encoding="utf-8") as fh:
-        return SimulationConfig.from_dict(json.load(fh))
-
-
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config)
     report = run_experiment(config)
     print("wrote " + ", ".join(emit_report(report, args.out)))
     return 0
 
 
 def _cmd_rates(args) -> int:
-    config = _load_config(args.config)
+    config = load_config(args.config, RatesConfig)
     models = [make(2 ** (config.frame.jmax + 1)) for make in MODELS.values()]
     frame = config.frame.build(models[0].basis)
     eps_list = tuple(args.eps) if args.eps else RATE_EPS_DEFAULT
@@ -298,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate one observation file")
     p.add_argument("--model", choices=tuple(MODELS), default=next(iter(MODELS)))
-    p.add_argument("--frame", help="saved frame (required for needd)")
+    p.add_argument("--frame", help="saved frame (needd, required)")
     p.add_argument("--input", required=True, help="CSV with rows (i, Y_i)")
-    p.add_argument("--method", choices=("needd", "svd-proj", "svd-adapt"), required=True)
+    p.add_argument("--method", choices=tuple(METHOD_FLAGS), required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--kappa", type=float, default=KAPPA_DEFAULT)
-    p.add_argument("--n-keep", type=int, default=None, help="projection cutoff index")
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--grid-n", type=int, default=1024, help="grid resolution bounding the adaptive cutoff")
+    p.add_argument("--kappa", type=float, help=f"threshold constant (needd; default {KAPPA_DEFAULT})")
+    p.add_argument("--n-keep", type=int, help="projection cutoff index (svd-proj; default kmax // 2)")
+    p.add_argument("--gamma", type=float, help="block filter constant in (0, 1/2) (svd-adapt; default 0.1)")
+    p.add_argument("--grid-n", type=int, help="grid resolution bounding the adaptive cutoff (svd-adapt; default 1024)")
     p.add_argument("--out", required=True)
     p.add_argument("--render", help="also write the natural-domain rendering (x, fhat(x))")
     p.add_argument("--points", type=_point_count, default=512, help="rendering grid size")
@@ -336,7 +349,7 @@ def main(argv=None) -> int:
     except (InvariantError, NormResolutionError, UnresolvedIntegrandError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ with j_max at most MAX_JMAX, and build_frame holds them all. After its
 rule's Newton polish a level takes one recurrence sweep over the nodes,
 which gives the Christoffel weights and psi's F-ordered columns degree by
 degree; the build self-check, the invariant suite and level_sigma read psi
-in blocks of BLOCK columns or BLOCK // 4 rows, so beside the levels they
+in blocks of BLOCK columns or BLOCK // 2 rows, so beside the levels they
 are given they hold one block at most. Each level's psi, built here or
 read by frameio, has a mapping of its own, unmapped once it is dropped.
 Needlets are evaluated on [-1, 1] one block of points at a time for whole
@@ -72,9 +72,10 @@ _SELF_CHECK_TOL = 1e-9
 # the top level accepted anywhere a frame is built or read: level 13's psi
 # takes 1.61 GB, level 14's would take 6.4 GB
 MAX_JMAX = 13
-# columns (Gram defect) or rows (needlet norms) of psi taken at once; at
-# jmax 11 a block's products stay near 10 MB
-BLOCK = 512
+# columns of psi the Gram defect takes at once, twice the rows level_sigma
+# takes; at jmax 11 a block's products stay near 6 MB, where 512 columns
+# took 10.5 MB and about 5% less time
+BLOCK = 256
 # basis-table entries (degrees x points) formed at once when needlets are
 # evaluated on [-1, 1]; a level has no more psi rows than degrees, so a
 # block's table and its values stay near 16 MB each at every level
@@ -347,7 +348,7 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
     """Per-level sigma_j, sigma_j^2 = sup_eta sum_i (psi^i_{j,eta} / b_i)^2.
 
     Index 0 of the result is level -1; index j+1 is level j. Each level is
-    reduced BLOCK // 4 rows at a time, each row summed in frequency order as
+    reduced BLOCK // 2 rows at a time, each row summed in frequency order as
     over the whole level, so one block of scaled squares is held at a time.
     """
     b = np.asarray(singular_values, dtype=float)
@@ -361,10 +362,10 @@ def level_sigma(frame: NeedletFrame, singular_values) -> np.ndarray:
 
 
 def _level_sigma(psi: np.ndarray, b_lev: np.ndarray) -> float:
-    """sigma of one level: the largest row norm of psi / b_lev, BLOCK // 4 rows at a time."""
+    """sigma of one level: the largest row norm of psi / b_lev, BLOCK // 2 rows at a time."""
     peaks = []
-    for r0 in range(0, psi.shape[0], BLOCK // 4):
-        scaled = psi[r0 : r0 + BLOCK // 4] / b_lev
+    for r0 in range(0, psi.shape[0], BLOCK // 2):
+        scaled = psi[r0 : r0 + BLOCK // 2] / b_lev
         np.square(scaled, out=scaled)
         peaks.append(np.max(np.sum(scaled, axis=1)))
         del scaled

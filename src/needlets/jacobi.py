@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NodeSolveError
 
@@ -316,7 +315,10 @@ def generalized_weight(basis: JacobiBasis, n: int, x) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    # every caller shares the cached arrays
+    # every caller shares the cached arrays; numpy.polynomial is loaded on
+    # first use, which no frame command reaches
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(q)
     x.setflags(write=False)
     w.setflags(write=False)

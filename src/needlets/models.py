@@ -10,7 +10,6 @@ the identity on its Jacobi(0,1) basis are provided; both act on the domain
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -275,6 +274,8 @@ def derive_seed(master_seed: int, run_index: int, target_id: str, noise_id: str)
     The hash is keyed on the decimal run index and the two id strings, so
     reports are bit-reproducible across processes and platforms.
     """
+    import hashlib  # on first use: it loads OpenSSL, which no frame command needs
+
     key = f"{run_index}|{target_id}|{noise_id}".encode()
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return (int(master_seed) ^ int.from_bytes(digest, "little")) & 0xFFFFFFFFFFFFFFFF

@@ -47,13 +47,13 @@ formed once per rate_study call, which takes one model or a sequence of
 them. Run seeds are keyed on each noise level's repr.
 
 The JSON config and report formats are the dataclasses themselves: a
-config is SimulationConfig and its three group specs field by field, in
-field order, with '-' for '_' in keys; a report cell is CellResult's
-fields plus its means and standard errors. The frame group names no
-basis, since the frame is built on the model's: a config or report that
-names one is refused as an unknown key. Parsing maps keys back through
-the same fields, so a field added to a dataclass is written and read with
-no other edit.
+config is SimulationConfig (RatesConfig, a subset, for the rate study)
+and its group specs field by field, in field order, with '-' for '_' in
+keys; a report cell is CellResult's fields plus its means and standard
+errors. The frame group names no basis, since the frame is built on the
+model's: a config or report that names one is refused as an unknown key.
+Parsing maps keys back through the same fields, so a field added to a
+dataclass is written and read with no other edit.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import InvariantError
 from .estimators import (
@@ -104,6 +103,8 @@ __all__ = [
     "AdaptiveSpec",
     "NeedDSpec",
     "SimulationConfig",
+    "RatesConfig",
+    "load_config",
     "CellResult",
     "SimulationReport",
     "RateStudy",
@@ -206,6 +207,31 @@ class SimulationConfig:
             if name not in TARGET_NAMES:
                 raise ValueError(f"unknown target {name!r}; choose from {TARGET_NAMES}")
         return config
+
+
+@dataclass(frozen=True)
+class RatesConfig:
+    """The config keys `rates` reads, with SimulationConfig's defaults; its target and noise are fixed."""
+
+    frame: FrameSpec = field(default_factory=FrameSpec)
+    runs: int = 20
+    n: int = 1024
+    seed: int = 65537
+    needd: NeedDSpec = field(default_factory=NeedDSpec)
+
+    def __post_init__(self):
+        if self.n < 64:
+            raise ValueError(f"grid resolution must be >= 64, got {self.n}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RatesConfig":
+        return _from_json(cls, raw, "")
+
+
+def load_config(path, kind=SimulationConfig):
+    """kind (SimulationConfig or RatesConfig) parsed from the JSON file at path."""
+    with open(path, encoding="utf-8") as fh:
+        return kind.from_dict(json.load(fh))
 
 
 def _json_keys(d: dict) -> dict:
@@ -335,6 +361,8 @@ def _pad(coeffs: np.ndarray, size: int) -> np.ndarray:
 
 def _draw_runs(model, f_coeffs, epsilon, master_seed, runs, target_id, noise_id):
     """Per-run seeds and the runs drawn from them, stacked as one (runs, K) observation."""
+    from numpy.random import default_rng  # on first draw: it loads OpenSSL, as hashlib does
+
     seeds = tuple(derive_seed(master_seed, r, target_id, noise_id) for r in range(runs))
     y = np.stack([
         sample_observation(model, f_coeffs, epsilon, default_rng(s)).y for s in seeds

@@ -302,6 +302,25 @@ def test_estimate_needd_requires_frame(tmp_path):
     )
 
 
+@pytest.mark.parametrize("method, flags, named", [
+    # the frame file was never opened, so a missing one went unnoticed
+    ("svd-proj", ["--kappa", "7", "--gamma", "3", "--grid-n", "5", "--frame", "absent.bin"],
+     "--frame, --kappa, --gamma, --grid-n"),
+    ("svd-adapt", ["--n-keep", "4"], "--n-keep"),
+    ("svd-adapt", ["--kappa", "7"], "--kappa"),
+    ("needd", ["--frame", "absent.bin", "--grid-n", "5", "--n-keep", "4"], "--n-keep, --grid-n"),
+    ("needd", ["--frame", "absent.bin", "--gamma", "0.2"], "--gamma"),
+])
+def test_estimate_refuses_another_methods_flags(tmp_path, capsys, method, flags, named):
+    obs_path = tmp_path / "obs.csv"
+    _write_observation(obs_path, kmax=64)
+    out = tmp_path / "fhat.csv"
+    argv = ["estimate", "--input", str(obs_path), "--method", method, "--epsilon", "0.01", "--out", str(out)]
+    assert run_cli(*argv, *flags) == 1
+    assert capsys.readouterr().err == f"error: --method {method} takes no {named}\n"
+    assert not out.exists()
+
+
 def test_estimate_rejects_gappy_input(tmp_path):
     obs_path = tmp_path / "obs.csv"
     with open(obs_path, "w") as fh:
@@ -362,6 +381,15 @@ def test_simulate_and_rates(tmp_path):
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_config_that_is_not_json_exits_1(tmp_path, capsys, command):
+    # json.JSONDecodeError is a ValueError, so main reports it as an input error
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"runs": 10,}')
+    assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: Expecting property name enclosed in double quotes")
+
+
 @pytest.mark.parametrize("key", ["alpha", "beta"])
 def test_simulate_refuses_a_frame_basis(tmp_path, capsys, key):
     # the basis is the model's: naming one is refused even when no frame is built
@@ -415,11 +443,8 @@ def test_rates_names_a_level_outside_0_1(tmp_path, capsys):
 
 def test_rates_smoke(tmp_path, capsys):
     cfg = {
-        "targets": ["heavisine"],
-        "rsnr": [5.0],
         "n": 1024,
         "runs": 10,
-        "estimators": ["needd"],
         "seed": 11,
         "frame": {"jmax": 8, "m": 2, "nodes-per-level": "exact"},
     }
@@ -443,6 +468,24 @@ def test_rates_smoke(tmp_path, capsys):
         f"{r['model']}: slope={float(r['slope']):.4f} (stderr {float(r['slope_stderr']):.4f})"
         for r in firsts
     ]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("targets", ["blocks"]),
+    ("rsnr", [99]),
+    ("estimators", ["svd-proj"]),
+    ("adaptive", {"gamma": 0.2}),
+    ("epsilon-override", 0.5),
+])
+def test_rates_refuses_the_keys_it_does_not_read(tmp_path, capsys, key, value):
+    # its target and noise ladder are fixed: such a config used to write the
+    # default rates.csv
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 3}, key: value}))
+    out = tmp_path / "rates.csv"
+    assert run_cli("rates", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+    assert not out.exists()
 
 
 def test_rates_is_deterministic(tmp_path, capsys):
@@ -528,3 +571,28 @@ def test_runtime_imports_no_scipy():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_frame_commands_load_no_random_or_openssl(tmp_path):
+    # numpy.random loads OpenSSL's libcrypto (through secrets and hmac), as
+    # hashlib does, and numpy.polynomial serves the panel quadrature: frame
+    # build and check use none of them, and simulate loads them when it draws
+    code = """if True:
+        import json, sys
+        from needlets import cli
+
+        def loaded():
+            return [m for m in ("numpy.random", "hashlib", "_hashlib", "numpy.polynomial") if m in sys.modules]
+
+        assert cli.main(["frame", "build", "--jmax", "3", "--out", "f.ndlt"]) == 0
+        assert cli.main(["frame", "check", "f.ndlt"]) == 0
+        after_frame = loaded()
+        with open("cfg.json", "w") as fh:
+            json.dump({"targets": ["blocks"], "rsnr": [5], "runs": 1, "n": 64, "frame": {"jmax": 3}}, fh)
+        assert cli.main(["simulate", "--config", "cfg.json", "--out", "sim"]) == 0
+        print(after_frame, loaded())
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(needlets.__file__).resolve().parents[1]))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[] ['numpy.random', 'hashlib', '_hashlib', 'numpy.polynomial']"

@@ -344,10 +344,10 @@ def test_streamed_levels_match_the_held_frame(frame8, filt, tmp_path):
 def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, traced_peak):
     # each holds one level at a time: a level's mapping is released before
     # the next level is mapped. Beside it, the traced temporaries stay within
-    # one block of 512 rows of the top level: the Gram check writes every
-    # product into one buffer (0.69 blocks here; a block's products formed
-    # beside the last block's took 1.18), and level_sigma holds BLOCK // 4
-    # scaled rows (0.25; BLOCK rows took 1.05)
+    # one block of BLOCK = 256 columns of the top level (1.6 MB): the Gram
+    # check writes every product into one buffer (0.71 blocks here; blocks
+    # of 512 columns took twice the bytes), and level_sigma holds BLOCK // 2
+    # scaled rows (0.5)
     path = tmp_path / "frame.ndlt"
     basis = jacobi_basis(0.0, 1.0)
     build_maps, check_maps = [], []
@@ -372,10 +372,10 @@ def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, tr
 def test_build_and_check_in_one_process_peak_at_one_level_plus_a_block(tmp_path):
     # frame build and frame check at jmax 11 in one process raise its peak
     # RSS by at most the top level's psi (100.6 MB) and one block of BLOCK
-    # columns (12.6 MB): a dropped level's psi is unmapped, so level 10's
-    # (25 MB) does not stay resident beside level 11's. A build and check at
-    # jmax 8 first take the process's one-time allocations (BLAS buffers,
-    # heap arenas), about 5 MB, out of the rise
+    # columns (6.3 MB; the Gram buffer takes 5.8 MB): a dropped level's psi
+    # is unmapped, so level 10's (25 MB) does not stay resident beside level
+    # 11's. A build and check at jmax 8 first take the process's one-time
+    # allocations (BLAS buffers, heap arenas), about 5 MB, out of the rise
     code = textwrap.dedent("""
         import sys
         from needlets import cli

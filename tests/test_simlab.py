@@ -50,6 +50,7 @@ from needlets import (
 from needlets.cli import RATE_EPS_DEFAULT, main
 from needlets.errors import InvariantError
 from needlets.estimators import GRAM_BLOCK
+from needlets.simlab import RatesConfig
 
 
 def _tiny_config(**kw):
@@ -126,6 +127,17 @@ def test_config_value_of_wrong_type_rejected(raw, key, value, tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_rates_config_holds_the_keys_rates_reads():
+    # the defaults are the simulation's, and the benchmark's config parses
+    default = SimulationConfig()
+    cfg = RatesConfig.from_dict({"seed": 5, "frame": {"jmax": 10}})
+    assert (cfg.frame.jmax, cfg.runs, cfg.n, cfg.seed, cfg.needd) == (10, default.runs, default.n, 5, default.needd)
+    with pytest.raises(ValueError, match=r"^config key 'needd.kappa' must be float"):
+        RatesConfig.from_dict({"needd": {"kappa": "x"}})
+    with pytest.raises(ValueError, match=r"^grid resolution must be >= 64, got 32$"):
+        RatesConfig.from_dict({"n": 32})
 
 
 @pytest.mark.parametrize("eps", [5e-324, sys.float_info.min / 2.0])
