@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
 import numpy as np
@@ -91,10 +90,7 @@ def _cmd_frame_build(args) -> int:
     spec = FrameSpec(args.jmax, args.m, args.nodes_per_level)
     params = (jacobi_basis(args.alpha, args.beta), spec.filt, spec.jmax, spec.nodes_per_level)
     defect = write_levels(args.out, *params, frame_levels(*params))
-    print(
-        f"wrote {args.out}: basis=jacobi j_max={spec.jmax} "
-        f"budget={2 ** (spec.jmax + 1)} defect={defect:.3g}"
-    )
+    print(f"wrote {args.out}: basis=jacobi j_max={spec.jmax} budget={spec.budget} defect={defect:.3g}")
     return 0
 
 
@@ -218,20 +214,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rates(args) -> int:
     config = load_config(args.config, RatesConfig)
-    models = [make(2 ** (config.frame.jmax + 1)) for make in MODELS.values()]
+    models = [make(config.frame.budget) for make in MODELS.values()]
     frame = config.frame.build(models[0].basis)
     eps_list = tuple(args.eps) if args.eps else RATE_EPS_DEFAULT
-    coeffs = np.exp(-np.arange(64) / 4.0)
-    coeffs /= math.sqrt(float(np.sum(coeffs**2)))
     studies = rate_study(
-        models,
-        frame,
-        coeffs,
-        eps_list,
-        config.runs,
-        n=config.n,
-        kappa=config.needd.kappa,
-        master_seed=config.seed,
+        models, frame, config.target, eps_list, config.runs,
+        n=config.n, kappa=config.needd.kappa, master_seed=config.seed,
     )
     rows = [
         [model.kind, f"{e:.17g}", f"{m:.17g}", f"{study.slope:.17g}", f"{study.slope_stderr:.17g}"]

@@ -59,16 +59,6 @@ STACK_ROWS = 60
 GRAM_BLOCK = 128
 
 
-def _log(z: float, base: float) -> float:
-    return math.log(z) / math.log(base)
-
-
-def _require_log_base(base: float) -> None:
-    # a base of 1 divides by log 1 = 0; below 1 every log flips sign
-    if not (math.isfinite(base) and base > 1.0):
-        raise ValueError(f"log base must be finite and > 1, got {base}")
-
-
 @dataclass(frozen=True)
 class ThresholdPlan:
     """Frozen thresholding schedule: keep |beta_j| >= kappa * t_eps * sigma[j].
@@ -299,22 +289,19 @@ def projection_cutoff(ybars, e_vals: np.ndarray, f_vals: np.ndarray, gram: tuple
     return int(np.argmin(score))
 
 
-def make_blocks(
-    model: SvdModel, epsilon: float, log_base: float = math.e
-) -> np.ndarray:
+def make_blocks(model: SvdModel, epsilon: float) -> np.ndarray:
     """Geometrically growing block boundaries kappa_0 = 1 < kappa_1 < ...
 
-    nu_eps = max(5, loglog(1/eps)) and rho_eps = 1/log(nu_eps) set the
-    growth; boundaries extend until they pass the largest m whose cumulative
-    inverse-squared singular values stay under eps^{-2} rho^{-3} (past that
-    index the naive inverse is pure noise). The last boundary is the first
-    one strictly beyond every usable index.
+    nu_eps = max(5, log log(1/eps)) and rho_eps = 1/log(nu_eps), in natural
+    logs, set the growth; boundaries extend until they pass the largest m
+    whose cumulative inverse-squared singular values stay under
+    eps^{-2} rho^{-3} (past that index the naive inverse is pure noise).
+    The last boundary is the first one strictly beyond every usable index.
     """
     if not sys.float_info.min <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [{sys.float_info.min}, 1), got {epsilon}")
-    _require_log_base(log_base)
-    nu_eps = max(5.0, _log(_log(1.0 / epsilon, log_base), log_base))
-    rho = 1.0 / _log(nu_eps, log_base)
+    nu_eps = max(5.0, math.log(math.log(1.0 / epsilon)))
+    rho = 1.0 / math.log(nu_eps)
     # compare eps^{-2} rho^{-3} against the cumulative sums in log space:
     # the direct power overflows for epsilon below ~1e-154
     log_limit = -2.0 * math.log(epsilon) - 3.0 * math.log(rho)
@@ -347,11 +334,7 @@ class AdaptiveSvdConfig:
 
 
 def make_adaptive_config(
-    model: SvdModel,
-    epsilon: float,
-    n: int,
-    gamma: float = 0.1,
-    log_base: float = math.e,
+    model: SvdModel, epsilon: float, n: int, gamma: float = 0.1
 ) -> AdaptiveSvdConfig:
     """Precompute the blockwise filter for one (model, epsilon, n) setting.
 
@@ -365,10 +348,9 @@ def make_adaptive_config(
     if n < 2:
         raise ValueError(f"grid resolution must be >= 2, got {n}")
     if epsilon == 0.0:
-        _require_log_base(log_base)
         boundaries = np.array([1, model.kmax + 1])
     else:
-        boundaries = make_blocks(model, epsilon, log_base)
+        boundaries = make_blocks(model, epsilon)
     inv2 = model.b ** (-2.0)
     sigma2, delta = [], []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):

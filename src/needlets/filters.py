@@ -17,7 +17,6 @@ from .errors import ProfileError
 __all__ = [
     "CutoffProfile",
     "Filter",
-    "ProfileError",
     "make_profile",
     "make_filter",
     "profile_phi",

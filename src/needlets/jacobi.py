@@ -29,7 +29,6 @@ from .errors import NodeSolveError
 __all__ = [
     "JacobiBasis",
     "QuadratureRule",
-    "NodeSolveError",
     "MAX_EXPONENT",
     "jacobi_basis",
     "jacobi_eval_all",

@@ -129,6 +129,11 @@ class FrameSpec:
         check_j_max(self.jmax)
 
     @property
+    def budget(self) -> int:
+        """2^(jmax+1), the frame's coefficient budget and the kmax of the models it serves."""
+        return 2 ** (self.jmax + 1)
+
+    @property
     def filt(self) -> Filter:
         """The order-m polynomial-shape filter."""
         return make_filter(make_profile(POLYNOMIAL_SHAPE, self.m))
@@ -140,8 +145,9 @@ class FrameSpec:
 
 @dataclass(frozen=True)
 class AdaptiveSpec:
+    """The svd-adapt filter's gamma; its block growth takes natural logs (make_blocks)."""
+
     gamma: float = 0.1
-    logbase: float = math.e
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,10 @@ class SimulationConfig:
         return config
 
 
+# coefficients of the rate study's target, which every frame budget of `rates` must hold
+RATE_TARGET_SIZE = 64
+
+
 @dataclass(frozen=True)
 class RatesConfig:
     """The config keys `rates` reads, with SimulationConfig's defaults; its target and noise are fixed."""
@@ -222,6 +232,18 @@ class RatesConfig:
     def __post_init__(self):
         if self.n < 64:
             raise ValueError(f"grid resolution must be >= 64, got {self.n}")
+        if self.frame.budget < RATE_TARGET_SIZE:
+            least = math.ceil(math.log2(RATE_TARGET_SIZE)) - 1
+            raise ValueError(
+                f"config key 'frame.jmax' must be >= {least} to hold the "
+                f"{RATE_TARGET_SIZE}-coefficient rate target, got {self.frame.jmax}"
+            )
+
+    @property
+    def target(self) -> np.ndarray:
+        """The rate study's target: exp(-k/4) for k < RATE_TARGET_SIZE, at unit norm."""
+        coeffs = np.exp(-np.arange(RATE_TARGET_SIZE) / 4.0)
+        return coeffs / math.sqrt(float(np.sum(coeffs**2)))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RatesConfig":
@@ -382,7 +404,7 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
     frame is built only when needd is configured.
     """
     coefficient_targets = coefficient_targets or {}
-    model = wicksell_model(kmax=2 ** (config.frame.jmax + 1))
+    model = wicksell_model(kmax=config.frame.budget)
     n = config.n
     grid = np.arange(1, n + 1) / n
     e_vals = eval_e(model, model.kmax, grid)
@@ -431,9 +453,7 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
                 elif estimator == "needd":
                     coeffs = need_d(frame, model, obs, plan_for[epsilon]).coeffs
                 else:
-                    adapt_cfg = make_adaptive_config(
-                        model, epsilon, n, config.adaptive.gamma, config.adaptive.logbase
-                    )
+                    adapt_cfg = make_adaptive_config(model, epsilon, n, config.adaptive.gamma)
                     coeffs = svd_adaptive(model, obs, adapt_cfg)
                 estimates.append(coeffs)
                 n_stars.append(n_star)

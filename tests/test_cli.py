@@ -400,13 +400,15 @@ def test_simulate_refuses_a_frame_basis(tmp_path, capsys, key):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_simulate_log_base_not_above_one_exits_1(tmp_path, capsys):
-    cfg = {"adaptive": {"logbase": 1}, "runs": 1, "targets": ["blocks"], "rsnr": [5],
-           "estimators": ["svd-adapt"], "n": 256, "frame": {"jmax": 6}}
+def test_simulate_refuses_an_adaptive_log_base(tmp_path, capsys):
+    # the adaptive filter's logs are natural: a log base, even e, is an unknown key
+    cfg = {"adaptive": {"gamma": 0.1, "logbase": math.e}, "runs": 1, "targets": ["blocks"],
+           "rsnr": [5], "estimators": ["svd-adapt"], "n": 256, "frame": {"jmax": 6}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "sim")) == 1
-    assert capsys.readouterr().err == "error: log base must be finite and > 1, got 1\n"
+    assert capsys.readouterr().err == "error: unknown adaptive config keys: ['logbase']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
@@ -427,7 +429,7 @@ def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
 def test_rates_refuses_repeated_levels(tmp_path, capsys):
     # four equal levels used to run the whole study and then exit 2
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"frame": {"jmax": 3}}))
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 5}}))
     out = tmp_path / "rates.csv"
     assert run_cli("rates", "--config", str(cfg_path), *["--eps", "0.1"] * 4, "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: noise levels must be distinct, repeated: 0.1\n"
@@ -435,7 +437,7 @@ def test_rates_refuses_repeated_levels(tmp_path, capsys):
 
 def test_rates_names_a_level_outside_0_1(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"frame": {"jmax": 3}}))
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 5}}))
     levels = [arg for e in ("0.1", "0.01", "1.5", "nan") for arg in ("--eps", e)]
     assert run_cli("rates", "--config", str(cfg_path), *levels, "--out", str(tmp_path / "r.csv")) == 1
     assert capsys.readouterr().err == "error: every noise level must lie in (0, 1), got 1.5\n"
@@ -481,7 +483,7 @@ def test_rates_refuses_the_keys_it_does_not_read(tmp_path, capsys, key, value):
     # its target and noise ladder are fixed: such a config used to write the
     # default rates.csv
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"frame": {"jmax": 3}, key: value}))
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 5}, key: value}))
     out = tmp_path / "rates.csv"
     assert run_cli("rates", "--config", str(cfg_path), "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"

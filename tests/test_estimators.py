@@ -6,7 +6,6 @@ nu_eps = 5, and a single-element block where the concentration ratio is 1.
 
 import dataclasses
 import math
-import re
 import sys
 
 import numpy as np
@@ -429,16 +428,6 @@ def test_adaptive_zero_noise_limit_is_capped_projection(wicksell512, rng, n):
     )
     with pytest.raises(ValueError, match="^epsilon must be in "):
         make_blocks(wicksell512, 0.0)
-
-
-@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -1.0, math.nan, math.inf])
-def test_log_base_must_be_finite_above_one(wicksell512, base):
-    # a base of 1 divided by log 1 = 0, a base below 1 flipped every log
-    msg = f"^log base must be finite and > 1, got {re.escape(str(base))}$"
-    with pytest.raises(ValueError, match=msg):
-        make_blocks(wicksell512, 0.01, base)
-    with pytest.raises(ValueError, match=msg):
-        make_adaptive_config(wicksell512, 0.0, 1024, log_base=base)
 
 
 def test_adaptive_weights_structure(wicksell512, rng):

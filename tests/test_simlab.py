@@ -11,6 +11,7 @@ per run) is kept here as the reference it must agree with.
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -50,7 +51,7 @@ from needlets import (
 from needlets.cli import RATE_EPS_DEFAULT, main
 from needlets.errors import InvariantError
 from needlets.estimators import GRAM_BLOCK
-from needlets.simlab import RatesConfig
+from needlets.simlab import RATE_TARGET_SIZE, RatesConfig
 
 
 def _tiny_config(**kw):
@@ -138,6 +139,33 @@ def test_rates_config_holds_the_keys_rates_reads():
         RatesConfig.from_dict({"needd": {"kappa": "x"}})
     with pytest.raises(ValueError, match=r"^grid resolution must be >= 64, got 32$"):
         RatesConfig.from_dict({"n": 32})
+
+
+def test_rates_target_fills_the_smallest_budget_it_allows():
+    target = RatesConfig(frame=FrameSpec(5)).target
+    assert target.shape == (RATE_TARGET_SIZE,) == (FrameSpec(5).budget,)
+    assert math.isclose(float(np.linalg.norm(target)), 1.0, rel_tol=1e-15)
+    np.testing.assert_allclose(target / target[0], np.exp(-np.arange(RATE_TARGET_SIZE) / 4.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("jmax", [0, 3, 4])
+def test_rates_config_refuses_a_frame_too_small_for_its_target(jmax, tmp_path, capsys, monkeypatch):
+    # at jmax 4 the 32-coefficient budget cannot hold the 64-coefficient
+    # target: rates used to build the frame and both threshold schedules,
+    # then exit 1 naming an index. The config refuses it before any work
+    msg = f"config key 'frame.jmax' must be >= 5 to hold the 64-coefficient rate target, got {jmax}"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        RatesConfig.from_dict({"frame": {"jmax": jmax}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"frame": {"jmax": jmax}}))
+
+    def no_work(*args):
+        raise AssertionError("a frame was built before the config was checked")
+
+    monkeypatch.setattr(FrameSpec, "build", no_work)
+    assert main(["rates", "--config", str(path), "--out", str(tmp_path / "rates.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {msg}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("eps", [5e-324, sys.float_info.min / 2.0])
@@ -280,7 +308,7 @@ def test_stacked_scoring_is_row_by_row_scoring(monkeypatch):
     cfg = SimulationConfig()
     report = run_experiment(cfg)
     assert len(estimates) == len(report.cells)
-    model = wicksell_model(2 ** (cfg.frame.jmax + 1))
+    model = wicksell_model(cfg.frame.budget)
     grid = np.arange(1, cfg.n + 1) / cfg.n
     e_vals = eval_e(model, model.kmax, grid)
     truth = {t: target_function(t)(grid) for t in cfg.targets}
@@ -314,7 +342,7 @@ def test_report_key_order(tmp_path):
         "frame", "adaptive", "needd", "epsilon-override",
     ]
     assert list(d["frame"]) == ["jmax", "m", "nodes-per-level"]
-    assert list(d["adaptive"]) == ["gamma", "logbase"]
+    assert list(d["adaptive"]) == ["gamma"]
     assert list(d["needd"]) == ["kappa"]
     cell = CellResult("heavisine", 5.0, "needd", 0.01, (1, 2), [0.1, 0.2], [0.3, 0.4])
     # the loss tables are written too, so the one cell must fill them
@@ -399,6 +427,20 @@ def test_report_naming_a_frame_basis_is_refused(tmp_path):
         load_report(path)
 
 
+def test_report_naming_an_adaptive_log_base_is_refused(tmp_path):
+    # reports written while the log base was a setting echo it as e; the
+    # adaptive filter's logs are natural, so such a report is refused by name
+    path = emit_report(run_experiment(_tiny_config()), str(tmp_path / "out"))[2]
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["config"]["adaptive"] == {"gamma": 0.1}
+    payload["config"]["adaptive"]["logbase"] = math.e
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ValueError, match=r"^unknown adaptive config keys: \['logbase'\]$"):
+        load_report(path)
+
+
 def test_seed_changes_results():
     r1 = run_experiment(_tiny_config(seed=1))
     r2 = run_experiment(_tiny_config(seed=2))
@@ -416,7 +458,7 @@ def test_projection_cells_carry_n_star():
 
 def _reference_projection_cell(cfg, cell, f_coeffs=None):
     """Direct cutoff sweep: every partial sum of every run on the grid."""
-    model = wicksell_model(kmax=2 ** (cfg.frame.jmax + 1))
+    model = wicksell_model(kmax=cfg.frame.budget)
     n = cfg.n
     grid = np.arange(1, n + 1) / n
     e_vals = eval_e(model, model.kmax, grid)
