@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import InvariantError, NormResolutionError, UnresolvedIntegrandError
 from .estimators import (
+    GAMMA_DEFAULT,
+    GRID_N_DEFAULT,
     KAPPA_DEFAULT,
     make_adaptive_config,
     make_threshold_plan,
@@ -31,7 +33,15 @@ from .frame import NODES_EXACT, NODES_PAPER, frame_invariants, frame_levels, nee
 from .frameio import load_frame, open_frame, write_levels
 from .jacobi import gauss_jacobi_rule, jacobi_basis
 from .models import SequenceObservation, direct_model, eval_e, wicksell_model
-from .simlab import FrameSpec, RatesConfig, emit_report, load_config, rate_study, run_experiment
+from .simlab import (
+    FrameSpec,
+    RatesConfig,
+    check_rate_ladder,
+    emit_report,
+    load_config,
+    rate_study,
+    run_experiment,
+)
 
 # four decades so the fitted slope is past the threshold-regime transient
 RATE_EPS_DEFAULT = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
@@ -44,7 +54,7 @@ MODELS = {"wicksell": wicksell_model, "direct": direct_model}
 METHOD_FLAGS = {
     "needd": {"frame": None, "kappa": KAPPA_DEFAULT},
     "svd-proj": {"n_keep": None},
-    "svd-adapt": {"gamma": 0.1, "grid_n": 1024},
+    "svd-adapt": {"gamma": GAMMA_DEFAULT, "grid_n": GRID_N_DEFAULT},
 }
 
 
@@ -214,9 +224,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rates(args) -> int:
     config = load_config(args.config, RatesConfig)
+    # the ladder is refused before the models and the frame are built
+    eps_list = check_rate_ladder(args.eps or RATE_EPS_DEFAULT, config.runs)
     models = [make(config.frame.budget) for make in MODELS.values()]
     frame = config.frame.build(models[0].basis)
-    eps_list = tuple(args.eps) if args.eps else RATE_EPS_DEFAULT
     studies = rate_study(
         models, frame, config.target, eps_list, config.runs,
         n=config.n, kappa=config.needd.kappa, master_seed=config.seed,
@@ -305,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--kappa", type=float, help=f"threshold constant (needd; default {KAPPA_DEFAULT})")
     p.add_argument("--n-keep", type=int, help="projection cutoff index (svd-proj; default kmax // 2)")
-    p.add_argument("--gamma", type=float, help="block filter constant in (0, 1/2) (svd-adapt; default 0.1)")
-    p.add_argument("--grid-n", type=int, help="grid resolution bounding the adaptive cutoff (svd-adapt; default 1024)")
+    p.add_argument("--gamma", type=float, help=f"block filter constant in (0, 1/2) (svd-adapt; default {GAMMA_DEFAULT})")
+    p.add_argument("--grid-n", type=int, help=f"grid resolution bounding the adaptive cutoff (svd-adapt; default {GRID_N_DEFAULT})")
     p.add_argument("--out", required=True)
     p.add_argument("--render", help="also write the natural-domain rendering (x, fhat(x))")
     p.add_argument("--points", type=_point_count, default=512, help="rendering grid size")

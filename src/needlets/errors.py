@@ -16,6 +16,7 @@ __all__ = [
     "UnresolvedIntegrandError",
     "ProfileError",
     "require_entries",
+    "entry_error",
 ]
 
 
@@ -50,7 +51,12 @@ def require_entries(values: np.ndarray, ok: np.ndarray, label: str, requirement:
         return
     bad = np.argwhere(~ok)
     idx = tuple(int(i) for i in bad[0])
-    raise ValueError(
-        f"{label}[{', '.join(map(str, idx))}] = {values[idx]} is not {requirement} "
-        f"({len(bad)} of {values.size} entries are not)"
+    raise entry_error(label, idx, values[idx], requirement, len(bad), values.size)
+
+
+def entry_error(label: str, idx: tuple, value, requirement: str, n_bad: int, size: int) -> ValueError:
+    """require_entries's error for an array read in pieces: its first bad entry and the bad count."""
+    return ValueError(
+        f"{label}[{', '.join(map(str, idx))}] = {value} is not {requirement} "
+        f"({n_bad} of {size} entries are not)"
     )

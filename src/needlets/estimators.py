@@ -32,6 +32,8 @@ from .models import SequenceObservation, SvdModel
 
 __all__ = [
     "KAPPA_DEFAULT",
+    "GAMMA_DEFAULT",
+    "GRID_N_DEFAULT",
     "ThresholdPlan",
     "NeedDResult",
     "make_threshold_plan",
@@ -49,6 +51,10 @@ __all__ = [
 ]
 
 KAPPA_DEFAULT = 0.75 * math.sqrt(2.0)
+# the svd-adapt block filter's constant, and the grid resolution (points on
+# (0, 1]) its cutoff and every score is taken on
+GAMMA_DEFAULT = 0.1
+GRID_N_DEFAULT = 1024
 # runs of a ladder of noise levels put in one need_d_stack: at jmax 10 a
 # stack holds about 80 kB per run at its peak. 60 runs keep the peak RSS of
 # `rates` within 1 MB of one stack per level; 100 ran 0.01 s faster and
@@ -334,7 +340,7 @@ class AdaptiveSvdConfig:
 
 
 def make_adaptive_config(
-    model: SvdModel, epsilon: float, n: int, gamma: float = 0.1
+    model: SvdModel, epsilon: float, n: int, gamma: float = GAMMA_DEFAULT
 ) -> AdaptiveSvdConfig:
     """Precompute the blockwise filter for one (model, epsilon, n) setting.
 

@@ -9,14 +9,22 @@ a stack of runs (R, K). Both may take one count of rows per level: each
 level is then multiplied for that many leading rows only, and its other
 rows are zeros that are never read.
 
-Each level stands alone: frame_levels builds one at a time, j = -1..j_max
-with j_max at most MAX_JMAX, and build_frame holds them all. After its
-rule's Newton polish a level takes one recurrence sweep over the nodes,
-which gives the Christoffel weights and psi's F-ordered columns degree by
-degree; the build self-check, the invariant suite and level_sigma read psi
-in blocks of BLOCK columns or BLOCK // 2 rows, so beside the levels they
-are given they hold one block at most. Each level's psi, built here or
-read by frameio, has a mapping of its own, unmapped once it is dropped.
+Each level stands alone: frame_levels gives one at a time, j = -1..j_max
+with j_max at most MAX_JMAX, and build_frame holds them all. A level's
+rule is Newton-polished first; one recurrence sweep over its nodes then
+gives the Christoffel weights and psi's columns degree by degree. A held
+level sweeps every node into an F-ordered psi of its own; a streamed
+level (LevelSweep.rows) sweeps NODE_BLOCK nodes at a time into one
+C-ordered block, the order a saved frame stores psi in, so it never holds
+the whole level. Either way the Gram self-check sums the upper triangle
+of Psi^T Psi over the same node blocks (_Gram), and the rule is certified
+over all its weights once the last node is swept. The invariant suite
+reads every level as such C-ordered node blocks (rows()), whether they
+are copied from a held psi or read from a file, and level_sigma reads
+psi BLOCK // 2 rows at a time. Each level's psi, each node block and each
+Gram accumulator has a private mapping of its own, unmapped once it is
+dropped.
+
 Needlets are evaluated on [-1, 1] one block of points at a time for whole
 levels (norms, localization): one basis table of at most TABLE entries
 and one product with the psi rows per block, so no whole-grid table is
@@ -49,6 +57,7 @@ from .jacobi import (
 
 __all__ = [
     "FrameLevel",
+    "LevelSweep",
     "NeedletFrame",
     "build_frame",
     "frame_levels",
@@ -63,6 +72,7 @@ __all__ = [
     "NODES_EXACT",
     "NODES_PAPER",
     "MAX_JMAX",
+    "NODE_BLOCK",
 ]
 
 NODES_EXACT = "exact"
@@ -72,10 +82,17 @@ _SELF_CHECK_TOL = 1e-9
 # the top level accepted anywhere a frame is built or read: level 13's psi
 # takes 1.61 GB, level 14's would take 6.4 GB
 MAX_JMAX = 13
-# columns of psi the Gram defect takes at once, twice the rows level_sigma
-# takes; at jmax 11 a block's products stay near 6 MB, where 512 columns
+# columns of each panel of the Gram triangle, twice the rows level_sigma
+# takes; at jmax 11 a panel's product stays near 6 MB, where 512 columns
 # took 10.5 MB and about 5% less time
 BLOCK = 256
+# rows of psi (nodes) swept, checked, written or read at once by a streamed
+# level; at jmax 11 a block takes 25 MB beside the Gram triangle's 41 MB,
+# where 512 rows gave a lower peak for more Python steps
+NODE_BLOCK = 1024
+# columns of psi copied at once between an F-ordered psi and a C-ordered
+# node block, so the transposing copy stays in cache
+TILE = 64
 # basis-table entries (degrees x points) formed at once when needlets are
 # evaluated on [-1, 1]; a level has no more psi rows than degrees, so a
 # block's table and its values stay near 16 MB each at every level
@@ -97,8 +114,25 @@ class FrameLevel:
         return self.nodes.shape[0]
 
     @property
+    def n_freq(self) -> int:
+        return self.psi.shape[1]
+
+    @property
     def freq_hi(self) -> int:
-        return self.freq_lo + self.psi.shape[1] - 1
+        return self.freq_lo + self.n_freq - 1
+
+    def rows(self) -> Iterator[np.ndarray]:
+        """psi's rows NODE_BLOCK at a time, each block C-ordered as a saved frame stores it.
+
+        The blocks are copied TILE columns at a time into one buffer, valid
+        until the next block is asked for.
+        """
+        block = _mapped((min(NODE_BLOCK, self.n_nodes), self.n_freq))
+        for r0 in range(0, self.n_nodes, NODE_BLOCK):
+            rows, src = block[: min(NODE_BLOCK, self.n_nodes - r0)], self.psi[r0 : r0 + NODE_BLOCK]
+            for c0 in range(0, self.n_freq, TILE):
+                rows[:, c0 : c0 + TILE] = src[:, c0 : c0 + TILE]
+            yield rows
 
 
 @dataclass(frozen=True)
@@ -141,45 +175,76 @@ def _level_window(filt: Filter, j: int, nodes_per_level: str) -> tuple[int, int,
     return n_nodes, lo, filter_a(filt, np.arange(lo, 2 ** (j + 1)) / 2.0**j)
 
 
+class _Gram:
+    """The upper triangle of one level's Psi^T Psi, summed over blocks of psi's rows.
+
+    The triangle is kept in panels of BLOCK rows, each from its diagonal
+    square to the last column, so a row block's share of a panel is one
+    product: the first block's is written in place, and every later one is
+    formed in one buffer sized for the first panel and added in. The panels
+    and the buffer share a private mapping (_mapped), released with the
+    accumulator; a level of one node block never touches the buffer.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        starts = range(0, n, BLOCK)
+        sizes = [min(BLOCK, n - c0) * (n - c0) for c0 in starts]
+        store = _mapped((sum(sizes) + sizes[0],))
+        offsets = np.cumsum([0] + sizes)
+        self._panels = [
+            store[at : at + size].reshape(-1, n - c0) for c0, at, size in zip(starts, offsets, sizes)
+        ]
+        self._product = store[offsets[-1] :]
+        self._empty = True
+
+    def add(self, rows: np.ndarray) -> None:
+        """Add the products of a block of psi's rows (n columns, in any layout)."""
+        # inf - inf in a sum is NaN, which the defect reports as infinite
+        with np.errstate(all="ignore"):
+            for c0, panel in zip(range(0, self.n, BLOCK), self._panels):
+                left, right = rows[:, c0 : c0 + BLOCK].T, rows[:, c0:]
+                if self._empty:
+                    np.matmul(left, right, out=panel)
+                else:
+                    panel += np.matmul(left, right, out=self._product[: panel.size].reshape(panel.shape))
+        self._empty = False
+
+    def defect(self, a: np.ndarray) -> float:
+        """max |Psi^T Psi - diag(a^2)| over the triangle, taken in place (once).
+
+        Every entry is checked: the entries below the diagonal are the
+        transposes of those above it. A NaN entry counts as an infinite
+        defect, so it fails every tolerance.
+        """
+        peaks = []
+        for c0, panel in zip(range(0, self.n, BLOCK), self._panels):
+            panel.reshape(-1)[:: panel.shape[1] + 1] -= a[c0 : c0 + panel.shape[0]] ** 2
+            peaks.append(np.max(np.abs(panel, out=panel)))
+        worst = float(np.max(peaks))  # unlike max(), np.max keeps a NaN
+        return math.inf if math.isnan(worst) else worst
+
+
 def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
-    """max |Psi^T Psi - diag(a^2)| of one level: its quadrature exactness defect.
+    """The Gram defect of a held psi, summed over its rows in NODE_BLOCK blocks as a streamed level's."""
+    gram = _Gram(psi.shape[1])
+    for r0 in range(0, psi.shape[0], NODE_BLOCK):
+        gram.add(psi[r0 : r0 + NODE_BLOCK])
+    return gram.defect(a)
 
-    Every entry of the Gram matrix is checked, one block of BLOCK columns at
-    a time: the block's own square with a^2 taken off its diagonal, then its
-    products with all columns to its right (the entries to its left are the
-    transposes of products already checked). Both products of every block
-    are written, at their own shapes, into one buffer sized for the first
-    block's larger one, so no Gram-sized array is formed and no block's
-    product outlives it. A NaN entry counts as an infinite defect, so it
-    fails every tolerance.
+
+def _mapped(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+    """An uninitialized little-endian float64 array in a private, hugepage-advised mapping of its own.
+
+    A page takes memory only once it is touched. Unlike a heap block, the
+    array goes back to the system as soon as it is dropped, and dropping it
+    does not raise glibc's mmap threshold, which would keep later heap
+    blocks of that size resident.
     """
-    n = psi.shape[1]
-    first = min(BLOCK, n)
-    buf = np.empty(first * max(first, n - first))
-    peaks = []
-    for c0 in range(0, n, BLOCK):
-        c1 = min(c0 + BLOCK, n)
-        w = c1 - c0
-        blk = psi[:, c0:c1]
-        gram = np.matmul(blk.T, blk, out=buf[: w * w].reshape(w, w))
-        gram.flat[:: w + 1] -= a[c0:c1] ** 2
-        peaks.append(np.max(np.abs(gram, out=gram)))
-        if c1 < n:
-            right = np.matmul(blk.T, psi[:, c1:], out=buf[: w * (n - c1)].reshape(w, n - c1))
-            peaks.append(np.max(np.abs(right, out=right)))
-    worst = float(np.max(peaks))  # unlike max(), np.max keeps a NaN
-    return math.inf if math.isnan(worst) else worst
-
-
-def _psi_array(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialized F-ordered psi in a private, hugepage-advised mapping of its own.
-
-    Unlike a heap block, it goes back to the system as soon as it is dropped.
-    """
-    buf = mmap.mmap(-1, 8 * shape[0] * shape[1], flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf).reshape(shape, order="F")
+    return np.frombuffer(buf, dtype="<f8").reshape(shape, order=order)
 
 
 def check_j_max(j_max: int) -> None:
@@ -190,42 +255,91 @@ def check_j_max(j_max: int) -> None:
         raise ValueError(f"j_max must be <= {MAX_JMAX}, got {j_max}")
 
 
-def _build_level(
-    basis: JacobiBasis, filt: Filter, j: int, nodes_per_level: str
-) -> tuple[FrameLevel, float]:
-    """Level j of frame_levels and its Gram defect; "exact" mode raises above tolerance.
+class LevelSweep:
+    """Level j of frame_levels: its rule's polished nodes, then its psi by one sweep.
 
-    One recurrence sweep after the Newton polish gives the Christoffel sums
-    and psi's columns; the rule is certified before psi is scaled by sqrt(w).
+    held() sweeps every node into an F-ordered psi of the level's own and
+    returns the FrameLevel; rows() sweeps NODE_BLOCK nodes at a time and
+    yields each block's rows of psi, C-ordered, in one reused buffer valid
+    until the next block is asked for. Either way psi is scaled by sqrt(w)
+    block by block and summed into the Gram triangle in the same node
+    blocks, so both give the same defect; once the last node is swept the
+    rule is certified over all its weights, and "exact" mode raises if the
+    defect exceeds tolerance. weights and defect are set then.
     """
-    n_nodes, lo, avals = _level_window(filt, j, nodes_per_level)
-    hi = lo + avals.shape[0] - 1
-    diag, off = _recurrence(basis, max(n_nodes, hi) + 1)
-    try:
-        nodes = np.zeros(1) if j == -1 else _polish(basis, diag, off, n_nodes)
-        # F-ordered, so each degree's column is contiguous; frameio reads and
-        # writes the same layout, which keeps BLAS rounding in analyze and
-        # synthesize the same for built and loaded frames
-        psi = _psi_array((n_nodes, avals.shape[0]))
-        kernel = np.zeros(n_nodes)
+
+    def __init__(self, basis: JacobiBasis, filt: Filter, j: int, nodes_per_level: str):
+        n_nodes, self.freq_lo, self.a = _level_window(filt, j, nodes_per_level)
+        self.j, self.basis, self.nodes_per_level = j, basis, nodes_per_level
+        self.n_freq = self.a.shape[0]
+        self.freq_hi = self.freq_lo + self.n_freq - 1
+        self._recurrence = _recurrence(basis, max(n_nodes, self.freq_hi) + 1)
+        try:
+            self.nodes = np.zeros(1) if j == -1 else _polish(basis, *self._recurrence, n_nodes)
+        except InvariantError as exc:
+            raise InvariantError(f"level {j}: {exc}") from exc
+        self.weights: np.ndarray | None = None
+        self.defect: float | None = None
+
+    @property
+    def n_nodes(self) -> int:
+        return self.nodes.shape[0]
+
+    def _sweep(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill out with psi's rows at the nodes x, scaled by sqrt(w); return their Christoffel sums.
+
+        The columns are formed in an F-ordered tile of TILE degrees, which
+        goes into out at once, so a C-ordered out is written row by row.
+        """
+        n_nodes, lo, hi, a = self.n_nodes, self.freq_lo, self.freq_hi, self.a
+        kernel = np.zeros(x.shape[0])
+        tile = _mapped((x.shape[0], TILE), order="F")
         with np.errstate(all="ignore"):
-            for i, p in enumerate(_orthonormal(diag, off, hi, nodes)):
+            for i, p in enumerate(_orthonormal(*self._recurrence, hi, x)):
                 if i < n_nodes:
                     kernel += p * p
                 if i >= lo:
-                    np.multiply(p, avals[i - lo], out=psi[:, i - lo])
-        rule = _christoffel_rule(basis, nodes, kernel)
-    except InvariantError as exc:
-        raise InvariantError(f"level {j}: {exc}") from exc
-    psi *= np.sqrt(rule.weights)[:, None]
-    defect = _gram_defect(psi, avals)
-    if nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
-        raise InvariantError(
-            f"quadrature exactness self-check failed at level {j} "
-            f"(defect {defect:.3e})"
-        )
-    psi.setflags(write=False)
-    return FrameLevel(j, rule.nodes, rule.weights, lo, psi), defect
+                    k = (i - lo) % TILE
+                    np.multiply(p, a[i - lo], out=tile[:, k])
+                    if k == TILE - 1 or i == hi:
+                        out[:, i - lo - k : i - lo + 1] = tile[:, : k + 1]
+            out *= np.sqrt(1.0 / kernel)[:, None]
+        return kernel
+
+    def _finish(self, kernel: np.ndarray, defect: float) -> None:
+        """Certify the rule over all its weights, then hold the defect to tolerance ("exact" mode)."""
+        try:
+            rule = _christoffel_rule(self.basis, self.nodes, kernel)
+        except InvariantError as exc:
+            raise InvariantError(f"level {self.j}: {exc}") from exc
+        if self.nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
+            raise InvariantError(
+                f"quadrature exactness self-check failed at level {self.j} "
+                f"(defect {defect:.3e})"
+            )
+        self.weights, self.defect = rule.weights, defect
+
+    def rows(self) -> Iterator[np.ndarray]:
+        block = _mapped((min(NODE_BLOCK, self.n_nodes), self.n_freq))
+        gram = _Gram(self.n_freq)
+        kernels = []
+        for r0 in range(0, self.n_nodes, NODE_BLOCK):
+            rows = block[: min(NODE_BLOCK, self.n_nodes - r0)]
+            kernels.append(self._sweep(self.nodes[r0 : r0 + NODE_BLOCK], rows))
+            gram.add(rows)
+            yield rows
+        self._finish(np.concatenate(kernels), gram.defect(self.a))
+
+    def held(self) -> tuple[FrameLevel, float]:
+        """The level with its whole psi, and its Gram defect."""
+        # F-ordered, so each degree's column is contiguous; load_frame
+        # gives the same layout, which keeps BLAS rounding in analyze and
+        # synthesize the same for built and loaded frames
+        psi = _mapped((self.n_nodes, self.n_freq), order="F")
+        kernel = self._sweep(self.nodes, psi)
+        self._finish(kernel, _gram_defect(psi, self.a))
+        psi.setflags(write=False)
+        return FrameLevel(self.j, self.nodes, self.weights, self.freq_lo, psi), self.defect
 
 
 def frame_levels(
@@ -233,10 +347,10 @@ def frame_levels(
     filt: Filter,
     j_max: int,
     nodes_per_level: str = NODES_EXACT,
-) -> Iterator[tuple[FrameLevel, float]]:
-    """(level, Gram defect) for j = -1..j_max, each built when it is asked for.
+) -> Iterator[LevelSweep]:
+    """A LevelSweep for each j = -1..j_max, its rule polished when it is asked for.
 
-    The arguments are checked at once; the levels are not built until they
+    The arguments are checked at once; no level is built until the levels
     are iterated, and the iterator keeps no reference to a level it has
     yielded, so a caller that drops each level before asking for the next
     holds one level at a time.
@@ -244,7 +358,7 @@ def frame_levels(
     check_j_max(j_max)
     if nodes_per_level not in (NODES_EXACT, NODES_PAPER):
         raise ValueError(f"unknown nodes_per_level: {nodes_per_level!r}")
-    return (_build_level(basis, filt, j, nodes_per_level) for j in range(-1, j_max + 1))
+    return (LevelSweep(basis, filt, j, nodes_per_level) for j in range(-1, j_max + 1))
 
 
 def build_frame(
@@ -263,7 +377,7 @@ def build_frame(
     records the largest defect on the frame instead, since the identity
     provably fails.
     """
-    levels, defects = zip(*frame_levels(basis, filt, j_max, nodes_per_level))
+    levels, defects = zip(*(lev.held() for lev in frame_levels(basis, filt, j_max, nodes_per_level)))
     return NeedletFrame(basis, filt, j_max, nodes_per_level, levels, max(defects))
 
 
@@ -373,23 +487,25 @@ def _level_sigma(psi: np.ndarray, b_lev: np.ndarray) -> float:
 
 
 def frame_invariants(
-    frame: NeedletFrame, levels: Iterable[FrameLevel] | None = None
+    frame: NeedletFrame, levels: Iterable | None = None
 ) -> list[tuple[str, float, float]]:
     """(name, measured, tolerance) rows of the invariant suite; Gram rows use _level_window's a.
 
     frame gives the filter, node mode and top level; levels, frame.levels
-    by default, may be read one at a time (frameio.open_frame): each level
-    is checked and dropped before the next is asked for.
+    by default, may be read one at a time (frameio.open_frame). A level
+    needs j, weights and rows(), psi's C-ordered node blocks: a held level
+    copies them from its psi and a stored one reads them, so both give the
+    same rows. Each level is checked and dropped before the next is asked
+    for, and one node block of it is held at a time.
     """
     gram_defect = zero_sum = norm_max = 0.0
     for lev in frame.levels if levels is None else levels:
         a = _level_window(frame.filt, lev.j, frame.nodes_per_level)[2]
-        gram_defect = max(gram_defect, _gram_defect(lev.psi, a))
+        lev_gram, lev_sum, lev_norm = _level_invariants(lev, a)
+        gram_defect = max(gram_defect, lev_gram)
         if lev.j >= 0:
-            zero_sum = max(zero_sum, float(np.max(np.abs(np.sqrt(lev.weights) @ lev.psi))))
-        # with unit singular values sigma_j is the largest needlet norm of level j
-        norm_max = max(norm_max, _level_sigma(lev.psi, np.ones(lev.psi.shape[1])))
-        del lev
+            zero_sum = max(zero_sum, lev_sum)
+        norm_max = max(norm_max, lev_norm)
     xi = np.linspace(1.0, float(2**frame.j_max), 4001)
     return [
         ("partition-of-unity", check_partition(frame.filt, xi), 1e-12),
@@ -397,6 +513,28 @@ def frame_invariants(
         ("zero-sum-per-frequency", zero_sum, 1e-10),
         ("needlet-norm<=1", norm_max, 1.0 + 1e-10),
     ]
+
+
+def _level_invariants(lev, a: np.ndarray) -> tuple[float, float, float]:
+    """(Gram defect, max |sum_nu sqrt(w_nu) psi_nu|, largest needlet norm) of one level."""
+    n_freq = a.shape[0]
+    gram = _Gram(n_freq)
+    sums = np.zeros(n_freq)
+    norm = 0.0
+    sqrt_w = np.sqrt(lev.weights)
+    strip = _mapped((min(NODE_BLOCK, lev.n_nodes), TILE), order="F")
+    for r0, rows in zip(range(0, lev.n_nodes, NODE_BLOCK), lev.rows()):
+        gram.add(rows)
+        # each frequency is summed down a contiguous column, which rounds as
+        # over a held F-ordered psi; a level of more than one node block adds
+        # its blocks' sums
+        for c0 in range(0, n_freq, TILE):
+            cols = strip[: rows.shape[0], : min(TILE, n_freq - c0)]
+            cols[...] = rows[:, c0 : c0 + TILE]
+            sums[c0 : c0 + TILE] += sqrt_w[r0 : r0 + NODE_BLOCK] @ cols
+        # a needlet's L2 norm is its row's: the basis is orthonormal
+        norm = max(norm, math.sqrt(float(np.max(np.einsum("ij,ij->i", rows, rows)))))
+    return gram.defect(a), float(np.max(np.abs(sums))), norm
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ defect), then one dense block per level holding nodes, weights, and the
 needlet coefficient matrix as raw 64-bit floats, psi row by row. The only
 basis family code is 0 (Jacobi).
 
-Both directions stream one level at a time: write_levels writes and drops
-each level it is given (save_frame is write_levels over a held frame), and
-open_frame reads one level each time it is asked (load_frame holds them
-all). Psi moves between its F-ordered array, the layout build_frame
-produces, and the file's rows through one buffer of TILE rows, a TILE x
-TILE tile at a time, so the transposition stays in cache.
+Both directions stream one level at a time, and a level's psi one block of
+frame.NODE_BLOCK rows at a time, in the file's row order: write_levels
+writes each row block a level's rows() gives (a build's sweep, or a held
+psi's copy) and then its weights, which a build knows only once its last
+node is swept; open_frame yields each stored level with its nodes and
+weights read, and its rows() reads psi's row blocks into one C-ordered
+buffer. save_frame is write_levels over a held frame; load_frame copies
+each stored level's row blocks into an F-ordered psi of its own, the
+layout build_frame produces.
 
 Loading rebuilds the filter and basis from the stored parameters before it
 reads a level, and takes the level blocks verbatim, so a round trip is
@@ -25,9 +28,11 @@ top level outside 0..MAX_JMAX, a non-finite or negative exactness defect,
 a level -1 other than node 0, weight 1 and psi 1, and any non-finite psi
 entry, node outside (-1, 1) or non-positive weight, raises ValueError
 naming the value rather than returning a partially read or corrupt frame.
-Psi is tested for finiteness one row block at a time as it is read; its
-first bad entry is named once the level's nodes and weights have passed.
-A level that passes is read-only, as a built one is.
+Nodes and weights are checked as they are read; psi is tested for
+finiteness one row block at a time, and a level with a bad entry yields no
+block from that one on: its first bad entry is named once the rest of the
+level has been counted. A level that passes is read-only, as a built one
+is.
 """
 
 from __future__ import annotations
@@ -41,20 +46,21 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .errors import require_entries
+from .errors import entry_error, require_entries
 from .filters import POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL, Filter, make_filter, make_profile
 from .frame import (
     NODES_EXACT,
     NODES_PAPER,
+    NODE_BLOCK,
     FrameLevel,
     NeedletFrame,
     _level_window,
-    _psi_array,
+    _mapped,
     check_j_max,
 )
 from .jacobi import JacobiBasis, jacobi_basis
 
-__all__ = ["FORMAT_VERSION", "save_frame", "load_frame", "write_levels", "open_frame"]
+__all__ = ["FORMAT_VERSION", "StoredLevel", "save_frame", "load_frame", "write_levels", "open_frame"]
 
 _MAGIC = b"NDLT"
 FORMAT_VERSION = 1
@@ -65,20 +71,21 @@ _NODE_CODES = {NODES_EXACT: 0, NODES_PAPER: 1}
 
 _HEADER = struct.Struct("<4sHBddBiBidi")
 _LEVEL = struct.Struct("<iiii")
-# rows of psi buffered on their way to or from the file, moved TILE columns
-# at a time; a TILE x TILE tile of both layouts (32 KB each) stays in cache
-TILE = 64
 
 
-def _write_psi(fh, psi: np.ndarray) -> None:
-    """Write psi row by row through one buffer of TILE rows."""
-    n_rows, n_cols = psi.shape
-    buf = np.empty((min(TILE, n_rows), n_cols), dtype="<f8")
-    for r0 in range(0, n_rows, TILE):
-        rows = buf[: min(TILE, n_rows - r0)]
-        for c0 in range(0, n_cols, TILE):
-            rows[:, c0 : c0 + TILE] = psi[r0 : r0 + TILE, c0 : c0 + TILE]
-        fh.write(rows)
+def _write_level(fh, lev) -> None:
+    """Write one level's block: its shape record and nodes, psi's rows as
+    lev.rows() gives them, then lev.weights into the slot left for them."""
+    fh.write(_LEVEL.pack(lev.j, lev.n_nodes, lev.freq_lo, lev.n_freq))
+    fh.write(np.ascontiguousarray(lev.nodes, dtype="<f8"))
+    slot = fh.tell()
+    fh.seek(8 * lev.n_nodes, os.SEEK_CUR)
+    for rows in lev.rows():
+        fh.write(rows.astype("<f8", copy=False))
+    end = fh.tell()
+    fh.seek(slot)
+    fh.write(np.ascontiguousarray(lev.weights, dtype="<f8"))
+    fh.seek(end)
 
 
 def write_levels(
@@ -87,15 +94,19 @@ def write_levels(
     filt: Filter,
     j_max: int,
     nodes_per_level: str,
-    levels: Iterable[tuple[FrameLevel, float]],
+    levels: Iterable,
+    defect: float | None = None,
 ) -> float:
-    """Write (level, defect) pairs for j = -1..j_max to path in container version 1.
+    """Write levels j = -1..j_max to path in container version 1.
 
-    Each level is written as soon as it is given and is not held after, and
-    the header records the largest defect, which is returned. Everything
-    goes to a sibling temporary file that replaces path once the last level
-    is in; if the levels raise, the temporary file is removed and path is
-    left untouched.
+    A level needs j, n_nodes, freq_lo, n_freq, nodes and rows(), psi's
+    C-ordered row blocks; once its rows are written it gives weights, and
+    a LevelSweep its defect. Each level is written as soon as it is given
+    and is not held after. The header records defect, by default the
+    largest of the levels' defects, which is returned. Everything goes to a
+    sibling temporary file that replaces path once the last level is in; if
+    the levels raise, the temporary file is removed and path is left
+    untouched.
     """
     # the defect goes between these fields and the level count, once every
     # level is in
@@ -117,12 +128,9 @@ def write_levels(
         with fh:
             fh.write(_HEADER.pack(*fields, 0.0, j_max + 2))
             defects = []
-            for lev, lev_defect in levels:
-                fh.write(_LEVEL.pack(lev.j, lev.n_nodes, lev.freq_lo, lev.psi.shape[1]))
-                fh.write(np.ascontiguousarray(lev.nodes, dtype="<f8"))
-                fh.write(np.ascontiguousarray(lev.weights, dtype="<f8"))
-                _write_psi(fh, lev.psi)
-                defects.append(lev_defect)
+            for lev in levels:
+                _write_level(fh, lev)
+                defects.append(lev.defect if defect is None else defect)
                 del lev
             defect = float(np.max(defects))  # unlike max(), np.max keeps a NaN
             fh.seek(0)
@@ -142,7 +150,8 @@ def save_frame(frame: NeedletFrame, path) -> None:
         frame.filt,
         frame.j_max,
         frame.nodes_per_level,
-        ((lev, frame.exactness_defect) for lev in frame.levels),
+        frame.levels,
+        frame.exactness_defect,
     )
 
 
@@ -158,25 +167,62 @@ def _decode(codes: dict, value: int, what: str) -> str:
     raise ValueError(f"unknown {what} code {value} in frame container")
 
 
-def _read_psi(fh, psi: np.ndarray) -> bool:
-    """Fill the F-ordered psi from rows of fh through one buffer of TILE rows.
+class StoredLevel:
+    """Level j of an open container: shape, nodes and weights read and checked, psi not yet.
 
-    Returns whether every entry is finite, tested one row block at a time.
+    rows() reads psi NODE_BLOCK rows at a time into one C-ordered buffer,
+    valid until the next block is asked for; load() reads the whole level
+    into a FrameLevel. Either must be done before the next level is asked
+    for, or not at all.
     """
-    n_rows, n_cols = psi.shape
-    buf = np.empty((min(TILE, n_rows), n_cols), dtype="<f8")
-    finite = True
-    for r0 in range(0, n_rows, TILE):
-        rows = buf[: min(TILE, n_rows - r0)]
-        _read_into(fh, rows)
-        finite = finite and bool(np.isfinite(rows).all())
-        for c0 in range(0, n_cols, TILE):
-            psi[r0 : r0 + TILE, c0 : c0 + TILE] = rows[:, c0 : c0 + TILE]
-    return finite
+
+    def __init__(
+        self, fh, j: int, nodes: np.ndarray, weights: np.ndarray, freq_lo: int, n_freq: int
+    ):
+        self.j, self.nodes, self.weights, self.freq_lo, self.n_freq = j, nodes, weights, freq_lo, n_freq
+        self._fh, self._at = fh, fh.tell()  # psi starts here
+
+    @property
+    def n_nodes(self) -> int:
+        return self.nodes.shape[0]
+
+    def rows(self) -> Iterator[np.ndarray]:
+        n, m = self.n_nodes, self.n_freq
+        block = _mapped((min(NODE_BLOCK, n), m))
+        self._fh.seek(self._at)
+        first_bad, n_bad = None, 0
+        for r0 in range(0, n, NODE_BLOCK):
+            rows = block[: min(NODE_BLOCK, n - r0)]
+            _read_into(self._fh, rows)
+            # a NaN is the block's min and max, an infinity one of them; only
+            # a bad block is given a mask
+            if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+                bad = ~np.isfinite(rows)
+                if first_bad is None:
+                    r, c = np.argwhere(bad)[0]
+                    first_bad = ((r0 + int(r), int(c)), rows[r, c])
+                n_bad += np.count_nonzero(bad)
+            elif first_bad is None:
+                if self.j == -1 and (self.nodes[0], self.weights[0], rows[0, 0]) != (0.0, 1.0, 1.0):
+                    raise ValueError(
+                        f"level -1 must be node 0, weight 1, psi 1, got node {self.nodes[0]}, "
+                        f"weight {self.weights[0]}, psi {rows[0, 0]}"
+                    )
+                yield rows
+        if first_bad is not None:
+            raise entry_error(f"level {self.j} psi", *first_bad, "finite", n_bad, n * m)
+
+    def load(self) -> FrameLevel:
+        """The level with its whole psi, F-ordered as build_frame holds it, read-only."""
+        psi = _mapped((self.n_nodes, self.n_freq), order="F")
+        for r0, rows in zip(range(0, self.n_nodes, NODE_BLOCK), self.rows()):
+            psi[r0 : r0 + NODE_BLOCK] = rows
+        psi.setflags(write=False)
+        return FrameLevel(self.j, self.nodes, self.weights, self.freq_lo, psi)
 
 
-def _read_level(fh, size: int, j: int, filt: Filter, nodes_mode: str) -> FrameLevel:
-    """Read level j's block from fh, a container of size bytes."""
+def _read_level(fh, size: int, j: int, filt: Filter, nodes_mode: str) -> StoredLevel:
+    """Read level j's shape record, nodes and weights from fh, a container of size bytes."""
     record = fh.read(_LEVEL.size)
     if len(record) != _LEVEL.size:
         raise ValueError("truncated frame container")
@@ -198,40 +244,33 @@ def _read_level(fh, size: int, j: int, filt: Filter, nodes_mode: str) -> FrameLe
     weights = np.empty(n_nodes, dtype="<f8")
     _read_into(fh, nodes)
     _read_into(fh, weights)
-    psi = _psi_array((n_nodes, n_freq))
-    psi_finite = _read_psi(fh, psi)
     require_entries(nodes, np.abs(nodes) < 1.0, f"level {j} nodes", "inside (-1, 1)")
     require_entries(
         weights, np.isfinite(weights) & (weights > 0.0), f"level {j} weights", "finite and > 0"
     )
-    if not psi_finite:
-        # the whole-level mask only on the way out, to name the first bad entry
-        require_entries(psi, np.isfinite(psi), f"level {j} psi", "finite")
-    if j == -1 and (nodes[0], weights[0], psi[0, 0]) != (0.0, 1.0, 1.0):
-        raise ValueError(
-            f"level -1 must be node 0, weight 1, psi 1, "
-            f"got node {nodes[0]}, weight {weights[0]}, psi {psi[0, 0]}"
-        )
-    for a in (nodes, weights, psi):
-        a.setflags(write=False)
-    return FrameLevel(j, nodes, weights, freq_lo, psi)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return StoredLevel(fh, j, nodes, weights, freq_lo, n_freq)
 
 
-def _read_levels(fh, size: int, head: NeedletFrame) -> Iterator[FrameLevel]:
+def _read_levels(fh, size: int, head: NeedletFrame) -> Iterator[StoredLevel]:
     for j in range(-1, head.j_max + 1):
-        yield _read_level(fh, size, j, head.filt, head.nodes_per_level)
+        lev = _read_level(fh, size, j, head.filt, head.nodes_per_level)
+        end = fh.tell() + 8 * lev.n_nodes * lev.n_freq
+        yield lev
+        fh.seek(end)
     if fh.tell() != size:
         raise ValueError(f"{size - fh.tell()} trailing bytes after the last level")
 
 
 @contextlib.contextmanager
-def open_frame(path) -> Iterator[tuple[NeedletFrame, Iterator[FrameLevel]]]:
+def open_frame(path) -> Iterator[tuple[NeedletFrame, Iterator[StoredLevel]]]:
     """Open a version-1 container as (head, levels).
 
-    head is the stored frame with no levels (levels == ()); levels reads,
-    checks and yields one level per step, j = -1..j_max, and after the last
-    one refuses trailing bytes. It holds no level it has yielded. The
-    header is checked on entry; a level's checks run when it is read.
+    head is the stored frame with no levels (levels == ()); levels yields
+    one StoredLevel per step, j = -1..j_max, and after the last one refuses
+    trailing bytes. The header is checked on entry, a level's nodes and
+    weights when it is yielded, and its psi as its rows are read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -261,4 +300,4 @@ def open_frame(path) -> Iterator[tuple[NeedletFrame, Iterator[FrameLevel]]]:
 def load_frame(path) -> NeedletFrame:
     """Read a version-1 container back into a NeedletFrame, every level held."""
     with open_frame(path) as (head, levels):
-        return dataclasses.replace(head, levels=tuple(levels))
+        return dataclasses.replace(head, levels=tuple(lev.load() for lev in levels))

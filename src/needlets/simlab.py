@@ -70,6 +70,8 @@ import numpy as np
 
 from .errors import InvariantError
 from .estimators import (
+    GAMMA_DEFAULT,
+    GRID_N_DEFAULT,
     KAPPA_DEFAULT,
     ladder_blocks,
     make_adaptive_config,
@@ -110,11 +112,23 @@ __all__ = [
     "RateStudy",
     "run_experiment",
     "rate_study",
+    "check_rate_ladder",
+    "RUNS_DEFAULT",
+    "SEED_DEFAULT",
     "emit_report",
     "load_report",
 ]
 
 ESTIMATOR_NAMES = ("svd-proj", "svd-adapt", "needd")
+# Monte-Carlo runs per setting and the master seed their seeds derive from
+RUNS_DEFAULT = 20
+SEED_DEFAULT = 65537
+
+
+def _check_grid_n(n: int) -> None:
+    """Refuse a scoring grid of fewer than 64 points, naming it."""
+    if n < 64:
+        raise ValueError(f"grid resolution must be >= 64, got {n}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +161,7 @@ class FrameSpec:
 class AdaptiveSpec:
     """The svd-adapt filter's gamma; its block growth takes natural logs (make_blocks)."""
 
-    gamma: float = 0.1
+    gamma: float = GAMMA_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -167,10 +181,10 @@ class SimulationConfig:
 
     targets: tuple[str, ...] = TARGET_NAMES
     rsnr: tuple[float, ...] = (3.0, 5.0, 7.0)
-    n: int = 1024
-    runs: int = 20
+    n: int = GRID_N_DEFAULT
+    runs: int = RUNS_DEFAULT
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
-    seed: int = 65537
+    seed: int = SEED_DEFAULT
     frame: FrameSpec = field(default_factory=FrameSpec)
     adaptive: AdaptiveSpec = field(default_factory=AdaptiveSpec)
     needd: NeedDSpec = field(default_factory=NeedDSpec)
@@ -184,8 +198,7 @@ class SimulationConfig:
             object.__setattr__(self, "epsilon_override", float(self.epsilon_override))
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.n < 64:
-            raise ValueError(f"grid resolution must be >= 64, got {self.n}")
+        _check_grid_n(self.n)
         if not self.targets or len(set(self.targets)) != len(self.targets):
             raise ValueError("targets must be a nonempty list without repeats")
         if not self.rsnr:
@@ -224,14 +237,13 @@ class RatesConfig:
     """The config keys `rates` reads, with SimulationConfig's defaults; its target and noise are fixed."""
 
     frame: FrameSpec = field(default_factory=FrameSpec)
-    runs: int = 20
-    n: int = 1024
-    seed: int = 65537
+    runs: int = RUNS_DEFAULT
+    n: int = GRID_N_DEFAULT
+    seed: int = SEED_DEFAULT
     needd: NeedDSpec = field(default_factory=NeedDSpec)
 
     def __post_init__(self):
-        if self.n < 64:
-            raise ValueError(f"grid resolution must be >= 64, got {self.n}")
+        _check_grid_n(self.n)
         if self.frame.budget < RATE_TARGET_SIZE:
             least = math.ceil(math.log2(RATE_TARGET_SIZE)) - 1
             raise ValueError(
@@ -477,25 +489,9 @@ class RateStudy:
     slope_stderr: float
 
 
-def rate_study(
-    model: SvdModel | Sequence[SvdModel],
-    frame: NeedletFrame,
-    target_coeffs,
-    eps_list,
-    runs: int,
-    *,
-    n: int = 1024,
-    kappa: float = KAPPA_DEFAULT,
-    master_seed: int = 65537,
-) -> RateStudy | tuple[RateStudy, ...]:
-    """Fit the log-log slope of mean thresholding RMSE against noise level.
-
-    target_coeffs must be in-budget (exactly representable) so the measured
-    decay reflects the noise, not a fixed truncation floor. The noise levels
-    must be distinct: a repeated one would redraw the same seeded runs.
-    A sequence of models gives a tuple of studies sharing one grid table;
-    each model's ladder is thresholded in the stacks of ladder_blocks.
-    """
+def check_rate_ladder(eps_list, runs: int) -> list[float]:
+    """The noise levels of a rate study as floats, refused unless there are
+    at least 4, all distinct and in (0, 1), with at least 10 runs each."""
     eps = [float(e) for e in eps_list]
     if len(eps) < 4:
         raise ValueError(f"need at least 4 noise levels, got {len(eps)}")
@@ -505,6 +501,30 @@ def rate_study(
         raise ValueError(f"every noise level must lie in (0, 1), got {bad[0]}")
     if runs < 10:
         raise ValueError(f"need at least 10 runs per level, got {runs}")
+    return eps
+
+
+def rate_study(
+    model: SvdModel | Sequence[SvdModel],
+    frame: NeedletFrame,
+    target_coeffs,
+    eps_list,
+    runs: int,
+    *,
+    n: int = GRID_N_DEFAULT,
+    kappa: float = KAPPA_DEFAULT,
+    master_seed: int = SEED_DEFAULT,
+) -> RateStudy | tuple[RateStudy, ...]:
+    """Fit the log-log slope of mean thresholding RMSE against noise level.
+
+    target_coeffs must be in-budget (exactly representable) so the measured
+    decay reflects the noise, not a fixed truncation floor. The noise levels
+    and runs must pass check_rate_ladder: a repeated level would redraw the
+    same seeded runs.
+    A sequence of models gives a tuple of studies sharing one grid table;
+    each model's ladder is thresholded in the stacks of ladder_blocks.
+    """
+    eps = check_rate_ladder(eps_list, runs)
 
     models = (model,) if isinstance(model, SvdModel) else tuple(model)
     # the plans check each model against the frame's basis, so one table serves all

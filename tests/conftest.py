@@ -30,6 +30,12 @@ def frame8(filt):
 
 
 @pytest.fixture(scope="session")
+def frame10(filt):
+    # level 10 has 2048 nodes, two node blocks of frame.NODE_BLOCK
+    return build_frame(jacobi_basis(0.0, 1.0), filt, j_max=10)
+
+
+@pytest.fixture(scope="session")
 def wicksell512():
     return wicksell_model(512)
 

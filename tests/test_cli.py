@@ -143,12 +143,12 @@ def test_frame_build_writes_the_saved_frame_bytes(tmp_path, filt, mode):
 def test_frame_build_failure_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     # a level failing its self-check ends the build with exit 2; the levels
     # already written go with their temporary file
-    real = needlets.frame._gram_defect
+    real = needlets.frame._Gram.defect
 
-    def fail_level_3(psi, a):
-        return 1.0 if psi.shape[0] == 16 else real(psi, a)
+    def fail_level_3(gram, a):
+        return 1.0 if gram.n == 11 else real(gram, a)  # level 3 holds 11 frequencies
 
-    monkeypatch.setattr(needlets.frame, "_gram_defect", fail_level_3)
+    monkeypatch.setattr(needlets.frame._Gram, "defect", fail_level_3)
     out = tmp_path / "f.ndlt"
     assert run_cli("frame", "build", "--jmax", "5", "--out", str(out)) == 2
     assert "self-check failed at level 3" in capsys.readouterr().err
@@ -433,6 +433,21 @@ def test_rates_refuses_repeated_levels(tmp_path, capsys):
     out = tmp_path / "rates.csv"
     assert run_cli("rates", "--config", str(cfg_path), *["--eps", "0.1"] * 4, "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: noise levels must be distinct, repeated: 0.1\n"
+
+
+def test_rates_refuses_a_bad_ladder_before_building_the_frame(tmp_path, capsys, monkeypatch):
+    # at jmax 10 the frame and both schedules took 0.65 s before the
+    # repeated levels were refused
+    def never(*args, **kwargs):
+        raise AssertionError("the frame was built")
+
+    monkeypatch.setattr(needlets.simlab.FrameSpec, "build", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"frame": {"jmax": 10}}))
+    out = tmp_path / "rates.csv"
+    assert run_cli("rates", "--config", str(cfg_path), *["--eps", "0.1"] * 4, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: noise levels must be distinct, repeated: 0.1\n"
+    assert not out.exists()
 
 
 def test_rates_names_a_level_outside_0_1(tmp_path, capsys):

@@ -36,7 +36,7 @@ from needlets import (
 )
 import needlets.frame
 import needlets.jacobi
-from needlets.frame import BLOCK, _gram_defect, _level_window
+from needlets.frame import BLOCK, NODE_BLOCK, _gram_defect, _level_window
 
 
 def _random_supported(frame, rng):
@@ -298,23 +298,28 @@ def test_roundtrip_property(seed):
 
 
 @pytest.fixture(scope="module")
-def level9(filt):
-    # 767 frequencies: two full column blocks and a partial one
-    lev = build_frame(jacobi_basis(0.0, 1.0), filt, j_max=9).level(9)
+def level10(frame10, filt):
+    # 2048 nodes, two node blocks; 1535 frequencies, five full column blocks
+    # and a partial one
+    lev = frame10.level(10)
     i = np.arange(lev.freq_lo, lev.freq_hi + 1)
-    return lev.psi, filter_a(filt, i / 2.0**9)
+    return lev.psi, filter_a(filt, i / 2.0**10)
 
 
-@pytest.mark.parametrize("width", [BLOCK - 1, BLOCK, BLOCK + 1, None])
-def test_gram_defect_matches_dense(level9, width):
+@pytest.mark.parametrize("width", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("rows", [NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1, None])
+def test_gram_defect_matches_dense(level10, rows, width):
     # psi rounded to multiples of 2^-16 has every Gram entry exact in any
-    # summation order, so the blocks give the dense bits whichever BLAS
-    # kernel each block shape takes (a one-column block is a matrix-vector
-    # product, which rounds differently from the dense product on real psi)
-    psi, a = level9
-    psi, a = np.round(psi[:, :width] * 2**16) / 2**16, a[:width]
+    # summation order, so the node blocks' sums give the dense bits whichever
+    # BLAS kernel each block shape takes (a one-column block is a
+    # matrix-vector product, which rounds differently from the dense
+    # product on real psi); the cases straddle the last column panel's edge
+    # and the second node block's
+    psi, a = level10
+    psi, a = np.round(psi[:rows, :width] * 2**16) / 2**16, a[:width]
     dense = float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
     assert _gram_defect(psi, a) == dense
+    assert _gram_defect(np.ascontiguousarray(psi), a) == dense
 
 
 def test_gram_defect_sees_one_off_diagonal_entry():
@@ -351,13 +356,20 @@ def test_top_level_above_max_jmax_is_refused(filt):
     assert FrameSpec(jmax=MAX_JMAX).jmax == MAX_JMAX
 
 
-def test_frame_levels_are_build_frame_levels(frame7, filt):
-    levels = list(frame_levels(jacobi_basis(0.0, 1.0), filt, 7))
-    assert [lev.j for lev, _ in levels] == list(range(-1, 8))
-    assert max(d for _, d in levels) == frame7.exactness_defect
-    for (lev, _), held in zip(levels, frame7.levels):
-        np.testing.assert_array_equal(lev.psi, held.psi)
-        np.testing.assert_array_equal(lev.nodes, held.nodes)
+def test_frame_levels_are_build_frame_levels(frame10, filt):
+    # a streamed level yields the held level's rows block by block, and its
+    # weights and defect once the last block is in; level 10 has two blocks
+    defects = []
+    for sweep, held in zip(frame_levels(jacobi_basis(0.0, 1.0), filt, 10), frame10.levels):
+        np.testing.assert_array_equal(sweep.nodes, held.nodes)
+        assert sweep.weights is None and sweep.defect is None
+        blocks = [rows.copy() for rows in sweep.rows()]
+        assert len(blocks) == -(-held.n_nodes // NODE_BLOCK)
+        assert all(rows.flags.c_contiguous for rows in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), held.psi)
+        np.testing.assert_array_equal(sweep.weights, held.weights)
+        defects.append(sweep.defect)
+    assert max(defects) == frame10.exactness_defect
 
 
 @pytest.mark.parametrize("mode", ["exact", "paper"])
@@ -367,7 +379,7 @@ def test_level_rule_and_psi_are_the_rule_and_the_table(filt, mode, alpha, beta):
     # 128 or 256 (asymptotic starts); each level's one sweep must give the
     # rule's nodes and weights and sqrt(w) * a * the basis table, bit for bit
     basis = jacobi_basis(alpha, beta)
-    for lev, _ in frame_levels(basis, filt, 7, mode):
+    for lev in build_frame(basis, filt, 7, mode).levels:
         a = _level_window(filt, lev.j, mode)[2]
         if lev.j == -1:
             assert lev.nodes.tolist() == [0.0] and lev.weights.tolist() == [1.0]
@@ -394,7 +406,8 @@ def test_level_sweeps_the_recurrence_once_after_the_polish(filt, monkeypatch, mo
 
     monkeypatch.setattr(needlets.jacobi, "_orthonormal", counting)
     monkeypatch.setattr(needlets.frame, "_orthonormal", counting)
-    for lev, _ in frame_levels(jacobi_basis(0.0, 1.0), filt, 8, mode):
+    for sweep in frame_levels(jacobi_basis(0.0, 1.0), filt, 8, mode):
+        lev = sweep.held()[0]
         # from level 1 on the sweep's top degree freq_hi differs from N
         if lev.j >= 1:
             passes = calls.count(lev.n_nodes)

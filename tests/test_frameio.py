@@ -27,8 +27,10 @@ from needlets import (
     synthesize,
     write_levels,
 )
-from needlets.frame import BLOCK
-from needlets.frameio import _HEADER, _LEVEL, TILE
+import needlets.frame
+import needlets.frameio
+from needlets.frame import BLOCK, NODE_BLOCK, TILE
+from needlets.frameio import _HEADER, _LEVEL
 
 
 def _mapping(psi):
@@ -42,18 +44,45 @@ def _mapping(psi):
     return base
 
 
-def _released_in_turn(levels, maps):
-    """Pass on levels' items, (level, defect) pairs or levels, and a weak
-    reference to each level's mapping into maps; before the next item is
-    asked for, and so before its level is mapped, every level given so far
-    must have been released.
+def _mapped_peak(monkeypatch, fn):
+    """(fn(), the peak bytes of the private mappings frame._mapped gave out while fn ran).
+
+    A mapping counts from its creation until it is released, so the peak
+    is what fn held in mappings at once, which tracemalloc does not see.
     """
-    for item in levels:
-        lev = item[0] if isinstance(item, tuple) else item
-        maps.append(weakref.ref(_mapping(lev.psi)))
-        yield item
-        del item, lev  # this frame's own references, or the check could not fail
-        assert [m() for m in maps] == [None] * len(maps)
+    real = needlets.frame._mapped
+    live = peak = 0
+
+    def release(nbytes):
+        nonlocal live
+        live -= nbytes
+
+    def counting(shape, order="C"):
+        nonlocal live, peak
+        array = real(shape, order)
+        live += array.nbytes
+        peak = max(peak, live)
+        weakref.finalize(_mapping(array), release, array.nbytes)
+        return array
+
+    monkeypatch.setattr(needlets.frame, "_mapped", counting)
+    monkeypatch.setattr(needlets.frameio, "_mapped", counting)
+    try:
+        result = fn()
+    finally:
+        monkeypatch.undo()
+    assert live == 0  # everything fn mapped was released by its return
+    return result, peak
+
+
+def _streamed_bound(n_nodes: int, n_freq: int) -> int:
+    """Bytes a streamed level holds at once: the upper triangle of Psi^T Psi
+    (3/8 of psi), half a panel more (the lower halves of the panels'
+    diagonal squares), one panel (the product buffer), one node block, and
+    one tile of the block's rows."""
+    panel = min(BLOCK, n_freq) * n_freq
+    rows = min(NODE_BLOCK, n_nodes)
+    return 8 * (n_freq * (n_freq + 1) // 2 + panel // 2 + panel + rows * n_freq + rows * TILE)
 
 
 @pytest.fixture(scope="module")
@@ -305,104 +334,151 @@ def test_reject_j_max_above_max_jmax(small_frame, tmp_path):
         load_frame(path)
 
 
-@pytest.mark.parametrize("entry", [(0, 0), (TILE + 3, 17), (255, 126)])
-def test_reject_non_finite_psi_in_any_row_block(frame8, tmp_path, entry):
-    # level 7 has 256 rows, read TILE at a time; the message counts the
-    # level's bad entries, as a whole-level check does
+@pytest.mark.parametrize(
+    "j, entries",
+    [
+        (7, [(0, 0)]),
+        (7, [(TILE + 3, 17)]),
+        (7, [(255, 126)]),
+        (10, [(NODE_BLOCK + 3, 17)]),
+        (10, [(2047, 1534), (NODE_BLOCK - 1, 5)]),
+    ],
+)
+def test_reject_non_finite_psi_in_any_row_block(frame10, tmp_path, j, entries):
+    # level 7 is one node block and level 10 two; the message names the
+    # level's first bad entry and counts its bad entries, as a whole-level
+    # check does, in every reader
     path = tmp_path / "frame.ndlt"
-    save_frame(frame8, path)
-    lev = frame8.level(7)
-    at = _shape_record_at(frame8, 7) + _LEVEL.size + 8 * (
-        2 * lev.n_nodes + np.ravel_multi_index(entry, lev.psi.shape)
-    )
+    save_frame(frame10, path)
+    lev = frame10.level(j)
     blob = bytearray(path.read_bytes())
-    blob[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    for entry in entries:
+        at = _shape_record_at(frame10, j) + _LEVEL.size + 8 * (
+            2 * lev.n_nodes + np.ravel_multi_index(entry, lev.psi.shape)
+        )
+        blob[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
     path.write_bytes(bytes(blob))
-    message = (rf"level 7 psi\[{entry[0]}, {entry[1]}\] = nan is not finite "
-               rf"\(1 of {lev.psi.size} entries are not\)")
+    first = min(entries)
+    message = (rf"level {j} psi\[{first[0]}, {first[1]}\] = nan is not finite "
+               rf"\({len(entries)} of {lev.psi.size} entries are not\)")
     with pytest.raises(ValueError, match=message):
         load_frame(path)
+    with pytest.raises(ValueError, match=message), open_frame(path) as (head, levels):
+        frame_invariants(head, levels)
 
 
-def test_streamed_levels_match_the_held_frame(frame8, filt, tmp_path):
-    # write_levels over frame_levels writes save_frame's bytes, and
-    # open_frame yields load_frame's levels
+def test_streamed_levels_match_the_held_frame(frame10, filt, tmp_path):
+    # write_levels over frame_levels writes save_frame's bytes, header
+    # defect included, though level 10 is swept in two node blocks; and the
+    # invariant suite reads the same rows from a file as from a held frame
     held, streamed = tmp_path / "held.ndlt", tmp_path / "streamed.ndlt"
-    save_frame(frame8, held)
+    save_frame(frame10, held)
     basis = jacobi_basis(0.0, 1.0)
-    defect = write_levels(streamed, basis, filt, 8, "exact", frame_levels(basis, filt, 8))
-    assert defect == frame8.exactness_defect
+    defect = write_levels(streamed, basis, filt, 10, "exact", frame_levels(basis, filt, 10))
+    assert defect == frame10.exactness_defect
     assert streamed.read_bytes() == held.read_bytes()
     with open_frame(streamed) as (head, levels):
         assert head.levels == () and head.exactness_defect == defect
-        for lev, built in zip(levels, frame8.levels):
-            np.testing.assert_array_equal(lev.psi, built.psi)
-            assert lev.psi.flags.f_contiguous
+        assert frame_invariants(head, levels) == frame_invariants(frame10)
+    with open_frame(streamed) as (head, levels):
+        for lev, built in zip(levels, frame10.levels):
+            loaded = lev.load()
+            np.testing.assert_array_equal(loaded.psi, built.psi)
+            assert loaded.psi.flags.f_contiguous
     assert sorted(p.name for p in tmp_path.iterdir()) == ["held.ndlt", "streamed.ndlt"]
 
 
-def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, traced_peak):
-    # each holds one level at a time: a level's mapping is released before
-    # the next level is mapped. Beside it, the traced temporaries stay within
-    # one block of BLOCK = 256 columns of the top level (1.6 MB): the Gram
-    # check writes every product into one buffer (0.71 blocks here; blocks
-    # of 512 columns took twice the bytes), and level_sigma holds BLOCK // 2
-    # scaled rows (0.5)
+def test_streamed_build_and_check_hold_a_triangle_and_a_node_block(filt, tmp_path, monkeypatch, traced_peak):
+    # at jmax 10 the top level (2048 x 1535, 25.2 MB of psi) is built and
+    # checked two node blocks apiece. Its mappings peak at the Gram
+    # triangle, one product panel, one node block and one tile (27.2 MB),
+    # under the 28.3 MB its whole psi and one Gram product buffer took when
+    # the level was held, and every level's mappings are released before
+    # the next level is mapped. The traced heap holds no temporary the size
+    # of a block's mask (1.6 MB): it stays under 1 MB, of which the
+    # partition-of-unity check's 4001-point grid takes 0.5 MB
     path = tmp_path / "frame.ndlt"
     basis = jacobi_basis(0.0, 1.0)
-    build_maps, check_maps = [], []
+
+    def build():
+        return write_levels(path, basis, filt, 10, "exact", frame_levels(basis, filt, 10))
 
     def check():
         with open_frame(path) as (head, levels):
-            return frame_invariants(head, _released_in_turn(levels, check_maps))
+            return frame_invariants(head, levels)
 
-    # built as write_levels asks for them
-    levels = _released_in_turn(frame_levels(basis, filt, 9), build_maps)
-    build_peak = traced_peak(lambda: write_levels(path, basis, filt, 9, "exact", levels))[1]
-    rows, check_peak = traced_peak(check)
-    assert len(build_maps) == len(check_maps) == 11
-    frame = load_frame(path)
-    assert rows == frame_invariants(frame)
-    block = 8 * BLOCK * frame.level(9).psi.shape[1]
-    assert build_peak <= block
-    assert check_peak <= block
+    (_, build_heap), build_mapped = _mapped_peak(monkeypatch, lambda: traced_peak(build))
+    (rows, check_heap), check_mapped = _mapped_peak(monkeypatch, lambda: traced_peak(check))
+    bound = _streamed_bound(2048, 1535)
+    assert build_mapped <= bound and check_mapped <= bound
+    assert bound < 8 * 2048 * 1535 + 8 * BLOCK * 1535
+    assert max(build_heap, check_heap) <= 2**20
+    assert rows == frame_invariants(load_frame(path))
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_build_and_check_in_one_process_peak_at_one_level_plus_a_block(tmp_path):
-    # frame build and frame check at jmax 11 in one process raise its peak
-    # RSS by at most the top level's psi (100.6 MB) and one block of BLOCK
-    # columns (6.3 MB; the Gram buffer takes 5.8 MB): a dropped level's psi
-    # is unmapped, so level 10's (25 MB) does not stay resident beside level
-    # 11's. A build and check at jmax 8 first take the process's one-time
-    # allocations (BLAS buffers, heap arenas), about 5 MB, out of the rise
-    code = textwrap.dedent("""
-        import sys
-        from needlets import cli
-
-        def peak():
-            with open("/proc/self/status") as fh:
-                return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) * 1024
-
-        small, big = sys.argv[1:]
-        cli.main(["frame", "build", "--jmax", "8", "--out", small])
-        cli.main(["frame", "check", small])
-        before = peak()
-        cli.main(["frame", "build", "--jmax", "11", "--out", big])
-        cli.main(["frame", "check", big])
-        print(peak() - before)
-    """)
+def _run_in_a_process(tmp_path, code: str) -> list[str]:
+    """The stdout lines of _STATUS and then code, run in a fresh interpreter with tmp_path as argv[1]."""
     env = dict(os.environ, PYTHONPATH=str(Path(needlets.__file__).resolve().parents[1]))
     r = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "j8.ndlt"), str(tmp_path / "j11.ndlt")],
+        [sys.executable, "-c", textwrap.dedent(_STATUS) + textwrap.dedent(code), str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
     )
     assert r.returncode == 0, r.stderr
-    rise = int(r.stdout.splitlines()[-1])
+    return r.stdout.splitlines()
+
+
+_STATUS = """
+    import sys
+    from needlets import cli
+
+    def status(key):
+        with open("/proc/self/status") as fh:
+            return next(int(ln.split()[1]) for ln in fh if ln.startswith(key + ":")) * 1024
+
+    def run(*argv):
+        assert cli.main(list(argv)) == 0
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_build_and_check_in_one_process_peak_at_a_triangle_and_a_node_block(tmp_path):
+    # frame build and frame check at jmax 11 in one process raise its peak
+    # RSS by at most what a streamed level 11 holds (_streamed_bound: 72.9
+    # MB, where the held level took 100.6 MB of psi and 5.8 MB of Gram
+    # buffer): a dropped level's mappings are unmapped, so level 10's do not
+    # stay resident beside level 11's. A build and check at jmax 8 first
+    # take the process's one-time allocations (BLAS buffers, heap arenas),
+    # about 5 MB, out of the rise
+    out = _run_in_a_process(tmp_path, """
+        run("frame", "build", "--jmax", "8", "--out", sys.argv[1] + "/j8.ndlt")
+        run("frame", "check", sys.argv[1] + "/j8.ndlt")
+        before = status("VmHWM")
+        run("frame", "build", "--jmax", "11", "--out", sys.argv[1] + "/j11.ndlt")
+        run("frame", "check", sys.argv[1] + "/j11.ndlt")
+        print(status("VmHWM") - before)
+    """)
     n_nodes, n_freq = 2**12, 2**12 - 2**10 - 1  # level 11 of an "exact" frame
-    assert rise <= 8 * n_nodes * n_freq + 8 * BLOCK * n_freq
+    assert int(out[-1]) <= _streamed_bound(n_nodes, n_freq)
+    assert _streamed_bound(n_nodes, n_freq) < 8 * n_nodes * n_freq + 8 * BLOCK * n_freq
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_second_frame_command_leaves_no_more_resident(tmp_path):
+    # node blocks, Gram panels and their buffers are private mappings, so
+    # dropping them leaves glibc's mmap threshold where it was; a freed
+    # 5.8 MB Gram buffer from the heap once raised it, and a second jmax-11
+    # build kept 4 MB more resident than the first
+    out = _run_in_a_process(tmp_path, """
+        path = sys.argv[1] + "/j11.ndlt"
+        run("frame", "build", "--jmax", "11", "--out", path)
+        first = status("VmRSS")
+        run("frame", "build", "--jmax", "11", "--out", path)
+        run("frame", "check", path)
+        print(status("VmRSS") - first)
+    """)
+    assert int(out[-1]) <= 512 * 1024
 
 
 @pytest.mark.parametrize("reader", ["load_frame", "open_frame"])
@@ -415,7 +491,7 @@ def test_loaded_levels_are_read_only(small_frame, tmp_path, reader):
         levels = load_frame(path).levels
     else:
         with open_frame(path) as (_, stream):
-            levels = list(stream)
+            levels = [lev.load() for lev in stream]
     assert len(levels) == len(small_frame.levels)
     for lev, built in zip(levels, small_frame.levels):
         for name in ("nodes", "weights", "psi"):
