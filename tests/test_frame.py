@@ -297,29 +297,52 @@ def test_roundtrip_property(seed):
     assert np.max(np.abs(back - f)) <= 1e-10 * max(1.0, np.max(np.abs(f)))
 
 
+def _level_and_window(frame, filt, j):
+    lev = frame.level(j)
+    i = np.arange(lev.freq_lo, lev.freq_hi + 1)
+    return lev.psi, filter_a(filt, i / 2.0**j)
+
+
+@pytest.fixture(scope="module")
+def level9(frame10, filt):
+    # 512 nodes, one node block; 767 frequencies, two full column blocks and
+    # a partial one
+    return _level_and_window(frame10, filt, 9)
+
+
 @pytest.fixture(scope="module")
 def level10(frame10, filt):
     # 2048 nodes, two node blocks; 1535 frequencies, five full column blocks
     # and a partial one
-    lev = frame10.level(10)
-    i = np.arange(lev.freq_lo, lev.freq_hi + 1)
-    return lev.psi, filter_a(filt, i / 2.0**10)
+    return _level_and_window(frame10, filt, 10)
+
+
+def _assert_gram_defect_is_dense(psi, a):
+    # psi rounded to multiples of 2^-16 has every Gram entry exact in any
+    # summation order, so the blocks' sums give the dense bits whichever
+    # BLAS kernel each block shape takes (a one-column block is a
+    # matrix-vector product, which rounds differently from the dense
+    # product on real psi); C- and F-ordered psi give the same bits
+    psi = np.round(psi * 2**16) / 2**16
+    dense = float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
+    assert _gram_defect(psi, a) == dense
+    assert _gram_defect(np.ascontiguousarray(psi), a) == dense
+
+
+@pytest.mark.parametrize("width", [BLOCK - 1, BLOCK, BLOCK + 1, None])
+def test_gram_defect_matches_dense(level9, width):
+    # the widths straddle the first column panel's edge
+    psi, a = level9
+    _assert_gram_defect_is_dense(psi[:, :width], a[:width])
 
 
 @pytest.mark.parametrize("width", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
 @pytest.mark.parametrize("rows", [NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1, None])
-def test_gram_defect_matches_dense(level10, rows, width):
-    # psi rounded to multiples of 2^-16 has every Gram entry exact in any
-    # summation order, so the node blocks' sums give the dense bits whichever
-    # BLAS kernel each block shape takes (a one-column block is a
-    # matrix-vector product, which rounds differently from the dense
-    # product on real psi); the cases straddle the last column panel's edge
-    # and the second node block's
+def test_gram_defect_matches_dense_across_node_blocks(level10, rows, width):
+    # the cases straddle the second node block's edge and the last column
+    # panel's
     psi, a = level10
-    psi, a = np.round(psi[:rows, :width] * 2**16) / 2**16, a[:width]
-    dense = float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
-    assert _gram_defect(psi, a) == dense
-    assert _gram_defect(np.ascontiguousarray(psi), a) == dense
+    _assert_gram_defect_is_dense(psi[:rows, :width], a[:width])
 
 
 def test_gram_defect_sees_one_off_diagonal_entry():

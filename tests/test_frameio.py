@@ -334,26 +334,15 @@ def test_reject_j_max_above_max_jmax(small_frame, tmp_path):
         load_frame(path)
 
 
-@pytest.mark.parametrize(
-    "j, entries",
-    [
-        (7, [(0, 0)]),
-        (7, [(TILE + 3, 17)]),
-        (7, [(255, 126)]),
-        (10, [(NODE_BLOCK + 3, 17)]),
-        (10, [(2047, 1534), (NODE_BLOCK - 1, 5)]),
-    ],
-)
-def test_reject_non_finite_psi_in_any_row_block(frame10, tmp_path, j, entries):
-    # level 7 is one node block and level 10 two; the message names the
-    # level's first bad entry and counts its bad entries, as a whole-level
-    # check does, in every reader
-    path = tmp_path / "frame.ndlt"
-    save_frame(frame10, path)
-    lev = frame10.level(j)
+def _assert_non_finite_psi_is_named(frame, path, j, entries):
+    """Write frame to path with NaN at each of level j's psi entries and
+    check that both readers name the level's first bad entry and count its
+    bad entries, as a whole-level check does."""
+    save_frame(frame, path)
+    lev = frame.level(j)
     blob = bytearray(path.read_bytes())
     for entry in entries:
-        at = _shape_record_at(frame10, j) + _LEVEL.size + 8 * (
+        at = _shape_record_at(frame, j) + _LEVEL.size + 8 * (
             2 * lev.n_nodes + np.ravel_multi_index(entry, lev.psi.shape)
         )
         blob[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
@@ -365,6 +354,25 @@ def test_reject_non_finite_psi_in_any_row_block(frame10, tmp_path, j, entries):
         load_frame(path)
     with pytest.raises(ValueError, match=message), open_frame(path) as (head, levels):
         frame_invariants(head, levels)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (TILE + 3, 17), (255, 126)])
+def test_reject_non_finite_psi_in_any_row_block(frame8, tmp_path, entry):
+    # level 7 has 256 rows, one node block; the entries sit in the first, a
+    # middle and the last TILE-row stretch of it
+    _assert_non_finite_psi_is_named(frame8, tmp_path / "frame.ndlt", 7, [entry])
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(NODE_BLOCK + 3, 17)], [(2047, 1534), (NODE_BLOCK - 1, 5)]],
+    ids=["second-block", "both-blocks"],
+)
+def test_reject_non_finite_psi_in_either_node_block(frame10, tmp_path, entries):
+    # level 10 is read in two node blocks: a bad entry in the second is
+    # named, and of two bad entries, one in each block, the first in row
+    # order is named
+    _assert_non_finite_psi_is_named(frame10, tmp_path / "frame.ndlt", 10, entries)
 
 
 def test_streamed_levels_match_the_held_frame(frame10, filt, tmp_path):
@@ -388,7 +396,7 @@ def test_streamed_levels_match_the_held_frame(frame10, filt, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["held.ndlt", "streamed.ndlt"]
 
 
-def test_streamed_build_and_check_hold_a_triangle_and_a_node_block(filt, tmp_path, monkeypatch, traced_peak):
+def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, monkeypatch, traced_peak):
     # at jmax 10 the top level (2048 x 1535, 25.2 MB of psi) is built and
     # checked two node blocks apiece. Its mappings peak at the Gram
     # triangle, one product panel, one node block and one tile (27.2 MB),
@@ -443,7 +451,7 @@ _STATUS = """
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_build_and_check_in_one_process_peak_at_a_triangle_and_a_node_block(tmp_path):
+def test_build_and_check_in_one_process_peak_at_one_level_plus_a_block(tmp_path):
     # frame build and frame check at jmax 11 in one process raise its peak
     # RSS by at most what a streamed level 11 holds (_streamed_bound: 72.9
     # MB, where the held level took 100.6 MB of psi and 5.8 MB of Gram
