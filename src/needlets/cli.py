@@ -4,7 +4,7 @@ Subcommands mirror the package layers: `quad dump` and `filter plot` for
 inspecting the building blocks, `frame build/check/render` for persisted
 frames, `model dump` for singular values, `estimate` for one observation
 file, and `simulate`/`rates` for the Monte-Carlo studies. All tabular
-output is plain CSV (UTF-8, '.' decimal point), to stdout unless --out is
+output is plain CSV written by simlab.write_csv, to stdout unless --out is
 given. Exit codes: 0 success, 1 for I/O, configuration or allocation
 problems, 2 when a mathematical invariant fails.
 """
@@ -41,6 +41,7 @@ from .simlab import (
     load_config,
     rate_study,
     run_experiment,
+    write_csv,
 )
 
 # four decades so the fitted slope is past the threshold-regime transient
@@ -58,39 +59,16 @@ METHOD_FLAGS = {
 }
 
 
-def _write_csv(path, header, rows):
-    fh = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
 def _cmd_quad_dump(args) -> int:
     rule = gauss_jacobi_rule(jacobi_basis(args.alpha, args.beta), args.n)
-    _write_csv(
-        args.out,
-        ["index", "node", "weight"],
-        (
-            [i, f"{x:.17g}", f"{w:.17g}"]
-            for i, (x, w) in enumerate(zip(rule.nodes, rule.weights))
-        ),
-    )
+    write_csv(args.out, ["index", "node", "weight"], zip(range(rule.order), rule.nodes, rule.weights))
     return 0
 
 
 def _cmd_filter_plot(args) -> int:
     filt = make_filter(make_profile(POLYNOMIAL_SHAPE, args.m))
     xi = np.linspace(0.0, 2.5, args.points)
-    a = filter_a(filt, xi)
-    _write_csv(
-        args.out,
-        ["xi", "a"],
-        ([f"{x:.17g}", f"{v:.17g}"] for x, v in zip(xi, a)),
-    )
+    write_csv(args.out, ["xi", "a"], zip(xi, filter_a(filt, xi)))
     return 0
 
 
@@ -123,22 +101,13 @@ def _cmd_frame_check(args) -> int:
 def _cmd_frame_render(args) -> int:
     frame = load_frame(args.frame)
     x = np.linspace(-1.0, 1.0, args.points)
-    psi_vals = needlet_values(frame, args.j, args.nu, x)
-    _write_csv(
-        args.out,
-        ["x", "psi"],
-        ([f"{a:.17g}", f"{b:.17g}"] for a, b in zip(x, psi_vals)),
-    )
+    write_csv(args.out, ["x", "psi"], zip(x, needlet_values(frame, args.j, args.nu, x)))
     return 0
 
 
 def _cmd_model_dump(args) -> int:
     model = MODELS[args.kind](args.kmax)
-    _write_csv(
-        args.out,
-        ["k", "b"],
-        ([k, f"{b:.17g}"] for k, b in enumerate(model.b)),
-    )
+    write_csv(args.out, ["k", "b"], enumerate(model.b))
     return 0
 
 
@@ -151,7 +120,8 @@ def _read_observation(path, epsilon) -> SequenceObservation:
                 k, y = row
                 rows.append((int(k), float(y)))
             except ValueError:
-                if n > 0:  # only the first non-blank row may be a header
+                # only the first non-blank row may be a header, and only if it opens with no index
+                if n > 0 or row[0].strip().lstrip("+-").isdecimal():
                     raise ValueError(
                         f"{path} line {reader.line_num}: expected 'k,y', got {','.join(row)!r}"
                     ) from None
@@ -199,19 +169,10 @@ def _cmd_estimate(args) -> int:
         config = make_adaptive_config(model, args.epsilon, args.grid_n, args.gamma)
         fhat = svd_adaptive(model, obs, config)
 
-    _write_csv(
-        args.out,
-        ["i", "fhat"],
-        ([i, f"{v:.17g}"] for i, v in enumerate(fhat)),
-    )
+    write_csv(args.out, ["i", "fhat"], enumerate(fhat))
     if args.render is not None:
         x = np.arange(1, args.points + 1) / args.points
-        vals = np.asarray(fhat) @ eval_e(model, len(fhat) - 1, x)
-        _write_csv(
-            args.render,
-            ["x", "fhat"],
-            ([f"{a:.17g}", f"{b:.17g}"] for a, b in zip(x, vals)),
-        )
+        write_csv(args.render, ["x", "fhat"], zip(x, np.asarray(fhat) @ eval_e(model, len(fhat) - 1, x)))
     return 0
 
 
@@ -232,12 +193,11 @@ def _cmd_rates(args) -> int:
         models, frame, config.target, eps_list, config.runs,
         n=config.n, kappa=config.needd.kappa, master_seed=config.seed,
     )
-    rows = [
-        [model.kind, f"{e:.17g}", f"{m:.17g}", f"{study.slope:.17g}", f"{study.slope_stderr:.17g}"]
+    write_csv(args.out, ["model", "eps", "mean_rmse", "slope", "slope_stderr"], (
+        [model.kind, e, m, study.slope, study.slope_stderr]
         for model, study in zip(models, studies)
         for e, m in zip(study.eps, study.mean_rmse)
-    ]
-    _write_csv(args.out, ["model", "eps", "mean_rmse", "slope", "slope_stderr"], rows)
+    ))
     for model, study in zip(models, studies):
         print(f"{model.kind}: slope={study.slope:.4f} (stderr {study.slope_stderr:.4f})")
     return 0

@@ -180,10 +180,10 @@ class _Gram:
 
     The triangle is kept in panels of BLOCK rows, each from its diagonal
     square to the last column, so a row block's share of a panel is one
-    product: the first block's is written in place, and every later one is
-    formed in one buffer sized for the first panel and added in. The panels
-    and the buffer share a private mapping (_mapped), released with the
-    accumulator; a level of one node block never touches the buffer.
+    product, formed in one buffer sized for the first panel and added in.
+    The panels and the buffer share a private mapping (_mapped), released
+    with the accumulator; an anonymous mapping starts zeroed, so the panels
+    need no clearing and the first block's sum equals its product.
     """
 
     def __init__(self, n: int):
@@ -196,19 +196,14 @@ class _Gram:
             store[at : at + size].reshape(-1, n - c0) for c0, at, size in zip(starts, offsets, sizes)
         ]
         self._product = store[offsets[-1] :]
-        self._empty = True
 
     def add(self, rows: np.ndarray) -> None:
         """Add the products of a block of psi's rows (n columns, in any layout)."""
         # inf - inf in a sum is NaN, which the defect reports as infinite
         with np.errstate(all="ignore"):
             for c0, panel in zip(range(0, self.n, BLOCK), self._panels):
-                left, right = rows[:, c0 : c0 + BLOCK].T, rows[:, c0:]
-                if self._empty:
-                    np.matmul(left, right, out=panel)
-                else:
-                    panel += np.matmul(left, right, out=self._product[: panel.size].reshape(panel.shape))
-        self._empty = False
+                product = self._product[: panel.size].reshape(panel.shape)
+                panel += np.matmul(rows[:, c0 : c0 + BLOCK].T, rows[:, c0:], out=product)
 
     def defect(self, a: np.ndarray) -> float:
         """max |Psi^T Psi - diag(a^2)| over the triangle, taken in place (once).
@@ -234,7 +229,7 @@ def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
 
 
 def _mapped(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
-    """An uninitialized little-endian float64 array in a private, hugepage-advised mapping of its own.
+    """A zeroed little-endian float64 array in a private, hugepage-advised mapping of its own.
 
     A page takes memory only once it is touched. Unlike a heap block, the
     array goes back to the system as soon as it is dropped, and dropping it

@@ -116,6 +116,7 @@ __all__ = [
     "RUNS_DEFAULT",
     "SEED_DEFAULT",
     "emit_report",
+    "write_csv",
     "load_report",
 ]
 
@@ -265,7 +266,11 @@ class RatesConfig:
 def load_config(path, kind=SimulationConfig):
     """kind (SimulationConfig or RatesConfig) parsed from the JSON file at path."""
     with open(path, encoding="utf-8") as fh:
-        return kind.from_dict(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{exc} in config {path}") from None
+    return kind.from_dict(raw)
 
 
 def _json_keys(d: dict) -> dict:
@@ -573,25 +578,33 @@ def _strip_suffix(stem: str) -> str:
     return stem
 
 
+def write_csv(path, header, rows) -> None:
+    """header and rows as UTF-8 CSV at path (stdout if None), every float cell to 17 significant digits."""
+    fh = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
+    try:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
+
+
 def _csv_table(path, report: SimulationReport, loss: str) -> None:
     cfg = report.config
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["target"]
-            + [f"{est}/rsnr={r:g}" for est in cfg.estimators for r in cfg.rsnr]
-        )
-        reported = {c.target for c in report.cells}
-        for target in cfg.targets:
-            if target not in reported:
-                continue
-            row = [target]
-            for est in cfg.estimators:
-                for r in cfg.rsnr:
-                    cell = report.cell(target, r, est)
-                    value = cell.mean_l1 if loss == "l1" else cell.mean_rmse
-                    row.append(f"{value:.6g}")
-            writer.writerow(row)
+    rows = []
+    reported = {c.target for c in report.cells}
+    for target in cfg.targets:
+        if target not in reported:
+            continue
+        row = [target]
+        for est in cfg.estimators:
+            for r in cfg.rsnr:
+                cell = report.cell(target, r, est)
+                value = cell.mean_l1 if loss == "l1" else cell.mean_rmse
+                row.append(f"{value:.6g}")
+        rows.append(row)
+    write_csv(path, ["target"] + [f"{est}/rsnr={r:g}" for est in cfg.estimators for r in cfg.rsnr], rows)
 
 
 def emit_report(report: SimulationReport, stem: str) -> list[str]:

@@ -348,6 +348,17 @@ def test_estimate_rejects_malformed_row(tmp_path, capsys, bad):
     assert capsys.readouterr().err == f"error: {obs_path} line 4: expected 'k,y', got {bad!r}\n"
 
 
+def test_estimate_refuses_a_malformed_first_row(tmp_path, capsys):
+    # a first row that opens with an index is data, not a header to drop
+    obs_path = tmp_path / "obs.csv"
+    obs_path.write_text("0,1.0e\n1,0.5\n")
+    assert run_cli(
+        "estimate", "--input", str(obs_path), "--method", "svd-proj", "--epsilon", "0.01",
+        "--out", str(tmp_path / "o.csv"),
+    ) == 1
+    assert capsys.readouterr().err == f"error: {obs_path} line 1: expected 'k,y', got '0,1.0e'\n"
+
+
 def test_estimate_missing_file(tmp_path):
     assert (
         run_cli(
@@ -356,6 +367,77 @@ def test_estimate_missing_file(tmp_path):
         )
         == 1
     )
+
+
+def _table_case(command, tmp_path):
+    """argv, output file (None: stdout), header and the API's rows of one table command."""
+    if command == "quad dump":
+        rule = needlets.gauss_jacobi_rule(jacobi_basis(0, 1), 7)
+        argv = ["quad", "dump", "--alpha", "0", "--beta", "1", "--n", "7"]
+        return argv, None, ["index", "node", "weight"], zip(range(7), rule.nodes, rule.weights)
+    if command == "filter plot":
+        xi = np.linspace(0.0, 2.5, 37)
+        argv = ["filter", "plot", "--m", "3", "--points", "37", "--out", str(tmp_path / "a.csv")]
+        return argv, tmp_path / "a.csv", ["xi", "a"], zip(xi, needlets.filter_a(needlets.FrameSpec(m=3).filt, xi))
+    if command == "model dump":
+        argv = ["model", "dump", "--kind", "direct", "--kmax", "9"]
+        return argv, None, ["k", "b"], enumerate(needlets.direct_model(9).b)
+    if command == "rates":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"frame": {"jmax": 5}, "runs": 10, "n": 256}))
+        eps = [3e-2, 1e-2, 3e-3, 1e-3]
+        config = needlets.load_config(cfg_path, needlets.RatesConfig)
+        models = [make(config.frame.budget) for make in needlets.cli.MODELS.values()]
+        studies = needlets.rate_study(
+            models, config.frame.build(models[0].basis), config.target, eps, config.runs,
+            n=config.n, kappa=config.needd.kappa, master_seed=config.seed,
+        )
+        argv = ["rates", "--config", str(cfg_path), "--out", str(tmp_path / "rates.csv")]
+        argv += [a for e in eps for a in ("--eps", repr(e))]
+        rows = [
+            [m.kind, e, r, s.slope, s.slope_stderr]
+            for m, s in zip(models, studies)
+            for e, r in zip(s.eps, s.mean_rmse)
+        ]
+        return argv, tmp_path / "rates.csv", ["model", "eps", "mean_rmse", "slope", "slope_stderr"], rows
+    # estimate, whose --render table is written beside the coefficients
+    obs_path = tmp_path / "obs.csv"
+    _write_observation(obs_path, epsilon=0.001, kmax=64)
+    y = np.array([float(r["y"]) for r in csv.DictReader(open(obs_path))])
+    model = wicksell_model(64)
+    fhat = needlets.svd_projection(model, needlets.SequenceObservation(y, 0.001), 20)
+    argv = [
+        "estimate", "--input", str(obs_path), "--method", "svd-proj", "--epsilon", "0.001",
+        "--n-keep", "20", "--out", str(tmp_path / "fhat.csv"), "--render", str(tmp_path / "render.csv"),
+        "--points", "16",
+    ]
+    if command == "estimate":
+        return argv, tmp_path / "fhat.csv", ["i", "fhat"], enumerate(fhat)
+    x = np.arange(1, 17) / 16
+    return argv, tmp_path / "render.csv", ["x", "fhat"], zip(x, fhat @ needlets.eval_e(model, 64, x))
+
+
+# frame render is pinned the same way by test_frame_build_check_render
+@pytest.mark.parametrize(
+    "command", ["quad dump", "filter plot", "model dump", "estimate", "estimate --render", "rates"]
+)
+def test_table_cells_are_plain_ints_and_17_digit_floats(tmp_path, capsys, command):
+    # every float cell reads back to the API's float; indices stay integers
+    argv, out, header, want = _table_case(command, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    text = capsys.readouterr().out if out is None else out.read_text(encoding="utf-8")
+    rows = list(csv.reader(text.splitlines()))
+    want = [list(row) for row in want]
+    assert rows[0] == header and len(rows) == len(want) + 1
+    for row, values in zip(rows[1:], want):
+        for cell, value in zip(row, values, strict=True):
+            if isinstance(value, float):  # numpy float64 too
+                assert cell == f"{value:.17g}"
+            elif isinstance(value, int):
+                assert cell == str(value) and cell.isdigit()
+            else:
+                assert cell == value
 
 
 def test_simulate_and_rates(tmp_path):
@@ -387,7 +469,9 @@ def test_config_that_is_not_json_exits_1(tmp_path, capsys, command):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"runs": 10,}')
     assert run_cli(command, "--config", str(cfg_path), "--out", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err.startswith("error: Expecting property name enclosed in double quotes")
+    err = capsys.readouterr().err
+    assert err.startswith("error: Expecting property name enclosed in double quotes")
+    assert err.endswith(f" in config {cfg_path}\n")
 
 
 @pytest.mark.parametrize("key", ["alpha", "beta"])
