@@ -113,7 +113,8 @@ def _cmd_model_dump(args) -> int:
 
 def _read_observation(path, epsilon) -> SequenceObservation:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would make row 0 read as a header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for n, row in enumerate(r for r in reader if "".join(r).strip()):
             try:
@@ -160,6 +161,11 @@ def _cmd_estimate(args) -> int:
         if args.frame is None:
             raise ValueError("--frame is required for the thresholding method")
         frame = load_frame(args.frame)
+        if kmax + 1 < frame.budget:
+            raise ValueError(
+                f"{args.input} holds {kmax + 1} coefficients, but frame {args.frame} "
+                f"(j_max {frame.j_max}) needs {frame.budget}"
+            )
         plan = make_threshold_plan(frame, model, args.epsilon, kappa=args.kappa)
         fhat = need_d(frame, model, obs, plan).coeffs
     elif args.method == "svd-proj":

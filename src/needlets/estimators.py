@@ -116,6 +116,11 @@ def _naive_inverse(model: SvdModel, obs: SequenceObservation) -> np.ndarray:
     return obs.y / model.b[: obs.kmax + 1]
 
 
+def _check_kappa(kappa: float) -> None:
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
+
+
 def _threshold_schedule(
     frame: NeedletFrame, model: SvdModel, epsilon: float, kappa: float
 ) -> tuple[float, int]:
@@ -123,8 +128,7 @@ def _threshold_schedule(
     # below the smallest normal float 1/epsilon overflows
     if not (epsilon == 0.0 or sys.float_info.min <= epsilon < 1.0):
         raise ValueError(f"epsilon must be 0 or in [{sys.float_info.min}, 1), got {epsilon}")
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and > 0, got {kappa}")
+    _check_kappa(kappa)
     if epsilon == 0.0:
         return 0.0, frame.j_max
     t_eps = epsilon * math.sqrt(math.log(1.0 / epsilon))
@@ -339,6 +343,11 @@ class AdaptiveSvdConfig:
     n_top: int
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < 0.5:
+        raise ValueError(f"gamma must be in (0, 1/2), got {gamma}")
+
+
 def make_adaptive_config(
     model: SvdModel, epsilon: float, n: int, gamma: float = GAMMA_DEFAULT
 ) -> AdaptiveSvdConfig:
@@ -349,8 +358,7 @@ def make_adaptive_config(
     half its points, whatever the noise level says. epsilon = 0 gives the
     zero-noise limit: one noise-free block [1, kmax + 1), unit weights to the cap.
     """
-    if not 0.0 < gamma < 0.5:
-        raise ValueError(f"gamma must be in (0, 1/2), got {gamma}")
+    _check_gamma(gamma)
     if n < 2:
         raise ValueError(f"grid resolution must be >= 2, got {n}")
     if epsilon == 0.0:

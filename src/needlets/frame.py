@@ -12,18 +12,18 @@ rows are zeros that are never read.
 Each level stands alone: frame_levels gives one at a time, j = -1..j_max
 with j_max at most MAX_JMAX, and build_frame holds them all. A level's
 rule is Newton-polished first; one recurrence sweep over its nodes then
-gives the Christoffel weights and psi's columns degree by degree. A held
-level sweeps every node into an F-ordered psi of its own; a streamed
-level (LevelSweep.rows) sweeps NODE_BLOCK nodes at a time into one
-C-ordered block, the order a saved frame stores psi in, so it never holds
-the whole level. Either way the Gram self-check sums the upper triangle
-of Psi^T Psi over the same node blocks (_Gram), and the rule is certified
-over all its weights once the last node is swept. The invariant suite
-reads every level as such C-ordered node blocks (rows()), whether they
-are copied from a held psi or read from a file, and level_sigma reads
-psi BLOCK // 2 rows at a time. Each level's psi, each node block and each
-Gram accumulator has a private mapping of its own, unmapped once it is
-dropped.
+gives the Christoffel weights and psi's columns degree by degree. psi is
+node-major everywhere (C order, one node per row), as a saved frame
+stores it: a held level sweeps every node into a psi of its own, and a
+streamed level (LevelSweep.rows) sweeps NODE_BLOCK nodes at a time into
+one block, so it never holds the whole level. Either way the Gram
+self-check sums the upper triangle of Psi^T Psi over the same node blocks
+(_Gram), and the rule is certified over all its weights once the last
+node is swept. The invariant suite reads every level as node blocks
+(rows()), views of a held psi or blocks read from a file, and
+level_sigma reads psi BLOCK // 2 rows at a time. Each level's psi, each
+node block and each Gram accumulator has a private mapping of its own,
+unmapped once it is dropped.
 
 Needlets are evaluated on [-1, 1] one block of points at a time for whole
 levels (norms, localization): one basis table of at most TABLE entries
@@ -90,8 +90,9 @@ BLOCK = 256
 # level; at jmax 11 a block takes 25 MB beside the Gram triangle's 41 MB,
 # where 512 rows gave a lower peak for more Python steps
 NODE_BLOCK = 1024
-# columns of psi copied at once between an F-ordered psi and a C-ordered
-# node block, so the transposing copy stays in cache
+# degrees of psi formed, or summed over nodes, at once in a buffer of one
+# contiguous row per degree, which goes into psi's rows as one transposing
+# copy that stays in cache
 TILE = 64
 # basis-table entries (degrees x points) formed at once when needlets are
 # evaluated on [-1, 1]; a level has no more psi rows than degrees, so a
@@ -122,17 +123,8 @@ class FrameLevel:
         return self.freq_lo + self.n_freq - 1
 
     def rows(self) -> Iterator[np.ndarray]:
-        """psi's rows NODE_BLOCK at a time, each block C-ordered as a saved frame stores it.
-
-        The blocks are copied TILE columns at a time into one buffer, valid
-        until the next block is asked for.
-        """
-        block = _mapped((min(NODE_BLOCK, self.n_nodes), self.n_freq))
-        for r0 in range(0, self.n_nodes, NODE_BLOCK):
-            rows, src = block[: min(NODE_BLOCK, self.n_nodes - r0)], self.psi[r0 : r0 + NODE_BLOCK]
-            for c0 in range(0, self.n_freq, TILE):
-                rows[:, c0 : c0 + TILE] = src[:, c0 : c0 + TILE]
-            yield rows
+        """psi's rows NODE_BLOCK at a time, as read-only views of psi."""
+        return (self.psi[r0 : r0 + NODE_BLOCK] for r0 in range(0, self.n_nodes, NODE_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,7 @@ def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
     return gram.defect(a)
 
 
-def _mapped(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+def _mapped(shape: tuple[int, ...]) -> np.ndarray:
     """A zeroed little-endian float64 array in a private, hugepage-advised mapping of its own.
 
     A page takes memory only once it is touched. Unlike a heap block, the
@@ -239,7 +231,7 @@ def _mapped(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
     buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype="<f8").reshape(shape, order=order)
+    return np.frombuffer(buf, dtype="<f8").reshape(shape)
 
 
 def check_j_max(j_max: int) -> None:
@@ -250,17 +242,22 @@ def check_j_max(j_max: int) -> None:
         raise ValueError(f"j_max must be <= {MAX_JMAX}, got {j_max}")
 
 
+def _check_node_mode(nodes_per_level: str) -> None:
+    if nodes_per_level not in (NODES_EXACT, NODES_PAPER):
+        raise ValueError(f"unknown nodes_per_level: {nodes_per_level!r}")
+
+
 class LevelSweep:
     """Level j of frame_levels: its rule's polished nodes, then its psi by one sweep.
 
-    held() sweeps every node into an F-ordered psi of the level's own and
-    returns the FrameLevel; rows() sweeps NODE_BLOCK nodes at a time and
-    yields each block's rows of psi, C-ordered, in one reused buffer valid
-    until the next block is asked for. Either way psi is scaled by sqrt(w)
-    block by block and summed into the Gram triangle in the same node
-    blocks, so both give the same defect; once the last node is swept the
-    rule is certified over all its weights, and "exact" mode raises if the
-    defect exceeds tolerance. weights and defect are set then.
+    held() sweeps every node into a psi of the level's own and returns the
+    FrameLevel; rows() sweeps NODE_BLOCK nodes at a time and yields each
+    block's rows of psi in one reused buffer valid until the next block is
+    asked for. Either way psi is scaled by sqrt(w) block by block and
+    summed into the Gram triangle in the same node blocks, so both give the
+    same defect; once the last node is swept the rule is certified over all
+    its weights, and "exact" mode raises if the defect exceeds tolerance.
+    weights and defect are set then.
     """
 
     def __init__(self, basis: JacobiBasis, filt: Filter, j: int, nodes_per_level: str):
@@ -283,21 +280,21 @@ class LevelSweep:
     def _sweep(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill out with psi's rows at the nodes x, scaled by sqrt(w); return their Christoffel sums.
 
-        The columns are formed in an F-ordered tile of TILE degrees, which
-        goes into out at once, so a C-ordered out is written row by row.
+        The columns are formed TILE degrees at a time in a tile of one row
+        per degree, which goes into out's rows at once.
         """
         n_nodes, lo, hi, a = self.n_nodes, self.freq_lo, self.freq_hi, self.a
         kernel = np.zeros(x.shape[0])
-        tile = _mapped((x.shape[0], TILE), order="F")
+        tile = _mapped((TILE, x.shape[0]))
         with np.errstate(all="ignore"):
             for i, p in enumerate(_orthonormal(*self._recurrence, hi, x)):
                 if i < n_nodes:
                     kernel += p * p
                 if i >= lo:
                     k = (i - lo) % TILE
-                    np.multiply(p, a[i - lo], out=tile[:, k])
+                    np.multiply(p, a[i - lo], out=tile[k])
                     if k == TILE - 1 or i == hi:
-                        out[:, i - lo - k : i - lo + 1] = tile[:, : k + 1]
+                        out[:, i - lo - k : i - lo + 1] = tile[: k + 1].T
             out *= np.sqrt(1.0 / kernel)[:, None]
         return kernel
 
@@ -327,10 +324,7 @@ class LevelSweep:
 
     def held(self) -> tuple[FrameLevel, float]:
         """The level with its whole psi, and its Gram defect."""
-        # F-ordered, so each degree's column is contiguous; load_frame
-        # gives the same layout, which keeps BLAS rounding in analyze and
-        # synthesize the same for built and loaded frames
-        psi = _mapped((self.n_nodes, self.n_freq), order="F")
+        psi = _mapped((self.n_nodes, self.n_freq))
         kernel = self._sweep(self.nodes, psi)
         self._finish(kernel, _gram_defect(psi, self.a))
         psi.setflags(write=False)
@@ -351,8 +345,7 @@ def frame_levels(
     holds one level at a time.
     """
     check_j_max(j_max)
-    if nodes_per_level not in (NODES_EXACT, NODES_PAPER):
-        raise ValueError(f"unknown nodes_per_level: {nodes_per_level!r}")
+    _check_node_mode(nodes_per_level)
     return (LevelSweep(basis, filt, j, nodes_per_level) for j in range(-1, j_max + 1))
 
 
@@ -488,10 +481,10 @@ def frame_invariants(
 
     frame gives the filter, node mode and top level; levels, frame.levels
     by default, may be read one at a time (frameio.open_frame). A level
-    needs j, weights and rows(), psi's C-ordered node blocks: a held level
-    copies them from its psi and a stored one reads them, so both give the
-    same rows. Each level is checked and dropped before the next is asked
-    for, and one node block of it is held at a time.
+    needs j, weights and rows(), psi's node blocks: a held level gives views
+    of its psi and a stored one reads them, so both give the same rows.
+    Each level is checked and dropped before the next is asked for, and one
+    node block of it is held at a time.
     """
     gram_defect = zero_sum = norm_max = 0.0
     for lev in frame.levels if levels is None else levels:
@@ -517,16 +510,16 @@ def _level_invariants(lev, a: np.ndarray) -> tuple[float, float, float]:
     sums = np.zeros(n_freq)
     norm = 0.0
     sqrt_w = np.sqrt(lev.weights)
-    strip = _mapped((min(NODE_BLOCK, lev.n_nodes), TILE), order="F")
+    strip = _mapped((TILE, min(NODE_BLOCK, lev.n_nodes)))
     for r0, rows in zip(range(0, lev.n_nodes, NODE_BLOCK), lev.rows()):
         gram.add(rows)
-        # each frequency is summed down a contiguous column, which rounds as
-        # over a held F-ordered psi; a level of more than one node block adds
-        # its blocks' sums
+        # each frequency is summed along a contiguous row of the strip, which
+        # keeps the printed sums' bits (sqrt_w @ rows rounds them otherwise);
+        # a level of more than one node block adds its blocks' sums
         for c0 in range(0, n_freq, TILE):
-            cols = strip[: rows.shape[0], : min(TILE, n_freq - c0)]
-            cols[...] = rows[:, c0 : c0 + TILE]
-            sums[c0 : c0 + TILE] += sqrt_w[r0 : r0 + NODE_BLOCK] @ cols
+            cols = strip[: min(TILE, n_freq - c0), : rows.shape[0]]
+            cols[...] = rows[:, c0 : c0 + TILE].T
+            sums[c0 : c0 + TILE] += sqrt_w[r0 : r0 + NODE_BLOCK] @ cols.T
         # a needlet's L2 norm is its row's: the basis is orthonormal
         norm = max(norm, math.sqrt(float(np.max(np.einsum("ij,ij->i", rows, rows)))))
     return gram.defect(a), float(np.max(np.abs(sums))), norm

@@ -8,14 +8,14 @@ needlet coefficient matrix as raw 64-bit floats, psi row by row. The only
 basis family code is 0 (Jacobi).
 
 Both directions stream one level at a time, and a level's psi one block of
-frame.NODE_BLOCK rows at a time, in the file's row order: write_levels
-writes each row block a level's rows() gives (a build's sweep, or a held
-psi's copy) and then its weights, which a build knows only once its last
-node is swept; open_frame yields each stored level with its nodes and
-weights read, and its rows() reads psi's row blocks into one C-ordered
-buffer. save_frame is write_levels over a held frame; load_frame copies
-each stored level's row blocks into an F-ordered psi of its own, the
-layout build_frame produces.
+frame.NODE_BLOCK rows at a time, in the file's row order, which is the
+node-major order frame holds psi in: write_levels writes each row block a
+level's rows() gives (a build's sweep, or views of a held psi) and then
+its weights, which a build knows only once its last node is swept;
+open_frame yields each stored level with its nodes and weights read, and
+its rows() reads psi's row blocks into one buffer. save_frame is
+write_levels over a held frame; load_frame copies each stored level's row
+blocks into a psi of its own.
 
 Loading rebuilds the filter and basis from the stored parameters before it
 reads a level, and takes the level blocks verbatim, so a round trip is
@@ -100,7 +100,7 @@ def write_levels(
     """Write levels j = -1..j_max to path in container version 1.
 
     A level needs j, n_nodes, freq_lo, n_freq, nodes and rows(), psi's
-    C-ordered row blocks; once its rows are written it gives weights, and
+    row blocks; once its rows are written it gives weights, and
     a LevelSweep its defect. Each level is written as soon as it is given
     and is not held after. The header records defect, by default the
     largest of the levels' defects, which is returned. Everything goes to a
@@ -170,7 +170,7 @@ def _decode(codes: dict, value: int, what: str) -> str:
 class StoredLevel:
     """Level j of an open container: shape, nodes and weights read and checked, psi not yet.
 
-    rows() reads psi NODE_BLOCK rows at a time into one C-ordered buffer,
+    rows() reads psi NODE_BLOCK rows at a time into one buffer,
     valid until the next block is asked for; load() reads the whole level
     into a FrameLevel. Either must be done before the next level is asked
     for, or not at all.
@@ -213,8 +213,8 @@ class StoredLevel:
             raise entry_error(f"level {self.j} psi", *first_bad, "finite", n_bad, n * m)
 
     def load(self) -> FrameLevel:
-        """The level with its whole psi, F-ordered as build_frame holds it, read-only."""
-        psi = _mapped((self.n_nodes, self.n_freq), order="F")
+        """The level with its whole psi, copied block by block from rows(), read-only."""
+        psi = _mapped((self.n_nodes, self.n_freq))
         for r0, rows in zip(range(0, self.n_nodes, NODE_BLOCK), self.rows()):
             psi[r0 : r0 + NODE_BLOCK] = rows
         psi.setflags(write=False)

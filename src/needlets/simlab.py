@@ -73,6 +73,8 @@ from .estimators import (
     GAMMA_DEFAULT,
     GRID_N_DEFAULT,
     KAPPA_DEFAULT,
+    _check_gamma,
+    _check_kappa,
     ladder_blocks,
     make_adaptive_config,
     make_threshold_plan,
@@ -84,7 +86,7 @@ from .estimators import (
     svd_projection,
 )
 from .filters import POLYNOMIAL_SHAPE, Filter, make_filter, make_profile
-from .frame import NODES_EXACT, NeedletFrame, build_frame, check_j_max
+from .frame import NODES_EXACT, NeedletFrame, _check_node_mode, build_frame, check_j_max
 from .jacobi import JacobiBasis
 from .losses import weighted_loss
 from .models import (
@@ -142,6 +144,8 @@ class FrameSpec:
 
     def __post_init__(self):
         check_j_max(self.jmax)
+        _check_node_mode(self.nodes_per_level)
+        make_profile(POLYNOMIAL_SHAPE, self.m)  # refuses an m out of range
 
     @property
     def budget(self) -> int:
@@ -164,10 +168,16 @@ class AdaptiveSpec:
 
     gamma: float = GAMMA_DEFAULT
 
+    def __post_init__(self):
+        _check_gamma(self.gamma)
+
 
 @dataclass(frozen=True)
 class NeedDSpec:
     kappa: float = KAPPA_DEFAULT
+
+    def __post_init__(self):
+        _check_kappa(self.kappa)
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,42 @@ def test_estimate_refuses_another_methods_flags(tmp_path, capsys, method, flags,
     assert not out.exists()
 
 
+def test_estimate_needd_names_a_frame_larger_than_the_input(tmp_path, capsys):
+    # the model is built at the observation's length, so a frame whose
+    # budget is larger used to fail naming singular values never supplied
+    obs_path = tmp_path / "obs.csv"
+    _write_observation(obs_path, kmax=63)
+    frame_path = tmp_path / "f.ndlt"
+    assert run_cli("frame", "build", "--jmax", "6", "--out", str(frame_path)) == 0
+    capsys.readouterr()
+    out = tmp_path / "fhat.csv"
+    assert run_cli(
+        "estimate", "--input", str(obs_path), "--method", "needd", "--frame", str(frame_path),
+        "--epsilon", "0.01", "--out", str(out),
+    ) == 1
+    want = f"error: {obs_path} holds 64 coefficients, but frame {frame_path} (j_max 6) needs 128\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
+def test_estimate_reads_a_file_that_opens_with_a_byte_order_mark(tmp_path):
+    # the mark made row 0 look like a header, so it was dropped and the
+    # indices no longer covered 0..kmax
+    rows = "".join(f"{k},{0.1 / (1 + k)!r}\n" for k in range(64))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(rows, encoding="utf-8")
+    marked.write_text(rows, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf0,0.1")
+
+    def estimate(path):
+        out = tmp_path / f"{path.stem}.out"
+        assert run_cli("estimate", "--input", str(path), "--method", "svd-proj",
+                       "--epsilon", "0.01", "--out", str(out)) == 0
+        return out.read_bytes()
+
+    assert estimate(marked) == estimate(plain)
+
+
 def test_estimate_rejects_gappy_input(tmp_path):
     obs_path = tmp_path / "obs.csv"
     with open(obs_path, "w") as fh:

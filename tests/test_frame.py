@@ -326,7 +326,7 @@ def _assert_gram_defect_is_dense(psi, a):
     psi = np.round(psi * 2**16) / 2**16
     dense = float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
     assert _gram_defect(psi, a) == dense
-    assert _gram_defect(np.ascontiguousarray(psi), a) == dense
+    assert _gram_defect(np.asfortranarray(psi), a) == dense
 
 
 @pytest.mark.parametrize("width", [BLOCK - 1, BLOCK, BLOCK + 1, None])
@@ -391,6 +391,11 @@ def test_frame_levels_are_build_frame_levels(frame10, filt):
         assert all(rows.flags.c_contiguous for rows in blocks)
         np.testing.assert_array_equal(np.concatenate(blocks), held.psi)
         np.testing.assert_array_equal(sweep.weights, held.weights)
+        # a held level's blocks are read-only views of its psi, not copies
+        views = list(held.rows())
+        assert len(views) == len(blocks)
+        assert all(np.shares_memory(v, held.psi) and not v.flags.writeable for v in views)
+        np.testing.assert_array_equal(np.concatenate(views), held.psi)
         defects.append(sweep.defect)
     assert max(defects) == frame10.exactness_defect
 
@@ -413,7 +418,7 @@ def test_level_rule_and_psi_are_the_rule_and_the_table(filt, mode, alpha, beta):
         table = jacobi_eval_all(basis, lev.freq_hi, lev.nodes)[lev.freq_lo :]
         want = np.sqrt(lev.weights)[:, None] * (a[:, None] * table).T
         np.testing.assert_array_equal(lev.psi, want)
-        assert lev.psi.flags.f_contiguous and not lev.psi.flags.writeable
+        assert lev.psi.flags.c_contiguous and not lev.psi.flags.writeable
 
 
 @pytest.mark.parametrize("mode", ["exact", "paper"])

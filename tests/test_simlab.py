@@ -130,6 +130,38 @@ def test_config_value_of_wrong_type_rejected(raw, key, value, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"frame": {"nodes-per-level": "bogus"}}, "unknown nodes_per_level: 'bogus'"),
+        ({"frame": {"m": 9999}}, "smoothness order m must be an integer in [1, 512], got 9999"),
+        ({"frame": {"m": 0}}, "smoothness order m must be an integer in [1, 512], got 0"),
+        ({"adaptive": {"gamma": 5}}, "gamma must be in (0, 1/2), got 5"),
+        ({"needd": {"kappa": -1}}, "kappa must be finite and > 0, got -1"),
+    ],
+    ids=["node-mode", "m-above-range", "m-below-range", "gamma", "kappa"],
+)
+def test_config_value_out_of_range_rejected(raw, message, tmp_path, capsys, monkeypatch):
+    # a group's values are checked when the config is parsed: simulate used
+    # to echo them into sim.json, and rates to build its frame first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimulationConfig.from_dict(raw)
+
+    def no_work(*args):
+        raise AssertionError("a frame was built before the config was checked")
+
+    monkeypatch.setattr(FrameSpec, "build", no_work)
+    path = tmp_path / "cfg.json"
+    runs = [("simulate", "sim", {"estimators": ["svd-proj"], "runs": 2, **raw})]
+    if "adaptive" not in raw:  # rates reads no adaptive group
+        runs.append(("rates", "rates.csv", raw))
+    for command, out, config in runs:
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_rates_config_holds_the_keys_rates_reads():
     # the defaults are the simulation's, and the benchmark's config parses
     default = SimulationConfig()
