@@ -18,12 +18,18 @@ stores it: a held level sweeps every node into a psi of its own, and a
 streamed level (LevelSweep.rows) sweeps NODE_BLOCK nodes at a time into
 one block, so it never holds the whole level. Either way the Gram
 self-check sums the upper triangle of Psi^T Psi over the same node blocks
-(_Gram), and the rule is certified over all its weights once the last
-node is swept. The invariant suite reads every level as node blocks
-(rows()), views of a held psi or blocks read from a file, and
+(_Gram), one group of its panels per pass over the level's blocks, each
+group no larger than one node block (_groups): the first group takes the
+blocks as they are swept or read, and each later group a fresh pass over
+the same rows, from a held psi, from a stored file, or, for a streamed
+build, read back from the file the sweep's blocks were just written to.
+Each panel takes the same products in the same order whatever its group,
+so the grouping moves no bit. The rule is certified over all its weights
+once the last node is swept. The invariant suite reads every level as
+node blocks (rows()), views of a held psi or blocks read from a file, and
 level_sigma reads psi BLOCK // 2 rows at a time. Each level's psi, each
-node block and each Gram accumulator has a private mapping of its own,
-unmapped once it is dropped.
+node block and each group of Gram panels has a private mapping of its
+own, unmapped once it is dropped.
 
 Needlets are evaluated on [-1, 1] one block of points at a time for whole
 levels (norms, localization): one basis table of at most TABLE entries
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +93,9 @@ MAX_JMAX = 13
 # took 10.5 MB and about 5% less time
 BLOCK = 256
 # rows of psi (nodes) swept, checked, written or read at once by a streamed
-# level; at jmax 11 a block takes 25 MB beside the Gram triangle's 41 MB,
-# where 512 rows gave a lower peak for more Python steps
+# level, and the rows whose floats bound a group of Gram panels; at jmax 11
+# a block takes 25 MB beside a group of at most as much (22 MB, of the
+# triangle's 41 MB), where 512 rows gave a lower peak for more Python steps
 NODE_BLOCK = 1024
 # degrees of psi formed, or summed over nodes, at once in a buffer of one
 # contiguous row per degree, which goes into psi's rows as one transposing
@@ -122,9 +129,12 @@ class FrameLevel:
     def freq_hi(self) -> int:
         return self.freq_lo + self.n_freq - 1
 
-    def rows(self) -> Iterator[np.ndarray]:
-        """psi's rows NODE_BLOCK at a time, as read-only views of psi."""
-        return (self.psi[r0 : r0 + NODE_BLOCK] for r0 in range(0, self.n_nodes, NODE_BLOCK))
+    def rows(self, reread=None) -> Iterator[np.ndarray]:
+        """psi's rows NODE_BLOCK at a time, as read-only views of psi.
+
+        reread, as LevelSweep.rows takes it, is not needed: psi is held.
+        """
+        return _row_blocks(self.psi)
 
 
 @dataclass(frozen=True)
@@ -167,56 +177,110 @@ def _level_window(filt: Filter, j: int, nodes_per_level: str) -> tuple[int, int,
     return n_nodes, lo, filter_a(filt, np.arange(lo, 2 ** (j + 1)) / 2.0**j)
 
 
+def _groups(n: int, n_rows: int) -> list[list[int]]:
+    """The first columns of the Gram panels of n columns, in groups no larger than one node block.
+
+    A level of n_rows rows holds min(NODE_BLOCK, n_rows) * n floats of psi
+    at once; a group holds no more panel floats than that, unless one panel
+    alone is larger, and takes the panels in order. In "exact" mode level
+    11 takes two groups, level 12 four and every level below 11 one.
+    """
+    budget = min(NODE_BLOCK, n_rows) * n
+    groups, size = [[]], 0
+    for c0 in range(0, n, BLOCK):
+        panel = min(BLOCK, n - c0) * (n - c0)
+        if groups[-1] and size + panel > budget:
+            groups.append([])
+            size = 0
+        groups[-1].append(c0)
+        size += panel
+    return groups
+
+
 class _Gram:
-    """The upper triangle of one level's Psi^T Psi, summed over blocks of psi's rows.
+    """The upper triangle of one level's Psi^T Psi, summed over blocks of psi's rows, a group at a time.
 
     The triangle is kept in panels of BLOCK rows, each from its diagonal
     square to the last column, so a row block's share of a panel is one
-    product, formed in one buffer sized for the first panel and added in.
-    The panels and the buffer share a private mapping (_mapped), released
-    with the accumulator; an anonymous mapping starts zeroed, so the panels
-    need no clearing and the first block's sum equals its product.
+    product. The panels are summed in the groups _groups gives for the
+    level's n_rows rows: the first over the blocks add() is given, each
+    later one, when the defect is asked for, over a pass of again(), which
+    yields the same blocks anew, so every panel takes the same products in
+    the same order whatever its group. A group's panels share a private
+    mapping (_mapped), and a buffer for its products, the size of its first
+    panel, is mapped only when a second block arrives; both are dropped
+    once the group's defect is taken, before the next group is mapped.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        starts = range(0, n, BLOCK)
-        sizes = [min(BLOCK, n - c0) * (n - c0) for c0 in starts]
-        store = _mapped((sum(sizes) + sizes[0],))
+    def __init__(self, n: int, n_rows: int, again: Callable[[], Iterable[np.ndarray]]):
+        self.n, self._again = n, again
+        self._groups = _groups(n, n_rows)
+        self._open(self._groups[0])
+
+    def _open(self, starts: list[int]) -> None:
+        sizes = [min(BLOCK, self.n - c0) * (self.n - c0) for c0 in starts]
+        store = _mapped((sum(sizes),))
         offsets = np.cumsum([0] + sizes)
         self._panels = [
-            store[at : at + size].reshape(-1, n - c0) for c0, at, size in zip(starts, offsets, sizes)
+            (c0, store[at : at + size].reshape(-1, self.n - c0))
+            for c0, at, size in zip(starts, offsets, sizes)
         ]
-        self._product = store[offsets[-1] :]
+        self._summed, self._product = False, None
 
     def add(self, rows: np.ndarray) -> None:
-        """Add the products of a block of psi's rows (n columns, in any layout)."""
+        """Add the products of a block of psi's rows (n columns, in any layout) to the open group."""
+        if self._summed and self._product is None:
+            self._product = _mapped((self._panels[0][1].size,))
         # inf - inf in a sum is NaN, which the defect reports as infinite
         with np.errstate(all="ignore"):
-            for c0, panel in zip(range(0, self.n, BLOCK), self._panels):
-                product = self._product[: panel.size].reshape(panel.shape)
-                panel += np.matmul(rows[:, c0 : c0 + BLOCK].T, rows[:, c0:], out=product)
+            for c0, panel in self._panels:
+                lhs, rhs = rows[:, c0 : c0 + BLOCK].T, rows[:, c0:]
+                if self._summed:
+                    panel += np.matmul(lhs, rhs, out=self._product[: panel.size].reshape(panel.shape))
+                else:
+                    # the first block's product is the panel's sum, as 0 +
+                    # product is but for the sign of a zero, which the
+                    # defect, a max of absolute values, does not see
+                    np.matmul(lhs, rhs, out=panel)
+        self._summed = True
 
     def defect(self, a: np.ndarray) -> float:
-        """max |Psi^T Psi - diag(a^2)| over the triangle, taken in place (once).
+        """max |Psi^T Psi - diag(a^2)| over the triangle, each group taken in place (once).
 
         Every entry is checked: the entries below the diagonal are the
         transposes of those above it. A NaN entry counts as an infinite
         defect, so it fails every tolerance.
         """
+        worst = self._close(a)
+        for starts in self._groups[1:]:
+            self._open(starts)
+            for rows in self._again():
+                self.add(rows)
+            del rows  # a view of the pass's block, which the next pass maps anew
+            worst = max(worst, self._close(a))
+        return worst
+
+    def _close(self, a: np.ndarray) -> float:
+        """The open group's defect, taken in place; its mappings are dropped."""
         peaks = []
-        for c0, panel in zip(range(0, self.n, BLOCK), self._panels):
+        for c0, panel in self._panels:
             panel.reshape(-1)[:: panel.shape[1] + 1] -= a[c0 : c0 + panel.shape[0]] ** 2
             peaks.append(np.max(np.abs(panel, out=panel)))
+        self._panels = self._product = None
         worst = float(np.max(peaks))  # unlike max(), np.max keeps a NaN
         return math.inf if math.isnan(worst) else worst
 
 
+def _row_blocks(psi: np.ndarray) -> Iterator[np.ndarray]:
+    """A held psi's rows NODE_BLOCK at a time, as views of psi."""
+    return (psi[r0 : r0 + NODE_BLOCK] for r0 in range(0, psi.shape[0], NODE_BLOCK))
+
+
 def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
     """The Gram defect of a held psi, summed over its rows in NODE_BLOCK blocks as a streamed level's."""
-    gram = _Gram(psi.shape[1])
-    for r0 in range(0, psi.shape[0], NODE_BLOCK):
-        gram.add(psi[r0 : r0 + NODE_BLOCK])
+    gram = _Gram(psi.shape[1], psi.shape[0], lambda: _row_blocks(psi))
+    for rows in _row_blocks(psi):
+        gram.add(rows)
     return gram.defect(a)
 
 
@@ -254,10 +318,10 @@ class LevelSweep:
     FrameLevel; rows() sweeps NODE_BLOCK nodes at a time and yields each
     block's rows of psi in one reused buffer valid until the next block is
     asked for. Either way psi is scaled by sqrt(w) block by block and
-    summed into the Gram triangle in the same node blocks, so both give the
-    same defect; once the last node is swept the rule is certified over all
-    its weights, and "exact" mode raises if the defect exceeds tolerance.
-    weights and defect are set then.
+    summed into the Gram triangle in the same node blocks and groups, so
+    both give the same defect; once the last node is swept the rule is
+    certified over all its weights, and "exact" mode raises if the defect
+    exceeds tolerance. weights and defect are set then.
     """
 
     def __init__(self, basis: JacobiBasis, filt: Filter, j: int, nodes_per_level: str):
@@ -311,12 +375,31 @@ class LevelSweep:
             )
         self.weights, self.defect = rule.weights, defect
 
-    def rows(self) -> Iterator[np.ndarray]:
+    def rows(self, reread: Callable[[int, np.ndarray], None] | None = None) -> Iterator[np.ndarray]:
+        """psi's rows NODE_BLOCK at a time, swept into one reused block.
+
+        A level whose Gram triangle takes more than one group (_groups)
+        sums each later group over its rows again once the last block is
+        yielded: reread(r0, out) fills out with the rows from r0 on, as a
+        writer reads back the blocks it has written, and without it the
+        rows are swept again, to the same bits.
+        """
         block = _mapped((min(NODE_BLOCK, self.n_nodes), self.n_freq))
-        gram = _Gram(self.n_freq)
+        views = [
+            (r0, block[: min(NODE_BLOCK, self.n_nodes - r0)]) for r0 in range(0, self.n_nodes, NODE_BLOCK)
+        ]
+        if reread is None:
+            def reread(r0: int, out: np.ndarray) -> None:
+                self._sweep(self.nodes[r0 : r0 + out.shape[0]], out)
+
+        def again() -> Iterator[np.ndarray]:
+            for r0, rows in views:
+                reread(r0, rows)
+                yield rows
+
+        gram = _Gram(self.n_freq, self.n_nodes, again)
         kernels = []
-        for r0 in range(0, self.n_nodes, NODE_BLOCK):
-            rows = block[: min(NODE_BLOCK, self.n_nodes - r0)]
+        for r0, rows in views:
             kernels.append(self._sweep(self.nodes[r0 : r0 + NODE_BLOCK], rows))
             gram.add(rows)
             yield rows
@@ -482,9 +565,11 @@ def frame_invariants(
     frame gives the filter, node mode and top level; levels, frame.levels
     by default, may be read one at a time (frameio.open_frame). A level
     needs j, weights and rows(), psi's node blocks: a held level gives views
-    of its psi and a stored one reads them, so both give the same rows.
-    Each level is checked and dropped before the next is asked for, and one
-    node block of it is held at a time.
+    of its psi and a stored one reads them, so both give the same rows. A
+    level whose Gram triangle takes more than one group is asked for its
+    rows once more per later group. Each level is checked and dropped
+    before the next is asked for, and one node block of it is held at a
+    time.
     """
     gram_defect = zero_sum = norm_max = 0.0
     for lev in frame.levels if levels is None else levels:
@@ -506,7 +591,7 @@ def frame_invariants(
 def _level_invariants(lev, a: np.ndarray) -> tuple[float, float, float]:
     """(Gram defect, max |sum_nu sqrt(w_nu) psi_nu|, largest needlet norm) of one level."""
     n_freq = a.shape[0]
-    gram = _Gram(n_freq)
+    gram = _Gram(n_freq, lev.n_nodes, lev.rows)
     sums = np.zeros(n_freq)
     norm = 0.0
     sqrt_w = np.sqrt(lev.weights)
@@ -522,6 +607,9 @@ def _level_invariants(lev, a: np.ndarray) -> tuple[float, float, float]:
             sums[c0 : c0 + TILE] += sqrt_w[r0 : r0 + NODE_BLOCK] @ cols.T
         # a needlet's L2 norm is its row's: the basis is orthonormal
         norm = max(norm, math.sqrt(float(np.max(np.einsum("ij,ij->i", rows, rows)))))
+    # rows views the first pass's block, dropped before a later Gram group
+    # reads the level again into a block of its own
+    del rows
     return gram.defect(a), float(np.max(np.abs(sums))), norm
 
 

@@ -13,9 +13,13 @@ node-major order frame holds psi in: write_levels writes each row block a
 level's rows() gives (a build's sweep, or views of a held psi) and then
 its weights, which a build knows only once its last node is swept;
 open_frame yields each stored level with its nodes and weights read, and
-its rows() reads psi's row blocks into one buffer. save_frame is
-write_levels over a held frame; load_frame copies each stored level's row
-blocks into a psi of its own.
+its rows() reads psi's row blocks into one buffer. A level whose Gram
+triangle frame sums in more than one group of panels passes over its rows
+once per group: a build reads the blocks it has just written back from
+its temporary file, which is open for reading too, and the invariant suite
+asks a stored level for its rows() again. save_frame is write_levels over
+a held frame; load_frame copies each stored level's row blocks into a psi
+of its own.
 
 Loading rebuilds the filter and basis from the stored parameters before it
 reads a level, and takes the level blocks verbatim, so a round trip is
@@ -75,14 +79,21 @@ _LEVEL = struct.Struct("<iiii")
 
 def _write_level(fh, lev) -> None:
     """Write one level's block: its shape record and nodes, psi's rows as
-    lev.rows() gives them, then lev.weights into the slot left for them."""
+    lev.rows() gives them, then lev.weights into the slot left for them.
+    A level that passes over its rows again reads them back from fh."""
     fh.write(_LEVEL.pack(lev.j, lev.n_nodes, lev.freq_lo, lev.n_freq))
     fh.write(np.ascontiguousarray(lev.nodes, dtype="<f8"))
     slot = fh.tell()
-    fh.seek(8 * lev.n_nodes, os.SEEK_CUR)
-    for rows in lev.rows():
+    at = slot + 8 * lev.n_nodes  # psi starts here
+    end = at + 8 * lev.n_nodes * lev.n_freq
+
+    def reread(r0: int, out: np.ndarray) -> None:
+        fh.seek(at + 8 * r0 * lev.n_freq)
+        _read_into(fh, out)
+
+    fh.seek(at)
+    for rows in lev.rows(reread):
         fh.write(rows.astype("<f8", copy=False))
-    end = fh.tell()
     fh.seek(slot)
     fh.write(np.ascontiguousarray(lev.weights, dtype="<f8"))
     fh.seek(end)
@@ -99,8 +110,9 @@ def write_levels(
 ) -> float:
     """Write levels j = -1..j_max to path in container version 1.
 
-    A level needs j, n_nodes, freq_lo, n_freq, nodes and rows(), psi's
-    row blocks; once its rows are written it gives weights, and
+    A level needs j, n_nodes, freq_lo, n_freq, nodes and rows(reread),
+    psi's row blocks, where reread(r0, out) reads rows already written
+    back into out; once its rows are written it gives weights, and
     a LevelSweep its defect. Each level is written as soon as it is given
     and is not held after. The header records defect, by default the
     largest of the levels' defects, which is returned. Everything goes to a
@@ -123,7 +135,7 @@ def write_levels(
     )
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")
+    fh = open(tmp, "xb+")
     try:
         with fh:
             fh.write(_HEADER.pack(*fields, 0.0, j_max + 2))
@@ -171,9 +183,9 @@ class StoredLevel:
     """Level j of an open container: shape, nodes and weights read and checked, psi not yet.
 
     rows() reads psi NODE_BLOCK rows at a time into one buffer,
-    valid until the next block is asked for; load() reads the whole level
-    into a FrameLevel. Either must be done before the next level is asked
-    for, or not at all.
+    valid until the next block is asked for, from psi's start at each call;
+    load() reads the whole level into a FrameLevel. Either must be done
+    before the next level is asked for, or not at all.
     """
 
     def __init__(

@@ -119,16 +119,27 @@ def _recurrence(basis: JacobiBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _orthonormal(diag: np.ndarray, off: np.ndarray, n: int, x: np.ndarray):
     """Yield Pi_0(x), ..., Pi_n(x) along the orthonormal three-term recurrence.
 
-    diag and off are _recurrence's coefficients, at least n of each.
+    diag and off are _recurrence's coefficients, at least n of each. The
+    values take turns in three arrays: asking for Pi_{k+1} overwrites the
+    array that held Pi_{k-1}, so a caller may keep the last two it was given.
     """
     p_prev = np.ones_like(x)
     yield p_prev
     if n == 0:
         return
-    p = (x - diag[0]) / off[0]
+    p = np.subtract(x, diag[0], out=np.empty_like(p_prev))
+    p /= off[0]
     yield p
+    spare = np.empty_like(p_prev)
     for k in range(1, n):
-        p_prev, p = p, ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k]
+        # ((x - diag[k]) * p - off[k - 1] * p_prev) / off[k], rounded step
+        # by step as that expression is, into the array of Pi_{k-2}
+        np.subtract(x, diag[k], out=spare)
+        spare *= p
+        p_prev *= off[k - 1]
+        spare -= p_prev
+        spare /= off[k]
+        p_prev, p, spare = p, spare, p_prev
         yield p
 
 

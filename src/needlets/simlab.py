@@ -275,7 +275,8 @@ class RatesConfig:
 
 def load_config(path, kind=SimulationConfig):
     """kind (SimulationConfig or RatesConfig) parsed from the JSON file at path."""
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, as estimate's observation reader does
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except ValueError as exc:  # bad JSON or bad UTF-8

@@ -510,6 +510,20 @@ def test_config_that_is_not_json_exits_1(tmp_path, capsys, command):
     assert err.endswith(f" in config {cfg_path}\n")
 
 
+def test_simulate_reads_a_config_that_opens_with_a_byte_order_mark(tmp_path):
+    # the mark made the config exit 1 with "Unexpected UTF-8 BOM"
+    text = '{"runs": 2, "estimators": ["svd-proj"]}'
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+
+    def simulate(path):
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / path.stem)) == 0
+        return [(tmp_path / f"{path.stem}{suffix}").read_bytes() for suffix in ("_L1.csv", "_RMSE.csv")]
+
+    assert simulate(marked) == simulate(plain)
+
+
 @pytest.mark.parametrize("key", ["alpha", "beta"])
 def test_simulate_refuses_a_frame_basis(tmp_path, capsys, key):
     # the basis is the model's: naming one is refused even when no frame is built

@@ -36,7 +36,7 @@ from needlets import (
 )
 import needlets.frame
 import needlets.jacobi
-from needlets.frame import BLOCK, NODE_BLOCK, _gram_defect, _level_window
+from needlets.frame import BLOCK, NODE_BLOCK, _Gram, _gram_defect, _level_window, _row_blocks
 
 
 def _random_supported(frame, rng):
@@ -364,6 +364,41 @@ def test_gram_defect_fails_on_a_non_finite_entry(filt, bad):
     assert _gram_defect(psi, a) <= 1e-9
     psi[3, 5] = bad
     assert _gram_defect(psi, a) == math.inf
+
+
+@pytest.fixture(scope="module")
+def level6(filt):
+    # 128 nodes and 95 frequencies, one node block and one Gram group as
+    # the blocks are; small_blocks splits it into 8 node blocks and 4 groups
+    psi = np.array(build_frame(jacobi_basis(0.0, 1.0), filt, j_max=6).level(6).psi)
+    return psi, _level_window(filt, 6, "exact")[2]
+
+
+def test_gram_groups_keep_the_dense_defect(level6, small_blocks):
+    # each group sums its panels over a pass of its own, in the same node
+    # blocks, so the grouped defect is the dense one
+    _assert_gram_defect_is_dense(*level6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gram_defect_sees_a_non_finite_entry_in_the_last_group_alone(level6, small_blocks, bad):
+    # only the last group's pass reads the entry, as a block read back
+    # changed would: its NaN entries must fail the level though the groups
+    # before it are finite (max() skips a NaN that comes after them)
+    psi, a = level6
+    corrupt = psi.copy()
+    corrupt[20, 90] = bad
+    passes = []
+
+    def again():
+        passes.append(None)
+        return _row_blocks(corrupt if len(passes) == 3 else psi)
+
+    gram = _Gram(95, 128, again)
+    for rows in _row_blocks(psi):
+        gram.add(rows)
+    assert gram.defect(a) == math.inf
+    assert len(passes) == 3
 
 
 def test_top_level_above_max_jmax_is_refused(filt):

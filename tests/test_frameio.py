@@ -29,7 +29,7 @@ from needlets import (
 )
 import needlets.frame
 import needlets.frameio
-from needlets.frame import BLOCK, NODE_BLOCK, TILE
+from needlets.frame import BLOCK, NODE_BLOCK, TILE, _gram_defect, _groups, _level_invariants, _level_window
 from needlets.frameio import _HEADER, _LEVEL
 
 
@@ -399,6 +399,38 @@ def test_streamed_levels_match_the_held_frame(frame10, filt, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["held.ndlt", "streamed.ndlt"]
 
 
+def _level6_defects(filt, tmp_path) -> list[float]:
+    """Level 6's Gram defect held, streamed into a file (later groups read
+    back from it), streamed with no file (later groups swept again) and
+    stored (read through open_frame); the streamed file must be save_frame's."""
+    basis = jacobi_basis(0.0, 1.0)
+    frame = build_frame(basis, filt, 6)
+    held = _gram_defect(frame.level(6).psi, _level_window(filt, 6, "exact")[2])
+    sweeps = list(frame_levels(basis, filt, 6))
+    written, path = tmp_path / "held.ndlt", tmp_path / "streamed.ndlt"
+    write_levels(path, basis, filt, 6, "exact", sweeps)
+    save_frame(frame, written)
+    assert path.read_bytes() == written.read_bytes()
+    top = list(frame_levels(basis, filt, 6))[-1]
+    for _ in top.rows():
+        pass
+    with open_frame(path) as (head, levels):
+        for lev in levels:  # the last is level 6
+            stored = _level_invariants(lev, _level_window(filt, lev.j, "exact")[2])[0]
+    return [held, sweeps[-1].defect, top.defect, stored]
+
+
+def test_gram_groups_keep_the_one_group_defect(filt, tmp_path, small_blocks, monkeypatch):
+    # held, streamed and stored levels of 4 Gram groups give the defect of
+    # one group, bit for bit, and the build's file bytes
+    grouped = _level6_defects(filt, tmp_path)
+    monkeypatch.setattr(needlets.frame, "_groups", lambda n, n_rows: [list(range(0, n, needlets.frame.BLOCK))])
+    (tmp_path / "one").mkdir()
+    one = _level6_defects(filt, tmp_path / "one")
+    assert grouped == one == [one[0]] * 4
+    assert one[0] <= 1e-9
+
+
 def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, monkeypatch, traced_peak):
     # at jmax 10 the top level (2048 x 1535, 25.2 MB of psi) is built and
     # checked two node blocks apiece. Its mappings peak at the Gram
@@ -473,6 +505,28 @@ def test_build_and_check_in_one_process_peak_at_one_level_plus_a_block(tmp_path)
     n_nodes, n_freq = 2**12, 2**12 - 2**10 - 1  # level 11 of an "exact" frame
     assert int(out[-1]) <= _streamed_bound(n_nodes, n_freq)
     assert _streamed_bound(n_nodes, n_freq) < 8 * n_nodes * n_freq + 8 * BLOCK * n_freq
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_build_and_check_in_one_process_peak_at_one_block_plus_a_gram_group(tmp_path):
+    # level 11's Gram triangle (40.9 MB) is summed in two groups of panels,
+    # each of at most one node block's floats (22.0 and 18.9 MB), so frame
+    # build and frame check at jmax 11 raise the peak RSS by at most one
+    # node block, the larger group, one product buffer and one tile (54.0
+    # MB); the build reads level 11 back from its file for the second group
+    # and the check reads it twice
+    out = _run_in_a_process(tmp_path, """
+        run("frame", "build", "--jmax", "8", "--out", sys.argv[1] + "/j8.ndlt")
+        run("frame", "check", sys.argv[1] + "/j8.ndlt")
+        before = status("VmHWM")
+        run("frame", "build", "--jmax", "11", "--out", sys.argv[1] + "/j11.ndlt")
+        run("frame", "check", sys.argv[1] + "/j11.ndlt")
+        print(status("VmHWM") - before)
+    """)
+    n_nodes, n_freq = 2**12, 2**12 - 2**10 - 1  # level 11 of an "exact" frame
+    groups = [sum(min(BLOCK, n_freq - c0) * (n_freq - c0) for c0 in g) for g in _groups(n_freq, n_nodes)]
+    assert len(groups) == 2 and max(groups) <= NODE_BLOCK * n_freq
+    assert int(out[-1]) <= 8 * (NODE_BLOCK * n_freq + max(groups) + BLOCK * n_freq + NODE_BLOCK * TILE)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
