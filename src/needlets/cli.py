@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .filters import POLYNOMIAL_SHAPE, filter_a, make_filter, make_profile
 from .frame import NODES_EXACT, NODES_PAPER, frame_invariants, frame_levels, needlet_values
 from .frameio import load_frame, open_frame, write_levels
 from .jacobi import gauss_jacobi_rule, jacobi_basis
-from .models import SequenceObservation, direct_model, eval_e, wicksell_model
+from .losses import grid_points
+from .models import POWER_LAWS, SequenceObservation, eval_e, power_model
 from .simlab import (
     FrameSpec,
     RatesConfig,
@@ -47,8 +49,8 @@ from .simlab import (
 # four decades so the fitted slope is past the threshold-regime transient
 RATE_EPS_DEFAULT = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 
-# model constructors (of kmax) by kind; the first is the default, and rates runs all in order
-MODELS = {"wicksell": wicksell_model, "direct": direct_model}
+# power_model constructors of kmax by kind (POWER_LAWS); the first is the default, rates runs all
+MODELS = {kind: partial(power_model, kind, nu, scale) for kind, (nu, scale) in POWER_LAWS.items()}
 
 # the estimate flags that belong to one method each, with their defaults;
 # a flag of another method than the one run is refused by name
@@ -177,7 +179,7 @@ def _cmd_estimate(args) -> int:
 
     write_csv(args.out, ["i", "fhat"], enumerate(fhat))
     if args.render is not None:
-        x = np.arange(1, args.points + 1) / args.points
+        x = grid_points(args.points)
         write_csv(args.render, ["x", "fhat"], zip(x, np.asarray(fhat) @ eval_e(model, len(fhat) - 1, x)))
     return 0
 

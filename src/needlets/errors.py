@@ -43,12 +43,13 @@ class ProfileError(ValueError):
 def require_entries(values: np.ndarray, ok: np.ndarray, label: str, requirement: str) -> None:
     """Raise ValueError naming the first entry of values where the mask ok is False.
 
-    The entry is shown by its full index, label[i] for a vector and
-    label[r, i] for a stack of runs, with its value and the bad count:
-    "observation y[3] = nan is not finite (1 of 8 entries are not)".
+    The entry is shown by its full index, label[i] for a vector (a scalar
+    is label[0]) and label[r, i] for a stack of runs, with its value and the
+    bad count: "observation y[3] = nan is not finite (1 of 8 entries are not)".
     """
     if ok.all():
         return
+    values, ok = np.atleast_1d(values, ok)
     bad = np.argwhere(~ok)
     idx = tuple(int(i) for i in bad[0])
     raise entry_error(label, idx, values[idx], requirement, len(bad), values.size)

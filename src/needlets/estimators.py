@@ -19,7 +19,6 @@ runs; the rate study scores each stack against one grid table per call.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import InvariantError
 from .frame import NeedletFrame, analyze, level_sigma, synthesize
 from .losses import grid_weights
-from .models import SequenceObservation, SvdModel
+from .models import SequenceObservation, SvdModel, _check_noise_level
 
 __all__ = [
     "KAPPA_DEFAULT",
@@ -125,9 +124,7 @@ def _threshold_schedule(
     frame: NeedletFrame, model: SvdModel, epsilon: float, kappa: float
 ) -> tuple[float, int]:
     """(t_eps, j_top) of make_threshold_plan; they vary with epsilon, sigma does not."""
-    # below the smallest normal float 1/epsilon overflows
-    if not (epsilon == 0.0 or sys.float_info.min <= epsilon < 1.0):
-        raise ValueError(f"epsilon must be 0 or in [{sys.float_info.min}, 1), got {epsilon}")
+    _check_noise_level(epsilon)
     _check_kappa(kappa)
     if epsilon == 0.0:
         return 0.0, frame.j_max
@@ -308,8 +305,7 @@ def make_blocks(model: SvdModel, epsilon: float) -> np.ndarray:
     eps^{-2} rho^{-3} (past that index the naive inverse is pure noise).
     The last boundary is the first one strictly beyond every usable index.
     """
-    if not sys.float_info.min <= epsilon < 1.0:
-        raise ValueError(f"epsilon must be in [{sys.float_info.min}, 1), got {epsilon}")
+    _check_noise_level(epsilon, zero=False)
     nu_eps = max(5.0, math.log(math.log(1.0 / epsilon)))
     rho = 1.0 / math.log(nu_eps)
     # compare eps^{-2} rho^{-3} against the cumulative sums in log space:
@@ -361,10 +357,7 @@ def make_adaptive_config(
     _check_gamma(gamma)
     if n < 2:
         raise ValueError(f"grid resolution must be >= 2, got {n}")
-    if epsilon == 0.0:
-        boundaries = np.array([1, model.kmax + 1])
-    else:
-        boundaries = make_blocks(model, epsilon)
+    boundaries = make_blocks(model, epsilon) if epsilon else np.array([1, model.kmax + 1])
     inv2 = model.b ** (-2.0)
     sigma2, delta = [], []
     for lo, hi in zip(boundaries[:-1], boundaries[1:]):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProfileError
+from .errors import ProfileError, require_entries
 
 __all__ = [
     "CutoffProfile",
@@ -143,8 +143,7 @@ def filter_a(filt: Filter, xi) -> np.ndarray:
 def dyadic_square_sum(filt: Filter, xi) -> np.ndarray:
     """sum_{j>=0} a^2(xi/2^j), evaluated with every term that can be nonzero."""
     xs = np.asarray(xi, dtype=float)
-    if np.any(xs <= 0.0):
-        raise ValueError("dyadic sum needs xi > 0")
+    require_entries(xs, xs > 0.0, "xi", "> 0")
     top = int(max(0.0, math.ceil(math.log2(float(np.max(xs)))))) + 1
     total = np.zeros_like(xs, dtype=float)
     for j in range(top + 1):
@@ -155,6 +154,5 @@ def dyadic_square_sum(filt: Filter, xi) -> np.ndarray:
 def check_partition(filt: Filter, xi_grid) -> float:
     """Max absolute deviation of sum_j a^2(xi/2^j) from 1 over a grid of xi >= 1."""
     grid = np.asarray(xi_grid, dtype=float)
-    if np.any(grid < 1.0):
-        raise ValueError("partition identity only holds for xi >= 1")
+    require_entries(grid, grid >= 1.0, "xi", ">= 1, where the partition identity holds")
     return float(np.max(np.abs(dyadic_square_sum(filt, grid) - 1.0)))

@@ -375,22 +375,18 @@ class LevelSweep:
             )
         self.weights, self.defect = rule.weights, defect
 
-    def rows(self, reread: Callable[[int, np.ndarray], None] | None = None) -> Iterator[np.ndarray]:
+    def rows(self, reread: Callable[[int, np.ndarray], None]) -> Iterator[np.ndarray]:
         """psi's rows NODE_BLOCK at a time, swept into one reused block.
 
         A level whose Gram triangle takes more than one group (_groups)
         sums each later group over its rows again once the last block is
-        yielded: reread(r0, out) fills out with the rows from r0 on, as a
-        writer reads back the blocks it has written, and without it the
-        rows are swept again, to the same bits.
+        yielded: reread(r0, out) fills out, a view of that block, with the
+        rows from r0 on, as a writer reads back the blocks it has written.
         """
         block = _mapped((min(NODE_BLOCK, self.n_nodes), self.n_freq))
         views = [
             (r0, block[: min(NODE_BLOCK, self.n_nodes - r0)]) for r0 in range(0, self.n_nodes, NODE_BLOCK)
         ]
-        if reread is None:
-            def reread(r0: int, out: np.ndarray) -> None:
-                self._sweep(self.nodes[r0 : r0 + out.shape[0]], out)
 
         def again() -> Iterator[np.ndarray]:
             for r0, rows in views:
@@ -700,8 +696,7 @@ def needlet_values(frame: NeedletFrame, j: int, nu: int, x) -> np.ndarray:
     if not 1 <= nu <= lev.n_nodes:
         raise ValueError(f"nu must be in 1..{lev.n_nodes} at level {j}, got {nu}")
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0):
-        raise ValueError("evaluation points must lie in [-1, 1]")
+    require_entries(xs, np.abs(xs) <= 1.0, "evaluation point x", "in [-1, 1]")
     row = lev.psi[nu - 1]
     out = np.zeros_like(xs)
     degrees = _orthonormal(*_recurrence(frame.basis, lev.freq_hi + 1), lev.freq_hi, xs)

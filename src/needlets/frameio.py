@@ -52,16 +52,8 @@ import numpy as np
 
 from .errors import entry_error, require_entries
 from .filters import POLYNOMIAL_SHAPE, SMOOTH_EXPONENTIAL, Filter, make_filter, make_profile
-from .frame import (
-    NODES_EXACT,
-    NODES_PAPER,
-    NODE_BLOCK,
-    FrameLevel,
-    NeedletFrame,
-    _level_window,
-    _mapped,
-    check_j_max,
-)
+from . import frame as _frame  # its NODE_BLOCK is read at call time, as frame reads it
+from .frame import NODES_EXACT, NODES_PAPER, FrameLevel, NeedletFrame, _level_window, _mapped, check_j_max
 from .jacobi import JacobiBasis, jacobi_basis
 
 __all__ = ["FORMAT_VERSION", "StoredLevel", "save_frame", "load_frame", "write_levels", "open_frame"]
@@ -199,12 +191,12 @@ class StoredLevel:
         return self.nodes.shape[0]
 
     def rows(self) -> Iterator[np.ndarray]:
-        n, m = self.n_nodes, self.n_freq
-        block = _mapped((min(NODE_BLOCK, n), m))
+        n, m, size = self.n_nodes, self.n_freq, _frame.NODE_BLOCK
+        block = _mapped((min(size, n), m))
         self._fh.seek(self._at)
         first_bad, n_bad = None, 0
-        for r0 in range(0, n, NODE_BLOCK):
-            rows = block[: min(NODE_BLOCK, n - r0)]
+        for r0 in range(0, n, size):
+            rows = block[: min(size, n - r0)]
             _read_into(self._fh, rows)
             # a NaN is the block's min and max, an infinity one of them; only
             # a bad block is given a mask
@@ -227,8 +219,8 @@ class StoredLevel:
     def load(self) -> FrameLevel:
         """The level with its whole psi, copied block by block from rows(), read-only."""
         psi = _mapped((self.n_nodes, self.n_freq))
-        for r0, rows in zip(range(0, self.n_nodes, NODE_BLOCK), self.rows()):
-            psi[r0 : r0 + NODE_BLOCK] = rows
+        for r0, rows in zip(range(0, self.n_nodes, _frame.NODE_BLOCK), self.rows()):
+            psi[r0 : r0 + rows.shape[0]] = rows
         psi.setflags(write=False)
         return FrameLevel(self.j, self.nodes, self.weights, self.freq_lo, psi)
 

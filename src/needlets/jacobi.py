@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NodeSolveError
+from .errors import NodeSolveError, require_entries
 
 __all__ = [
     "JacobiBasis",
@@ -151,8 +151,7 @@ def jacobi_eval_all(basis: JacobiBasis, kmax: int, x) -> np.ndarray:
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0):
-        raise ValueError("evaluation points must lie in [-1, 1]")
+    require_entries(xs, np.abs(xs) <= 1.0, "evaluation point x", "in [-1, 1]")
     out = np.empty((kmax + 1,) + xs.shape)
     diag, off = _recurrence(basis, kmax + 1)
     for k, p in enumerate(_orthonormal(diag, off, kmax, xs)):
@@ -315,12 +314,9 @@ def generalized_weight(basis: JacobiBasis, n: int, x) -> np.ndarray:
     if n < 1:
         raise ValueError(f"scale n must be >= 1, got {n}")
     xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0):
-        raise ValueError("evaluation points must lie in [-1, 1]")
+    require_entries(xs, np.abs(xs) <= 1.0, "evaluation point x", "in [-1, 1]")
     shift = 1.0 / (n * n)
-    return (1.0 - xs + shift) ** (basis.alpha + 0.5) * (1.0 + xs + shift) ** (
-        basis.beta + 0.5
-    )
+    return (1.0 - xs + shift) ** (basis.alpha + 0.5) * (1.0 + xs + shift) ** (basis.beta + 0.5)
 
 
 @lru_cache(maxsize=8)

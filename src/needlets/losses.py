@@ -2,18 +2,24 @@
 
 On the Wicksell domain the measure is dx/(4x), so pointwise errors at grid
 point i/n are weighted by n/(4i): an estimate can be far off near 1 more
-cheaply than near 0. This module is the only owner of those weights.
+cheaply than near 0. This module is the only owner of the grid and its
+weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["grid_weights", "weighted_loss"]
+__all__ = ["grid_points", "grid_weights", "weighted_loss"]
+
+
+def grid_points(n: int) -> np.ndarray:
+    """The scoring grid (i/n)_{i=1..n}."""
+    return np.arange(1, n + 1) / n
 
 
 def _density(n: int) -> np.ndarray:
-    return 1.0 / (4.0 * np.arange(1, n + 1) / n)
+    return 1.0 / (4.0 * grid_points(n))
 
 
 def grid_weights(n: int) -> np.ndarray:

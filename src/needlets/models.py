@@ -3,24 +3,29 @@
 An SvdModel packages the singular values b_k of a compact operator with
 the orthonormal bases diagonalizing it: observations live on the
 coefficients, Y_k = b_k f_k + eps xi_k, while e_k / g_k map coefficient
-sequences back to the natural domain. The Wicksell unfolding operator and
-the identity on its Jacobi(0,1) basis are provided; both act on the domain
-[0, 1] with measure dx/(4x).
+sequences back to the natural domain. power_model gives the operators with
+b_k = scale (1+k)^(-nu) on the Jacobi(0,1) basis; the Wicksell unfolding
+operator and the identity are its two cases in POWER_LAWS. All act on the
+domain [0, 1] with measure dx/(4x).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnresolvedIntegrandError, require_entries
 from .jacobi import JacobiBasis, _orthonormal, _recurrence, gauss_legendre_panels, jacobi_basis, jacobi_eval_all
+from .losses import grid_points
 
 __all__ = [
     "SvdModel",
     "SequenceObservation",
+    "POWER_LAWS",
+    "power_model",
     "wicksell_model",
     "direct_model",
     "eval_e",
@@ -32,7 +37,23 @@ __all__ = [
     "derive_seed",
 ]
 
-_WICKSELL_SCALE = math.pi / 16.0
+# (nu, scale) of each power-law operator by kind; the kind keys the rate
+# study's run seeds and the model column of rates.csv
+POWER_LAWS = {"wicksell": (0.5, math.pi / 16.0), "direct": (0.0, 1.0)}
+
+
+def _check_noise_level(epsilon: float, what: str = "epsilon", zero: bool = True) -> None:
+    """Refuse a noise level outside [smallest normal float, 1), naming what; 0 passes if zero."""
+    lo = sys.float_info.min  # below it 1/epsilon overflows in the estimators; NaN fails too
+    if not ((zero and epsilon == 0.0) or lo <= epsilon < 1.0):
+        raise ValueError(f"{what} must be {'0 or ' if zero else ''}in [{lo}, 1), got {epsilon}")
+
+
+def _check_rsnr(rsnr) -> None:
+    """Refuse any root signal-to-noise ratio that is not finite and > 0, naming the first."""
+    # a NaN passes r <= 0, and an infinite rsnr silently means epsilon 0
+    if bad := [r for r in np.ravel(rsnr).tolist() if not (math.isfinite(r) and r > 0)]:
+        raise ValueError(f"every rsnr level must be finite and > 0, got {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -83,27 +104,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def wicksell_model(kmax: int = 512) -> SvdModel:
-    """Wicksell operator: b_k = (pi/16)(1+k)^(-1/2), Jacobi(0,1) SVD basis, nu = 1/2."""
+def power_model(kind: str, nu: float, scale: float, kmax: int = 512) -> SvdModel:
+    """Operator kind of ill-posedness degree nu: b_k = scale (1+k)^(-nu) for k = 0..kmax,
+    on the Jacobi(0,1) SVD basis."""
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     k = np.arange(kmax + 1, dtype=float)
-    b = _WICKSELL_SCALE / np.sqrt(1.0 + k)
-    return SvdModel("wicksell", _freeze(b), 0.5, jacobi_basis(0.0, 1.0))
+    return SvdModel(kind, _freeze(scale / (1.0 + k) ** nu), float(nu), jacobi_basis(0.0, 1.0))
+
+
+def wicksell_model(kmax: int = 512) -> SvdModel:
+    """Wicksell operator: b_k = (pi/16)(1+k)^(-1/2), nu = 1/2."""
+    return power_model("wicksell", *POWER_LAWS["wicksell"], kmax)
 
 
 def direct_model(kmax: int = 512) -> SvdModel:
     """Identity operator on the Wicksell basis (b_k = 1, nu = 0), for rate comparisons."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    return SvdModel("direct", _freeze(np.ones(kmax + 1)), 0.0, jacobi_basis(0.0, 1.0))
+    return power_model("direct", *POWER_LAWS["direct"], kmax)
 
 
 def eval_e(model: SvdModel, kmax: int, x) -> np.ndarray:
     """Values e_0(x)..e_kmax(x) of the natural-domain SVD basis, shape (kmax+1, ...)."""
     xs = np.asarray(x, dtype=float)
-    if np.any((xs < 0.0) | (xs > 1.0)):
-        raise ValueError("Wicksell domain is [0, 1]")
+    require_entries(xs, (xs >= 0.0) & (xs <= 1.0), "point x", "in the Wicksell domain [0, 1]")
     table = jacobi_eval_all(model.basis, kmax, 2.0 * xs * xs - 1.0)
     table *= 4.0 * xs * xs
     return table
@@ -120,8 +143,7 @@ def eval_g(model: SvdModel, kmax: int, y) -> np.ndarray:
     the factor 2, exact in floating point, scales it in place.
     """
     ys = np.asarray(y, dtype=float)
-    if np.any((ys < -1.0) | (ys > 1.0)):
-        raise ValueError("image domain is [-1, 1]")
+    require_entries(ys, np.abs(ys) <= 1.0, "image point y", "in [-1, 1]")
     m_top = 2 * kmax + 1
     u_prev = np.ones_like(ys)
     u = 2.0 * ys
@@ -234,8 +256,6 @@ def sample_observation(
     model: SvdModel, f_coeffs, epsilon: float, rng: np.random.Generator
 ) -> SequenceObservation:
     """Draw Y_i = b_i f_i + eps xi_i with iid standard normal xi from rng."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     g = forward(model, f_coeffs)
     y = g + epsilon * rng.standard_normal(g.shape[0]) if epsilon > 0 else g.copy()
     return SequenceObservation(_freeze(y), float(epsilon))
@@ -251,13 +271,11 @@ def calibrate_epsilon(model: SvdModel, f_coeffs, rsnr, n: int) -> float | np.nda
     each target's Kf is its own vector-matrix product with it, so each entry
     equals the call for one target and one ratio bit for bit.
     """
-    ratios = np.asarray(rsnr, dtype=float)
-    if not np.all(np.isfinite(ratios) & (ratios > 0)):
-        raise ValueError(f"rsnr must be positive and finite, got {rsnr}")
+    _check_rsnr(rsnr)
     if n < 1:
         raise ValueError(f"grid resolution must be >= 1, got {n}")
     g = forward(model, f_coeffs)
-    table = eval_g(model, g.shape[-1] - 1, np.arange(1, n + 1) / n)
+    table = eval_g(model, g.shape[-1] - 1, grid_points(n))
     sds = []
     for row in g.reshape(-1, g.shape[-1]):
         kf = row @ table

@@ -88,10 +88,12 @@ from .estimators import (
 from .filters import POLYNOMIAL_SHAPE, Filter, make_filter, make_profile
 from .frame import NODES_EXACT, NeedletFrame, _check_node_mode, build_frame, check_j_max
 from .jacobi import JacobiBasis
-from .losses import weighted_loss
+from .losses import grid_points, weighted_loss
 from .models import (
     SequenceObservation,
     SvdModel,
+    _check_noise_level,
+    _check_rsnr,
     calibrate_epsilon,
     coeffs_from_function,
     derive_seed,
@@ -99,7 +101,7 @@ from .models import (
     sample_observation,
     wicksell_model,
 )
-from .targets import TARGET_NAMES, target_breakpoints, target_function
+from .targets import TARGET_NAMES, target_breakpoints, target_function, target_raw
 
 __all__ = [
     "ESTIMATOR_NAMES",
@@ -207,6 +209,7 @@ class SimulationConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.epsilon_override is not None:
             object.__setattr__(self, "epsilon_override", float(self.epsilon_override))
+            _check_noise_level(self.epsilon_override, "epsilon override")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         _check_grid_n(self.n)
@@ -214,16 +217,10 @@ class SimulationConfig:
             raise ValueError("targets must be a nonempty list without repeats")
         if not self.rsnr:
             raise ValueError("rsnr must hold at least one level")
-        # a NaN passes r <= 0, and an infinite rsnr silently means epsilon 0
-        if bad := [r for r in self.rsnr if not (math.isfinite(r) and r > 0)]:
-            raise ValueError(f"every rsnr level must be finite and > 0, got {bad[0]}")
+        _check_rsnr(self.rsnr)
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad or not self.estimators:
             raise ValueError(f"unknown estimators {bad}; choose from {ESTIMATOR_NAMES}")
-        # below the smallest normal float 1/epsilon overflows in the estimators
-        eps = self.epsilon_override
-        if eps is not None and not (eps == 0.0 or sys.float_info.min <= eps < 1.0):
-            raise ValueError(f"epsilon override must be 0 or in [{sys.float_info.min}, 1), got {eps}")
 
     def to_dict(self) -> dict:
         """The config as JSON: the dataclass fields in order, '_' written as '-' in keys."""
@@ -234,8 +231,7 @@ class SimulationConfig:
         """Parse an external config mapping; unknown keys, mistyped values or targets are errors."""
         config = _from_json(cls, raw, "")
         for name in config.targets:
-            if name not in TARGET_NAMES:
-                raise ValueError(f"unknown target {name!r}; choose from {TARGET_NAMES}")
+            target_raw(name)  # refuses a name that is not a standard target
         return config
 
 
@@ -434,7 +430,7 @@ def run_experiment(config: SimulationConfig, coefficient_targets: dict | None = 
     coefficient_targets = coefficient_targets or {}
     model = wicksell_model(kmax=config.frame.budget)
     n = config.n
-    grid = np.arange(1, n + 1) / n
+    grid = grid_points(n)
     e_vals = eval_e(model, model.kmax, grid)
     gram = projection_gram(e_vals) if "svd-proj" in config.estimators else None
 
@@ -506,15 +502,15 @@ class RateStudy:
 
 
 def check_rate_ladder(eps_list, runs: int) -> list[float]:
-    """The noise levels of a rate study as floats, refused unless there are
-    at least 4, all distinct and in (0, 1), with at least 10 runs each."""
+    """The noise levels of a rate study as floats, refused unless there are at least 4,
+    all distinct and in [smallest normal float, 1), with at least 10 runs each."""
     eps = [float(e) for e in eps_list]
     if len(eps) < 4:
         raise ValueError(f"need at least 4 noise levels, got {len(eps)}")
     if repeated := sorted({e for e in eps if eps.count(e) > 1}, reverse=True):
         raise ValueError(f"noise levels must be distinct, repeated: {', '.join(map(str, repeated))}")
-    if bad := [e for e in eps if not 0.0 < e < 1.0]:
-        raise ValueError(f"every noise level must lie in (0, 1), got {bad[0]}")
+    for e in eps:
+        _check_noise_level(e, "every noise level", zero=False)
     if runs < 10:
         raise ValueError(f"need at least 10 runs per level, got {runs}")
     return eps
@@ -545,8 +541,7 @@ def rate_study(
     models = (model,) if isinstance(model, SvdModel) else tuple(model)
     # the plans check each model against the frame's basis, so one table serves all
     plans = [make_threshold_plan(frame, m, eps, kappa) for m in models]
-    grid = np.arange(1, n + 1) / n
-    e_all = eval_e(models[0], max(m.kmax for m in models), grid)
+    e_all = eval_e(models[0], max(m.kmax for m in models), grid_points(n))
 
     studies = []
     for m, m_plans in zip(models, plans):

@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .losses import grid_points
+
 __all__ = ["TARGET_NAMES", "target_function", "target_breakpoints", "target_raw"]
 
 _POS = (0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81)
@@ -77,8 +79,7 @@ def target_raw(name: str):
 
 @lru_cache(maxsize=None)
 def _scale(name: str) -> float:
-    grid = np.arange(1, _NORM_GRID_N + 1) / _NORM_GRID_N
-    return float(np.std(_RAW[name](grid)))
+    return float(np.std(_RAW[name](grid_points(_NORM_GRID_N))))
 
 
 def target_function(name: str):

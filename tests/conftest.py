@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import needlets.frame
-import needlets.frameio
 from needlets import build_frame, jacobi_basis, make_filter, make_profile, wicksell_model
 
 
@@ -42,7 +41,6 @@ def small_blocks(monkeypatch):
     """16-node blocks and 8-column Gram panels, which split level 6 (128
     nodes, 95 frequencies) into 8 node blocks and 12 panels in 4 groups."""
     monkeypatch.setattr(needlets.frame, "NODE_BLOCK", 16)
-    monkeypatch.setattr(needlets.frameio, "NODE_BLOCK", 16)
     monkeypatch.setattr(needlets.frame, "BLOCK", 8)
     assert [len(g) for g in needlets.frame._groups(95, 128)] == [2, 2, 3, 5]
 

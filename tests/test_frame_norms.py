@@ -171,5 +171,5 @@ def test_localization_argument_errors(frame7):
         localization_check(frame7, 8, 3)
     with pytest.raises(ValueError, match="nu must be in 1..32 at level 4, got 0"):
         needlet_values(frame7, 4, 0, np.zeros(3))
-    with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+    with pytest.raises(ValueError, match=r"x\[1\] = 1.5 is not in \[-1, 1\]"):
         needlet_values(frame7, 4, 1, np.array([0.0, 1.5]))

@@ -11,12 +11,14 @@ forward synthesis must agree without having seen this formula.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from needlets import (
+    POWER_LAWS,
     TARGET_NAMES,
     SequenceObservation,
     SvdModel,
@@ -27,8 +29,13 @@ from needlets import (
     direct_model,
     eval_e,
     eval_g,
+    check_partition,
+    dyadic_square_sum,
     forward,
+    generalized_weight,
     jacobi_basis,
+    needlet_values,
+    power_model,
     sample_observation,
     target_breakpoints,
     target_function,
@@ -332,10 +339,10 @@ def test_calibration_scales_with_rsnr(wicksell512):
     # an array of ratios calibrates once and gives each scalar call's value exactly
     many = calibrate_epsilon(wicksell512, c, np.array([3.0, 5.0, 10.0]), 1024)
     assert many.tolist() == [calibrate_epsilon(wicksell512, c, r, 1024) for r in (3.0, 5.0, 10.0)]
-    with pytest.raises(ValueError, match="rsnr must be positive"):
+    with pytest.raises(ValueError, match="every rsnr level must be finite and > 0, got 0.0"):
         calibrate_epsilon(wicksell512, c, np.array([3.0, 0.0]), 1024)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="rsnr must be positive and finite"):
+        with pytest.raises(ValueError, match=f"every rsnr level must be finite and > 0, got {bad}"):
             calibrate_epsilon(wicksell512, c, np.array([3.0, bad]), 1024)
 
 
@@ -380,3 +387,55 @@ def test_derive_seed_stable_and_distinct():
     }
     assert s not in others and len(others) == 4
     assert 0 <= s < 2**63
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0])
+def test_power_model_is_scale_over_a_power_of_one_plus_k(nu):
+    model = power_model("test", nu, 0.25, 64)
+    one_plus_k = 1.0 + np.arange(65.0)
+    want = 0.25 / one_plus_k if nu == 1.0 else 0.25 / (one_plus_k * one_plus_k)
+    np.testing.assert_array_equal(model.b, want)
+    assert (model.kind, model.nu, model.kmax, model.basis) == ("test", nu, 64, jacobi_basis(0.0, 1.0))
+    with pytest.raises(ValueError, match="^kmax must be >= 1, got 0$"):
+        power_model("test", nu, 0.25, 0)
+
+
+@pytest.mark.parametrize("kmax", [8, 512, 2048, 16384])
+def test_wicksell_and_direct_are_power_models_of_the_same_bits(kmax):
+    # the two operators keep the singular values they had as closed forms
+    k = np.arange(kmax + 1, dtype=float)
+    for make, kind, b in ((wicksell_model, "wicksell", math.pi / 16.0 / np.sqrt(1.0 + k)),
+                          (direct_model, "direct", np.ones(kmax + 1))):
+        model = make(kmax)
+        np.testing.assert_array_equal(model.b, b)
+        np.testing.assert_array_equal(model.b, power_model(kind, *POWER_LAWS[kind], kmax).b)
+        assert (model.kind, model.nu) == (kind, POWER_LAWS[kind][0])
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    ["jacobi_eval_all", "generalized_weight", "needlet_values", "eval_e", "eval_g",
+     "dyadic_square_sum", "check_partition"],
+)
+def test_a_nan_point_is_refused_naming_its_entry(evaluator, frame7, filt, wicksell512):
+    # NaN compares false, so a hand-written "outside the domain" test let it
+    # through: jacobi_eval_all gave [1, nan, nan] at a NaN point
+    x = np.array([1.0, np.nan])
+    basis = wicksell512.basis
+    inside = "evaluation point x[1] = nan is not in [-1, 1]"
+    call, message = {
+        "jacobi_eval_all": (lambda: jacobi_eval_all(basis, 2, x), inside),
+        "generalized_weight": (lambda: generalized_weight(basis, 4, x), inside),
+        "needlet_values": (lambda: needlet_values(frame7, 2, 1, x), inside),
+        "eval_e": (lambda: eval_e(wicksell512, 2, x), "point x[1] = nan is not in the Wicksell domain [0, 1]"),
+        "eval_g": (lambda: eval_g(wicksell512, 2, x), "image point y[1] = nan is not in [-1, 1]"),
+        "dyadic_square_sum": (lambda: dyadic_square_sum(filt, x), "xi[1] = nan is not > 0"),
+        "check_partition": (lambda: check_partition(filt, x), "xi[1] = nan is not >= 1"),
+    }[evaluator]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_a_scalar_point_outside_the_domain_is_named_as_entry_0():
+    with pytest.raises(ValueError, match=re.escape("evaluation point x[0] = 1.5 is not in [-1, 1] (1 of 1")):
+        jacobi_eval_all(jacobi_basis(0.0, 1.0), 2, 1.5)

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import needlets.estimators
+import needlets.frame
 import needlets.models
 import needlets.simlab
 
@@ -31,14 +32,17 @@ from needlets import (
     SimulationConfig,
     SimulationReport,
     build_frame,
+    check_rate_ladder,
     coeffs_from_function,
     direct_model,
     emit_report,
     eval_e,
     jacobi_basis,
     load_report,
+    make_blocks,
     make_filter,
     make_profile,
+    make_threshold_plan,
     projection_gram,
     rate_study,
     run_experiment,
@@ -551,9 +555,9 @@ def test_rate_study_validation(frame8, wicksell512):
         rate_study(wicksell512, frame8, coeffs, [0.1, 0.01, 0.001], runs=10)
     with pytest.raises(ValueError):
         rate_study(wicksell512, frame8, coeffs, [0.1, 0.03, 0.01, 0.003], runs=5)
-    with pytest.raises(ValueError, match=r"every noise level must lie in \(0, 1\), got 1.5$"):
+    with pytest.raises(ValueError, match=r"every noise level must be in \[2.2250738585072014e-308, 1\), got 1.5$"):
         rate_study(wicksell512, frame8, coeffs, [0.1, 0.03, 0.01, 1.5], runs=10)
-    with pytest.raises(ValueError, match=r"lie in \(0, 1\), got nan$"):
+    with pytest.raises(ValueError, match=r"be in \[2.2250738585072014e-308, 1\), got nan$"):
         rate_study(wicksell512, frame8, coeffs, [0.1, math.nan, 0.01, 0.0], runs=10)
 
 
@@ -680,3 +684,36 @@ def test_rate_study_gives_finite_fits_or_typed_errors(frame4, eps):
         assert study.eps == tuple(eps)
         assert np.all(np.isfinite(study.mean_rmse)) and np.all(np.asarray(study.mean_rmse) > 0.0)
         assert math.isfinite(study.slope) and math.isfinite(study.slope_stderr)
+
+
+# noise levels outside [smallest normal float, 1): subnormal, 1, NaN,
+# infinite and negative
+BAD_NOISE_LEVELS = [1e-310, 1.0, math.nan, math.inf, -1e-3]
+
+
+@pytest.mark.parametrize("eps", BAD_NOISE_LEVELS)
+def test_every_noise_level_entry_refuses_the_same_levels(eps, frame7, tmp_path, capsys, monkeypatch):
+    # the rate ladder took (0, 1), so `rates --eps 1e-310` built the whole
+    # frame before the threshold plan refused it. Every entry point now
+    # refuses each level with the one rule, and rates before any level
+    model = wicksell_model(frame7.budget)
+    rule = rf"in \[{sys.float_info.min}, 1\), got {re.escape(str(eps))}$"
+    with pytest.raises(ValueError, match=f"^epsilon override must be 0 or {rule}"):
+        SimulationConfig(epsilon_override=eps)
+    with pytest.raises(ValueError, match=f"^epsilon must be 0 or {rule}"):
+        make_threshold_plan(frame7, model, eps)
+    with pytest.raises(ValueError, match=f"^epsilon must be {rule}"):
+        make_blocks(model, eps)
+    with pytest.raises(ValueError, match=f"^every noise level must be {rule}"):
+        check_rate_ladder([0.1, 0.01, 0.001, eps], 10)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a frame level was built")
+
+    monkeypatch.setattr(needlets.frame, "frame_levels", never)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"frame": {"jmax": 10}}))
+    ladder = [f"--eps={e!r}" for e in (0.1, 0.01, 0.001, eps)]
+    assert main(["rates", "--config", str(path), *ladder, "--out", str(tmp_path / "rates.csv")]) == 1
+    assert re.fullmatch(f"error: every noise level must be {rule}\n", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
