@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .frame import NeedletFrame, analyze, level_sigma, synthesize
-from .losses import grid_weights
+from .losses import _check_grid_n, grid_weights
 from .models import SequenceObservation, SvdModel, _check_noise_level
 
 __all__ = [
@@ -355,8 +355,7 @@ def make_adaptive_config(
     zero-noise limit: one noise-free block [1, kmax + 1), unit weights to the cap.
     """
     _check_gamma(gamma)
-    if n < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {n}")
+    _check_grid_n(n)
     boundaries = make_blocks(model, epsilon) if epsilon else np.array([1, model.kmax + 1])
     inv2 = model.b ** (-2.0)
     sigma2, delta = [], []

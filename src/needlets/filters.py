@@ -71,8 +71,9 @@ def make_profile(kind: str, m: int) -> CutoffProfile:
 
 
 def profile_phi(profile: CutoffProfile, xi) -> np.ndarray:
-    """Evaluate phi(|xi|)."""
+    """Evaluate phi(|xi|); a non-finite xi is refused by its entry."""
     arr = np.asarray(xi, dtype=float)
+    require_entries(arr, np.isfinite(arr), "xi", "finite")
     u = 2.0 * np.abs(np.atleast_1d(arr)) - 1.0
     out = np.where(u <= 0.0, 1.0, 0.0)
     mid = (u > 0.0) & (u < 1.0)
@@ -129,9 +130,12 @@ def filter_a(filt: Filter, xi) -> np.ndarray:
     """a(xi) = sqrt(phi(xi/2) - phi(xi)); exactly zero outside [1/2, 2].
 
     A radicand below -1e-15 signals a non-monotone profile and raises;
-    within that tolerance it is clamped to zero.
+    within that tolerance it is clamped to zero. A non-finite xi is refused
+    by its entry.
     """
-    xs = np.abs(np.asarray(xi, dtype=float))
+    xs = np.asarray(xi, dtype=float)
+    require_entries(xs, np.isfinite(xs), "xi", "finite")
+    xs = np.abs(xs)
     rad = profile_phi(filt.profile, xs / 2.0) - profile_phi(filt.profile, xs)
     if np.any(rad < -1e-15):
         raise ProfileError(f"negative radicand {float(np.min(rad)):.3e}: profile not monotone")

@@ -16,20 +16,17 @@ gives the Christoffel weights and psi's columns degree by degree. psi is
 node-major everywhere (C order, one node per row), as a saved frame
 stores it: a held level sweeps every node into a psi of its own, and a
 streamed level (LevelSweep.rows) sweeps NODE_BLOCK nodes at a time into
-one block, so it never holds the whole level. Either way the Gram
-self-check sums the upper triangle of Psi^T Psi over the same node blocks
-(_Gram), one group of its panels per pass over the level's blocks, each
-group no larger than one node block (_groups): the first group takes the
-blocks as they are swept or read, and each later group a fresh pass over
-the same rows, from a held psi, from a stored file, or, for a streamed
-build, read back from the file the sweep's blocks were just written to.
+one block, so it never holds the whole level. The Gram self-check
+(_gram_defect) sums the upper triangle of Psi^T Psi in groups of panels no
+larger than one node block (_groups), each over a pass of the level's rows
+in the same node blocks: views of a held psi, or blocks read from a file,
+which for a streamed build is the file its blocks were just written to.
 Each panel takes the same products in the same order whatever its group,
-so the grouping moves no bit. The rule is certified over all its weights
-once the last node is swept. The invariant suite reads every level as
-node blocks (rows()), views of a held psi or blocks read from a file, and
-level_sigma reads psi BLOCK // 2 rows at a time. Each level's psi, each
-node block and each group of Gram panels has a private mapping of its
-own, unmapped once it is dropped.
+so the grouping moves no bit. Given the defect, LevelSweep.finish
+certifies the rule over all its weights. The invariant suite reads every
+level as node blocks (rows()), and level_sigma reads psi BLOCK // 2 rows
+at a time. Each level's psi, each node block and each group of Gram
+panels has a private mapping of its own, unmapped once it is dropped.
 
 Needlets are evaluated on [-1, 1] one block of points at a time for whole
 levels (norms, localization): one basis table of at most TABLE entries
@@ -43,8 +40,9 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -129,11 +127,8 @@ class FrameLevel:
     def freq_hi(self) -> int:
         return self.freq_lo + self.n_freq - 1
 
-    def rows(self, reread=None) -> Iterator[np.ndarray]:
-        """psi's rows NODE_BLOCK at a time, as read-only views of psi.
-
-        reread, as LevelSweep.rows takes it, is not needed: psi is held.
-        """
+    def rows(self) -> Iterator[np.ndarray]:
+        """psi's rows NODE_BLOCK at a time, as read-only views of psi."""
         return _row_blocks(self.psi)
 
 
@@ -197,91 +192,54 @@ def _groups(n: int, n_rows: int) -> list[list[int]]:
     return groups
 
 
-class _Gram:
-    """The upper triangle of one level's Psi^T Psi, summed over blocks of psi's rows, a group at a time.
-
-    The triangle is kept in panels of BLOCK rows, each from its diagonal
-    square to the last column, so a row block's share of a panel is one
-    product. The panels are summed in the groups _groups gives for the
-    level's n_rows rows: the first over the blocks add() is given, each
-    later one, when the defect is asked for, over a pass of again(), which
-    yields the same blocks anew, so every panel takes the same products in
-    the same order whatever its group. A group's panels share a private
-    mapping (_mapped), and a buffer for its products, the size of its first
-    panel, is mapped only when a second block arrives; both are dropped
-    once the group's defect is taken, before the next group is mapped.
-    """
-
-    def __init__(self, n: int, n_rows: int, again: Callable[[], Iterable[np.ndarray]]):
-        self.n, self._again = n, again
-        self._groups = _groups(n, n_rows)
-        self._open(self._groups[0])
-
-    def _open(self, starts: list[int]) -> None:
-        sizes = [min(BLOCK, self.n - c0) * (self.n - c0) for c0 in starts]
-        store = _mapped((sum(sizes),))
-        offsets = np.cumsum([0] + sizes)
-        self._panels = [
-            (c0, store[at : at + size].reshape(-1, self.n - c0))
-            for c0, at, size in zip(starts, offsets, sizes)
-        ]
-        self._summed, self._product = False, None
-
-    def add(self, rows: np.ndarray) -> None:
-        """Add the products of a block of psi's rows (n columns, in any layout) to the open group."""
-        if self._summed and self._product is None:
-            self._product = _mapped((self._panels[0][1].size,))
-        # inf - inf in a sum is NaN, which the defect reports as infinite
-        with np.errstate(all="ignore"):
-            for c0, panel in self._panels:
-                lhs, rhs = rows[:, c0 : c0 + BLOCK].T, rows[:, c0:]
-                if self._summed:
-                    panel += np.matmul(lhs, rhs, out=self._product[: panel.size].reshape(panel.shape))
-                else:
-                    # the first block's product is the panel's sum, as 0 +
-                    # product is but for the sign of a zero, which the
-                    # defect, a max of absolute values, does not see
-                    np.matmul(lhs, rhs, out=panel)
-        self._summed = True
-
-    def defect(self, a: np.ndarray) -> float:
-        """max |Psi^T Psi - diag(a^2)| over the triangle, each group taken in place (once).
-
-        Every entry is checked: the entries below the diagonal are the
-        transposes of those above it. A NaN entry counts as an infinite
-        defect, so it fails every tolerance.
-        """
-        worst = self._close(a)
-        for starts in self._groups[1:]:
-            self._open(starts)
-            for rows in self._again():
-                self.add(rows)
-            del rows  # a view of the pass's block, which the next pass maps anew
-            worst = max(worst, self._close(a))
-        return worst
-
-    def _close(self, a: np.ndarray) -> float:
-        """The open group's defect, taken in place; its mappings are dropped."""
-        peaks = []
-        for c0, panel in self._panels:
-            panel.reshape(-1)[:: panel.shape[1] + 1] -= a[c0 : c0 + panel.shape[0]] ** 2
-            peaks.append(np.max(np.abs(panel, out=panel)))
-        self._panels = self._product = None
-        worst = float(np.max(peaks))  # unlike max(), np.max keeps a NaN
-        return math.inf if math.isnan(worst) else worst
-
-
 def _row_blocks(psi: np.ndarray) -> Iterator[np.ndarray]:
     """A held psi's rows NODE_BLOCK at a time, as views of psi."""
     return (psi[r0 : r0 + NODE_BLOCK] for r0 in range(0, psi.shape[0], NODE_BLOCK))
 
 
-def _gram_defect(psi: np.ndarray, a: np.ndarray) -> float:
-    """The Gram defect of a held psi, summed over its rows in NODE_BLOCK blocks as a streamed level's."""
-    gram = _Gram(psi.shape[1], psi.shape[0], lambda: _row_blocks(psi))
-    for rows in _row_blocks(psi):
-        gram.add(rows)
-    return gram.defect(a)
+def _gram_defect(a: np.ndarray, n_rows: int, passes: Iterable[Iterable[np.ndarray]]) -> float:
+    """max |Psi^T Psi - diag(a^2)| of a level of n_rows rows; a NaN entry counts as infinite.
+
+    The upper triangle is kept in panels of BLOCK rows, each from its
+    diagonal square to the last column, so a row block's share of a panel
+    is one product. Group g of _groups sums its panels over the g-th of
+    passes, each yielding psi's row blocks (any layout) anew. A group's
+    panels share a private mapping, and a buffer for its products is mapped
+    only when a second block arrives; both are dropped once the group's
+    defect is taken in place, before the next group is mapped.
+    """
+    n, worst = a.shape[0], 0.0
+    for starts, rows_pass in zip(_groups(n, n_rows), passes):
+        sizes = [min(BLOCK, n - c0) * (n - c0) for c0 in starts]
+        store, product = _mapped((sum(sizes),)), None
+        offsets = np.cumsum([0] + sizes)
+        panels = [
+            (c0, store[at : at + size].reshape(-1, n - c0)) for c0, at, size in zip(starts, offsets, sizes)
+        ]
+        # inf - inf in a sum is NaN, which the defect reports as infinite
+        with np.errstate(all="ignore"):
+            for i, rows in enumerate(rows_pass):
+                if i == 1:
+                    product = _mapped((panels[0][1].size,))
+                for c0, panel in panels:
+                    lhs, rhs = rows[:, c0 : c0 + BLOCK].T, rows[:, c0:]
+                    if i:
+                        panel += np.matmul(lhs, rhs, out=product[: panel.size].reshape(panel.shape))
+                    else:
+                        # the first block's product is the panel's sum, as 0 +
+                        # product is but for the sign of a zero, which the
+                        # defect, a max of absolute values, does not see
+                        np.matmul(lhs, rhs, out=panel)
+        # views of the pass's block, which the next pass maps anew
+        del rows, lhs, rhs
+        peaks = []
+        for c0, panel in panels:
+            panel.reshape(-1)[:: panel.shape[1] + 1] -= a[c0 : c0 + panel.shape[0]] ** 2
+            peaks.append(np.max(np.abs(panel, out=panel)))
+        del store, panels, panel, product
+        peak = float(np.max(peaks))  # unlike max(), np.max keeps a NaN
+        worst = max(worst, math.inf if math.isnan(peak) else peak)
+    return worst
 
 
 def _mapped(shape: tuple[int, ...]) -> np.ndarray:
@@ -317,11 +275,10 @@ class LevelSweep:
     held() sweeps every node into a psi of the level's own and returns the
     FrameLevel; rows() sweeps NODE_BLOCK nodes at a time and yields each
     block's rows of psi in one reused buffer valid until the next block is
-    asked for. Either way psi is scaled by sqrt(w) block by block and
-    summed into the Gram triangle in the same node blocks and groups, so
-    both give the same defect; once the last node is swept the rule is
-    certified over all its weights, and "exact" mode raises if the defect
-    exceeds tolerance. weights and defect are set then.
+    asked for, and its caller hands finish() the Gram defect of the rows
+    it kept. finish() certifies the rule over all its weights, raises in
+    "exact" mode if the defect exceeds tolerance, and sets weights and
+    defect.
     """
 
     def __init__(self, basis: JacobiBasis, filt: Filter, j: int, nodes_per_level: str):
@@ -336,6 +293,7 @@ class LevelSweep:
             raise InvariantError(f"level {j}: {exc}") from exc
         self.weights: np.ndarray | None = None
         self.defect: float | None = None
+        self._kernel: np.ndarray | None = None  # the Christoffel sums, once every node is swept
 
     @property
     def n_nodes(self) -> int:
@@ -362,10 +320,10 @@ class LevelSweep:
             out *= np.sqrt(1.0 / kernel)[:, None]
         return kernel
 
-    def _finish(self, kernel: np.ndarray, defect: float) -> None:
-        """Certify the rule over all its weights, then hold the defect to tolerance ("exact" mode)."""
+    def finish(self, defect: float) -> None:
+        """Once every node is swept, certify the rule, then hold the defect to tolerance ("exact" mode)."""
         try:
-            rule = _christoffel_rule(self.basis, self.nodes, kernel)
+            rule = _christoffel_rule(self.basis, self.nodes, self._kernel)
         except InvariantError as exc:
             raise InvariantError(f"level {self.j}: {exc}") from exc
         if self.nodes_per_level == NODES_EXACT and defect > _SELF_CHECK_TOL:
@@ -375,37 +333,21 @@ class LevelSweep:
             )
         self.weights, self.defect = rule.weights, defect
 
-    def rows(self, reread: Callable[[int, np.ndarray], None]) -> Iterator[np.ndarray]:
-        """psi's rows NODE_BLOCK at a time, swept into one reused block.
-
-        A level whose Gram triangle takes more than one group (_groups)
-        sums each later group over its rows again once the last block is
-        yielded: reread(r0, out) fills out, a view of that block, with the
-        rows from r0 on, as a writer reads back the blocks it has written.
-        """
+    def rows(self) -> Iterator[np.ndarray]:
+        """psi's rows NODE_BLOCK at a time, swept into one reused block."""
         block = _mapped((min(NODE_BLOCK, self.n_nodes), self.n_freq))
-        views = [
-            (r0, block[: min(NODE_BLOCK, self.n_nodes - r0)]) for r0 in range(0, self.n_nodes, NODE_BLOCK)
-        ]
-
-        def again() -> Iterator[np.ndarray]:
-            for r0, rows in views:
-                reread(r0, rows)
-                yield rows
-
-        gram = _Gram(self.n_freq, self.n_nodes, again)
         kernels = []
-        for r0, rows in views:
+        for r0 in range(0, self.n_nodes, NODE_BLOCK):
+            rows = block[: min(NODE_BLOCK, self.n_nodes - r0)]
             kernels.append(self._sweep(self.nodes[r0 : r0 + NODE_BLOCK], rows))
-            gram.add(rows)
             yield rows
-        self._finish(np.concatenate(kernels), gram.defect(self.a))
+        self._kernel = np.concatenate(kernels)
 
     def held(self) -> tuple[FrameLevel, float]:
         """The level with its whole psi, and its Gram defect."""
         psi = _mapped((self.n_nodes, self.n_freq))
-        kernel = self._sweep(self.nodes, psi)
-        self._finish(kernel, _gram_defect(psi, self.a))
+        self._kernel = self._sweep(self.nodes, psi)
+        self.finish(_gram_defect(self.a, self.n_nodes, iter(lambda: _row_blocks(psi), None)))
         psi.setflags(write=False)
         return FrameLevel(self.j, self.nodes, self.weights, self.freq_lo, psi), self.defect
 
@@ -585,28 +527,33 @@ def frame_invariants(
 
 
 def _level_invariants(lev, a: np.ndarray) -> tuple[float, float, float]:
-    """(Gram defect, max |sum_nu sqrt(w_nu) psi_nu|, largest needlet norm) of one level."""
+    """(Gram defect, max |sum_nu sqrt(w_nu) psi_nu|, largest needlet norm) of one level.
+
+    The sums and norms are taken on the first Gram group's pass over lev.rows().
+    """
     n_freq = a.shape[0]
-    gram = _Gram(n_freq, lev.n_nodes, lev.rows)
     sums = np.zeros(n_freq)
     norm = 0.0
     sqrt_w = np.sqrt(lev.weights)
-    strip = _mapped((TILE, min(NODE_BLOCK, lev.n_nodes)))
-    for r0, rows in zip(range(0, lev.n_nodes, NODE_BLOCK), lev.rows()):
-        gram.add(rows)
-        # each frequency is summed along a contiguous row of the strip, which
-        # keeps the printed sums' bits (sqrt_w @ rows rounds them otherwise);
-        # a level of more than one node block adds its blocks' sums
-        for c0 in range(0, n_freq, TILE):
-            cols = strip[: min(TILE, n_freq - c0), : rows.shape[0]]
-            cols[...] = rows[:, c0 : c0 + TILE].T
-            sums[c0 : c0 + TILE] += sqrt_w[r0 : r0 + NODE_BLOCK] @ cols.T
-        # a needlet's L2 norm is its row's: the basis is orthonormal
-        norm = max(norm, math.sqrt(float(np.max(np.einsum("ij,ij->i", rows, rows)))))
-    # rows views the first pass's block, dropped before a later Gram group
-    # reads the level again into a block of its own
-    del rows
-    return gram.defect(a), float(np.max(np.abs(sums))), norm
+
+    def tallied() -> Iterator[np.ndarray]:
+        nonlocal norm
+        strip = _mapped((TILE, min(NODE_BLOCK, lev.n_nodes)))
+        for r0, rows in zip(range(0, lev.n_nodes, NODE_BLOCK), lev.rows()):
+            # each frequency is summed along a contiguous row of the strip,
+            # which keeps the printed sums' bits (sqrt_w @ rows rounds them
+            # otherwise); a level of more than one node block adds its
+            # blocks' sums
+            for c0 in range(0, n_freq, TILE):
+                cols = strip[: min(TILE, n_freq - c0), : rows.shape[0]]
+                cols[...] = rows[:, c0 : c0 + TILE].T
+                sums[c0 : c0 + TILE] += sqrt_w[r0 : r0 + NODE_BLOCK] @ cols.T
+            # a needlet's L2 norm is its row's: the basis is orthonormal
+            norm = max(norm, math.sqrt(float(np.max(np.einsum("ij,ij->i", rows, rows)))))
+            yield rows
+
+    gram = _gram_defect(a, lev.n_nodes, chain([tallied()], iter(lev.rows, None)))
+    return gram, float(np.max(np.abs(sums))), norm
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ Both directions stream one level at a time, and a level's psi one block of
 frame.NODE_BLOCK rows at a time, in the file's row order, which is the
 node-major order frame holds psi in: write_levels writes each row block a
 level's rows() gives (a build's sweep, or views of a held psi) and then
-its weights, which a build knows only once its last node is swept;
-open_frame yields each stored level with its nodes and weights read, and
-its rows() reads psi's row blocks into one buffer. A level whose Gram
-triangle frame sums in more than one group of panels passes over its rows
-once per group: a build reads the blocks it has just written back from
-its temporary file, which is open for reading too, and the invariant suite
-asks a stored level for its rows() again. save_frame is write_levels over
-a held frame; load_frame copies each stored level's row blocks into a psi
-of its own.
+its weights, which a build knows only once the level is checked on the
+bytes it stored: psi read back from the temporary file, which is open for
+reading too, once per group of Gram panels. open_frame yields each stored
+level with its nodes and weights read, and its rows() reads psi's row
+blocks into one buffer, once per group for the invariant suite.
+save_frame is write_levels over a held frame; load_frame copies each
+stored level's row blocks into a psi of its own.
 
 Loading rebuilds the filter and basis from the stored parameters before it
 reads a level, and takes the level blocks verbatim, so a round trip is
@@ -69,23 +67,22 @@ _HEADER = struct.Struct("<4sHBddBiBidi")
 _LEVEL = struct.Struct("<iiii")
 
 
-def _write_level(fh, lev) -> None:
+def _write_level(fh, lev, check: bool) -> None:
     """Write one level's block: its shape record and nodes, psi's rows as
-    lev.rows() gives them, then lev.weights into the slot left for them.
-    A level that passes over its rows again reads them back from fh."""
+    lev.rows() gives them, then lev.weights into the slot left for them. To
+    check a LevelSweep, its finish() is first given the defect of psi read back."""
     fh.write(_LEVEL.pack(lev.j, lev.n_nodes, lev.freq_lo, lev.n_freq))
     fh.write(np.ascontiguousarray(lev.nodes, dtype="<f8"))
     slot = fh.tell()
     at = slot + 8 * lev.n_nodes  # psi starts here
     end = at + 8 * lev.n_nodes * lev.n_freq
-
-    def reread(r0: int, out: np.ndarray) -> None:
-        fh.seek(at + 8 * r0 * lev.n_freq)
-        _read_into(fh, out)
-
     fh.seek(at)
-    for rows in lev.rows(reread):
+    for rows in lev.rows():
         fh.write(rows.astype("<f8", copy=False))
+    del rows  # a view of the sweep's block, dropped before psi is read back
+    if check:
+        stored = iter(lambda: _read_blocks(fh, at, lev.n_nodes, lev.n_freq), None)
+        lev.finish(_frame._gram_defect(lev.a, lev.n_nodes, stored))
     fh.seek(slot)
     fh.write(np.ascontiguousarray(lev.weights, dtype="<f8"))
     fh.seek(end)
@@ -102,15 +99,14 @@ def write_levels(
 ) -> float:
     """Write levels j = -1..j_max to path in container version 1.
 
-    A level needs j, n_nodes, freq_lo, n_freq, nodes and rows(reread),
-    psi's row blocks, where reread(r0, out) reads rows already written
-    back into out; once its rows are written it gives weights, and
-    a LevelSweep its defect. Each level is written as soon as it is given
-    and is not held after. The header records defect, by default the
-    largest of the levels' defects, which is returned. Everything goes to a
-    sibling temporary file that replaces path once the last level is in; if
-    the levels raise, the temporary file is removed and path is left
-    untouched.
+    A level needs j, n_nodes, freq_lo, n_freq, nodes, rows(), psi's row
+    blocks, and, once its rows are written, weights. Given no defect, the
+    levels are LevelSweeps: each is checked on its psi read back from the
+    file (LevelSweep.finish), and the header records the largest of their
+    defects, which is returned. Each level is written as soon as it is
+    given and is not held after. Everything goes to a sibling temporary
+    file that replaces path once the last level is in; if the levels raise,
+    the temporary file is removed and path is left untouched.
     """
     # the defect goes between these fields and the level count, once every
     # level is in
@@ -133,7 +129,7 @@ def write_levels(
             fh.write(_HEADER.pack(*fields, 0.0, j_max + 2))
             defects = []
             for lev in levels:
-                _write_level(fh, lev)
+                _write_level(fh, lev, defect is None)
                 defects.append(lev.defect if defect is None else defect)
                 del lev
             defect = float(np.max(defects))  # unlike max(), np.max keeps a NaN
@@ -164,6 +160,17 @@ def _read_into(fh, out: np.ndarray) -> None:
         raise ValueError("truncated frame container")
 
 
+def _read_blocks(fh, at: int, n: int, m: int) -> Iterator[np.ndarray]:
+    """The n rows of m floats stored in fh from offset at, read NODE_BLOCK rows at a time into one buffer."""
+    size = _frame.NODE_BLOCK
+    block = _mapped((min(size, n), m))
+    fh.seek(at)
+    for r0 in range(0, n, size):
+        rows = block[: min(size, n - r0)]
+        _read_into(fh, rows)
+        yield rows
+
+
 def _decode(codes: dict, value: int, what: str) -> str:
     for name, code in codes.items():
         if code == value:
@@ -191,13 +198,9 @@ class StoredLevel:
         return self.nodes.shape[0]
 
     def rows(self) -> Iterator[np.ndarray]:
-        n, m, size = self.n_nodes, self.n_freq, _frame.NODE_BLOCK
-        block = _mapped((min(size, n), m))
-        self._fh.seek(self._at)
+        n, m = self.n_nodes, self.n_freq
         first_bad, n_bad = None, 0
-        for r0 in range(0, n, size):
-            rows = block[: min(size, n - r0)]
-            _read_into(self._fh, rows)
+        for r0, rows in zip(range(0, n, _frame.NODE_BLOCK), _read_blocks(self._fh, self._at, n, m)):
             # a NaN is the block's min and max, an infinity one of them; only
             # a bad block is given a mask
             if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):

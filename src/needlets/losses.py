@@ -13,6 +13,12 @@ import numpy as np
 __all__ = ["grid_points", "grid_weights", "weighted_loss"]
 
 
+def _check_grid_n(n: int) -> None:
+    """Refuse a scoring grid of fewer than 64 points, naming it."""
+    if n < 64:
+        raise ValueError(f"grid resolution must be >= 64, got {n}")
+
+
 def grid_points(n: int) -> np.ndarray:
     """The scoring grid (i/n)_{i=1..n}."""
     return np.arange(1, n + 1) / n

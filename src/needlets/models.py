@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UnresolvedIntegrandError, require_entries
 from .jacobi import JacobiBasis, _orthonormal, _recurrence, gauss_legendre_panels, jacobi_basis, jacobi_eval_all
-from .losses import grid_points
+from .losses import _check_grid_n, grid_points
 
 __all__ = [
     "SvdModel",
@@ -272,8 +272,7 @@ def calibrate_epsilon(model: SvdModel, f_coeffs, rsnr, n: int) -> float | np.nda
     equals the call for one target and one ratio bit for bit.
     """
     _check_rsnr(rsnr)
-    if n < 1:
-        raise ValueError(f"grid resolution must be >= 1, got {n}")
+    _check_grid_n(n)
     g = forward(model, f_coeffs)
     table = eval_g(model, g.shape[-1] - 1, grid_points(n))
     sds = []

@@ -88,7 +88,7 @@ from .estimators import (
 from .filters import POLYNOMIAL_SHAPE, Filter, make_filter, make_profile
 from .frame import NODES_EXACT, NeedletFrame, _check_node_mode, build_frame, check_j_max
 from .jacobi import JacobiBasis
-from .losses import grid_points, weighted_loss
+from .losses import _check_grid_n, grid_points, weighted_loss
 from .models import (
     SequenceObservation,
     SvdModel,
@@ -128,12 +128,6 @@ ESTIMATOR_NAMES = ("svd-proj", "svd-adapt", "needd")
 # Monte-Carlo runs per setting and the master seed their seeds derive from
 RUNS_DEFAULT = 20
 SEED_DEFAULT = 65537
-
-
-def _check_grid_n(n: int) -> None:
-    """Refuse a scoring grid of fewer than 64 points, naming it."""
-    if n < 64:
-        raise ValueError(f"grid resolution must be >= 64, got {n}")
 
 
 @dataclass(frozen=True)

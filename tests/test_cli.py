@@ -6,6 +6,7 @@ installed console script.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import pytest
 import needlets
 import needlets.cli
 import needlets.frame
+import needlets.frameio
 from needlets import build_frame, forward, jacobi_basis, save_frame, wicksell_model
 from needlets.cli import build_parser, main
 
@@ -143,12 +145,12 @@ def test_frame_build_writes_the_saved_frame_bytes(tmp_path, filt, mode):
 def test_frame_build_failure_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     # a level failing its self-check ends the build with exit 2; the levels
     # already written go with their temporary file
-    real = needlets.frame._Gram.defect
+    real = needlets.frame._gram_defect
 
-    def fail_level_3(gram, a):
-        return 1.0 if gram.n == 11 else real(gram, a)  # level 3 holds 11 frequencies
+    def fail_level_3(a, n_rows, passes):
+        return 1.0 if a.shape[0] == 11 else real(a, n_rows, passes)  # level 3 holds 11 frequencies
 
-    monkeypatch.setattr(needlets.frame._Gram, "defect", fail_level_3)
+    monkeypatch.setattr(needlets.frame, "_gram_defect", fail_level_3)
     out = tmp_path / "f.ndlt"
     assert run_cli("frame", "build", "--jmax", "5", "--out", str(out)) == 2
     assert "self-check failed at level 3" in capsys.readouterr().err
@@ -157,6 +159,26 @@ def test_frame_build_failure_leaves_out_untouched(tmp_path, capsys, monkeypatch)
     assert run_cli("frame", "build", "--jmax", "5", "--out", str(out)) == 2
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"an earlier frame"
+
+
+def test_frame_build_checks_the_bytes_it_writes(tmp_path, capsys, monkeypatch):
+    # one psi entry of level 5 (64 nodes x 47 frequencies, one Gram group)
+    # is scaled by 1 + 1e-6 on its way to the file; the self-check sums the
+    # level read back from the file, so the build fails at level 5 and
+    # leaves no temporary file
+    class Corrupting(io.BufferedRandom):
+        def write(self, data):
+            if isinstance(data, np.ndarray) and data.shape == (64, 47):
+                data = data.copy()
+                data[3, 7] *= 1.0 + 1e-6
+            return super().write(data)
+
+    monkeypatch.setattr(
+        needlets.frameio, "open", lambda path, mode: Corrupting(io.FileIO(path, mode)), raising=False
+    )
+    assert run_cli("frame", "build", "--jmax", "5", "--out", str(tmp_path / "f.ndlt")) == 2
+    assert "self-check failed at level 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_frame_build_refuses_jmax_above_max(tmp_path, capsys, monkeypatch):
@@ -288,6 +310,18 @@ def test_estimate_adaptive_zero_noise_is_capped_projection(tmp_path):
     adapt = estimate("adapt", "svd-adapt", "--grid-n", "1024")
     assert adapt == estimate("proj512", "svd-proj", "--n-keep", "512")
     assert adapt != estimate("proj256", "svd-proj", "--n-keep", "256")
+
+
+def test_estimate_adaptive_refuses_a_grid_below_the_scoring_floor(tmp_path, capsys):
+    # the adaptive cutoff is bounded by the scoring grid, which every entry
+    # point holds to 64 points; a 2-point grid once kept coefficients 0 and 1
+    obs_path = tmp_path / "obs.csv"
+    _write_observation(obs_path)
+    out = tmp_path / "fhat.csv"
+    assert run_cli("estimate", "--input", str(obs_path), "--method", "svd-adapt", "--epsilon", "0.01",
+                   "--grid-n", "2", "--out", str(out)) == 1
+    assert "grid resolution must be >= 64, got 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_needd_requires_frame(tmp_path):

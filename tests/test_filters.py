@@ -88,6 +88,15 @@ def test_a_support_and_midpoint(filt2):
     assert np.all(filter_a(filt2, np.linspace(0.51, 1.99, 100)) > 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_xi_is_refused_by_its_entry(profile2, filt2, bad):
+    # a NaN xi fails every comparison, so phi and a once gave it 0
+    with pytest.raises(ValueError, match=re.escape(f"xi[0] = {bad} is not finite (1 of 2 entries are not)")):
+        profile_phi(profile2, [bad, 0.7])
+    with pytest.raises(ValueError, match=re.escape(f"xi[1] = {bad} is not finite (1 of 2 entries are not)")):
+        filter_a(filt2, [1.0, bad])
+
+
 def test_square_sum_below_one(filt2):
     # inside [1/2, 1) only the j = 0 window is active and the sum is 1 - phi
     got = float(dyadic_square_sum(filt2, 0.6))

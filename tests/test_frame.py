@@ -36,7 +36,7 @@ from needlets import (
 )
 import needlets.frame
 import needlets.jacobi
-from needlets.frame import BLOCK, NODE_BLOCK, _Gram, _gram_defect, _level_window, _row_blocks
+from needlets.frame import BLOCK, NODE_BLOCK, _gram_defect, _level_window, _row_blocks
 
 
 def _random_supported(frame, rng):
@@ -317,6 +317,11 @@ def level10(frame10, filt):
     return _level_and_window(frame10, filt, 10)
 
 
+def _held_defect(psi, a):
+    """The Gram defect of a held psi, each group summed over a pass of its NODE_BLOCK row blocks."""
+    return _gram_defect(a, psi.shape[0], iter(lambda: _row_blocks(psi), None))
+
+
 def _assert_gram_defect_is_dense(psi, a):
     # psi rounded to multiples of 2^-16 has every Gram entry exact in any
     # summation order, so the blocks' sums give the dense bits whichever
@@ -325,8 +330,8 @@ def _assert_gram_defect_is_dense(psi, a):
     # product on real psi); C- and F-ordered psi give the same bits
     psi = np.round(psi * 2**16) / 2**16
     dense = float(np.max(np.abs(psi.T @ psi - np.diag(a**2))))
-    assert _gram_defect(psi, a) == dense
-    assert _gram_defect(np.asfortranarray(psi), a) == dense
+    assert _held_defect(psi, a) == dense
+    assert _held_defect(np.asfortranarray(psi), a) == dense
 
 
 @pytest.mark.parametrize("width", [BLOCK - 1, BLOCK, BLOCK + 1, None])
@@ -352,7 +357,7 @@ def test_gram_defect_sees_one_off_diagonal_entry():
     n = 2 * BLOCK + 7
     psi = np.eye(n)
     psi[3, BLOCK + 100] = 1e-3
-    assert _gram_defect(psi, np.ones(n)) == 1e-3
+    assert _held_defect(psi, np.ones(n)) == 1e-3
     assert float(np.max(np.abs(psi.T @ psi - np.eye(n)))) == 1e-3
 
 
@@ -361,9 +366,9 @@ def test_gram_defect_fails_on_a_non_finite_entry(filt, bad):
     # max() skips a NaN, so one NaN in psi gave a passing defect of 0.0
     psi = np.array(build_frame(jacobi_basis(0.0, 1.0), filt, j_max=4).level(4).psi)
     a = filter_a(filt, np.arange(9, 32) / 2.0**4)
-    assert _gram_defect(psi, a) <= 1e-9
+    assert _held_defect(psi, a) <= 1e-9
     psi[3, 5] = bad
-    assert _gram_defect(psi, a) == math.inf
+    assert _held_defect(psi, a) == math.inf
 
 
 @pytest.fixture(scope="module")
@@ -392,13 +397,10 @@ def test_gram_defect_sees_a_non_finite_entry_in_the_last_group_alone(level6, sma
 
     def again():
         passes.append(None)
-        return _row_blocks(corrupt if len(passes) == 3 else psi)
+        return _row_blocks(corrupt if len(passes) == 4 else psi)
 
-    gram = _Gram(95, 128, again)
-    for rows in _row_blocks(psi):
-        gram.add(rows)
-    assert gram.defect(a) == math.inf
-    assert len(passes) == 3
+    assert _gram_defect(a, 128, iter(again, None)) == math.inf
+    assert len(passes) == 4  # the first group's pass and 3 later ones
 
 
 def test_top_level_above_max_jmax_is_refused(filt):
@@ -415,20 +417,19 @@ def test_top_level_above_max_jmax_is_refused(filt):
 
 
 def test_frame_levels_are_build_frame_levels(frame10, filt):
-    # a streamed level yields the held level's rows block by block, and its
-    # weights and defect once the last block is in; level 10 has two blocks
-    # every level up to jmax 10 is one Gram group, so none is read again
-    def reread(r0, out):
-        raise AssertionError("a one-group level was read again")
-
+    # a streamed level yields the held level's rows block by block, and
+    # finish() sets its weights and defect from the defect of the rows
+    # kept; level 10 has two blocks
     defects = []
     for sweep, held in zip(frame_levels(jacobi_basis(0.0, 1.0), filt, 10), frame10.levels):
         np.testing.assert_array_equal(sweep.nodes, held.nodes)
         assert sweep.weights is None and sweep.defect is None
-        blocks = [rows.copy() for rows in sweep.rows(reread)]
+        blocks = [rows.copy() for rows in sweep.rows()]
         assert len(blocks) == -(-held.n_nodes // NODE_BLOCK)
         assert all(rows.flags.c_contiguous for rows in blocks)
         np.testing.assert_array_equal(np.concatenate(blocks), held.psi)
+        assert sweep.weights is None and sweep.defect is None
+        sweep.finish(_held_defect(np.concatenate(blocks), sweep.a))
         np.testing.assert_array_equal(sweep.weights, held.weights)
         # a held level's blocks are read-only views of its psi, not copies
         views = list(held.rows())

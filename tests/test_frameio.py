@@ -29,7 +29,9 @@ from needlets import (
 )
 import needlets.frame
 import needlets.frameio
-from needlets.frame import BLOCK, NODE_BLOCK, TILE, _gram_defect, _groups, _level_invariants, _level_window
+from needlets.frame import (
+    BLOCK, NODE_BLOCK, TILE, _gram_defect, _groups, _level_invariants, _level_window, _row_blocks,
+)
 from needlets.frameio import _HEADER, _LEVEL
 
 
@@ -400,12 +402,13 @@ def test_streamed_levels_match_the_held_frame(frame10, filt, tmp_path):
 
 
 def _level6_defects(filt, tmp_path) -> list[float]:
-    """Level 6's Gram defect held, streamed into a file (later groups read
+    """Level 6's Gram defect held, streamed into a file (every group read
     back from it) and stored (read through open_frame); the streamed file
     must be save_frame's."""
     basis = jacobi_basis(0.0, 1.0)
     frame = build_frame(basis, filt, 6)
-    held = _gram_defect(frame.level(6).psi, _level_window(filt, 6, "exact")[2])
+    psi, a = frame.level(6).psi, _level_window(filt, 6, "exact")[2]
+    held = _gram_defect(a, psi.shape[0], iter(lambda: _row_blocks(psi), None))
     sweeps = list(frame_levels(basis, filt, 6))
     written, path = tmp_path / "held.ndlt", tmp_path / "streamed.ndlt"
     write_levels(path, basis, filt, 6, "exact", sweeps)
@@ -510,8 +513,8 @@ def test_build_and_check_in_one_process_peak_at_one_block_plus_a_gram_group(tmp_
     # each of at most one node block's floats (22.0 and 18.9 MB), so frame
     # build and frame check at jmax 11 raise the peak RSS by at most one
     # node block, the larger group, one product buffer and one tile (54.0
-    # MB); the build reads level 11 back from its file for the second group
-    # and the check reads it twice
+    # MB); the build reads level 11 back from its file once per group, as
+    # the check reads it
     out = _run_in_a_process(tmp_path, """
         run("frame", "build", "--jmax", "8", "--out", sys.argv[1] + "/j8.ndlt")
         run("frame", "check", sys.argv[1] + "/j8.ndlt")

@@ -344,6 +344,9 @@ def test_calibration_scales_with_rsnr(wicksell512):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"every rsnr level must be finite and > 0, got {bad}"):
             calibrate_epsilon(wicksell512, c, np.array([3.0, bad]), 1024)
+    # the scoring grid's one floor, as every config and make_adaptive_config hold it
+    with pytest.raises(ValueError, match="^grid resolution must be >= 64, got 63$"):
+        calibrate_epsilon(wicksell512, c, 5.0, 63)
 
 
 def test_calibration_of_a_target_stack_is_each_targets_call(wicksell512):
