@@ -15,18 +15,22 @@ rule is Newton-polished first; one recurrence sweep over its nodes then
 gives the Christoffel weights and psi's columns degree by degree. psi is
 node-major everywhere (C order, one node per row), as a saved frame
 stores it: a held level sweeps every node into a psi of its own, and a
-streamed level (LevelSweep.rows) sweeps NODE_BLOCK nodes at a time into
-one block, so it never holds the whole level. The Gram self-check
-(_gram_defect) sums the upper triangle of Psi^T Psi in groups of panels no
-larger than one node block (_groups), each over a pass of the level's rows
-in the same node blocks: views of a held psi, or blocks read from a file,
-which for a streamed build is the file its blocks were just written to.
-Each panel takes the same products in the same order whatever its group,
-so the grouping moves no bit. Given the defect, LevelSweep.finish
-certifies the rule over all its weights. The invariant suite reads every
-level as node blocks (rows()), and level_sigma reads psi BLOCK // 2 rows
-at a time. Each level's psi, each node block and each group of Gram
-panels has a private mapping of its own, unmapped once it is dropped.
+streamed level (LevelSweep.rows) sweeps SWEEP_BLOCKS node blocks of
+NODE_BLOCK nodes at a time into one block, so it never holds the whole
+level. Everything that reads, views or multiplies a level takes it one
+node block at a time. The Gram self-check (_gram_defect) sums the upper
+triangle of Psi^T Psi in groups of panels no larger than one node block
+(_groups), each over a pass of the level's rows in node blocks: views of
+a held psi, or blocks read from a file, which for a streamed build is the
+file its blocks were just written to. Each panel takes the same products
+in the same order whatever its group, so the grouping moves no bit; the
+node block sets the order in which a panel's products and the zero sums'
+terms are summed, so it moves their last bits, and the sweep's block
+moves none. Given the defect, LevelSweep.finish certifies the rule over all its weights. The
+invariant suite reads every level as node blocks (rows()), and
+level_sigma reads psi BLOCK // 2 rows at a time. Each level's psi, each
+node block and each group of Gram panels has a private mapping of its
+own, unmapped once it is dropped.
 
 Needlets are evaluated on [-1, 1] one block of points at a time for whole
 levels (norms, localization): one basis table of at most TABLE entries
@@ -90,11 +94,15 @@ MAX_JMAX = 13
 # takes; at jmax 11 a panel's product stays near 6 MB, where 512 columns
 # took 10.5 MB and about 5% less time
 BLOCK = 256
-# rows of psi (nodes) swept, checked, written or read at once by a streamed
-# level, and the rows whose floats bound a group of Gram panels; at jmax 11
-# a block takes 25 MB beside a group of at most as much (22 MB, of the
-# triangle's 41 MB), where 512 rows gave a lower peak for more Python steps
-NODE_BLOCK = 1024
+# rows of psi (nodes) read, viewed or multiplied at once, and the rows
+# whose floats bound a group of Gram panels; at jmax 11 a block takes
+# 12.6 MB beside a group of at most as much and a 6.3 MB product buffer,
+# where 1024 rows took 25.2 MB beside a group of up to 22.0 MB
+NODE_BLOCK = 512
+# node blocks a streamed level sweeps at once: a sweep takes one Python step
+# per degree whatever its rows, so a smaller one would be slower, and the
+# 25.2 MB it takes at jmax 11 stays under the Gram pass that follows it
+SWEEP_BLOCKS = 2
 # degrees of psi formed, or summed over nodes, at once in a buffer of one
 # contiguous row per degree, which goes into psi's rows as one transposing
 # copy that stays in cache
@@ -177,8 +185,9 @@ def _groups(n: int, n_rows: int) -> list[list[int]]:
 
     A level of n_rows rows holds min(NODE_BLOCK, n_rows) * n floats of psi
     at once; a group holds no more panel floats than that, unless one panel
-    alone is larger, and takes the panels in order. In "exact" mode level
-    11 takes two groups, level 12 four and every level below 11 one.
+    alone is larger, and takes the panels in order. In "exact" mode every
+    level up to 9 takes one group, level 10 two, level 11 four and level
+    12 seven.
     """
     budget = min(NODE_BLOCK, n_rows) * n
     groups, size = [[]], 0
@@ -273,10 +282,10 @@ class LevelSweep:
     """Level j of frame_levels: its rule's polished nodes, then its psi by one sweep.
 
     held() sweeps every node into a psi of the level's own and returns the
-    FrameLevel; rows() sweeps NODE_BLOCK nodes at a time and yields each
-    block's rows of psi in one reused buffer valid until the next block is
-    asked for, and its caller hands finish() the Gram defect of the rows
-    it kept. finish() certifies the rule over all its weights, raises in
+    FrameLevel; rows() sweeps SWEEP_BLOCKS node blocks at a time and yields
+    each sweep's rows of psi in one reused buffer valid until the next
+    sweep is asked for, and its caller hands finish() the Gram defect of
+    the rows it kept. finish() certifies the rule over all its weights, raises in
     "exact" mode if the defect exceeds tolerance, and sets weights and
     defect.
     """
@@ -334,12 +343,13 @@ class LevelSweep:
         self.weights, self.defect = rule.weights, defect
 
     def rows(self) -> Iterator[np.ndarray]:
-        """psi's rows NODE_BLOCK at a time, swept into one reused block."""
-        block = _mapped((min(NODE_BLOCK, self.n_nodes), self.n_freq))
+        """psi's rows SWEEP_BLOCKS node blocks at a time, swept into one reused block."""
+        size = SWEEP_BLOCKS * NODE_BLOCK
+        block = _mapped((min(size, self.n_nodes), self.n_freq))
         kernels = []
-        for r0 in range(0, self.n_nodes, NODE_BLOCK):
-            rows = block[: min(NODE_BLOCK, self.n_nodes - r0)]
-            kernels.append(self._sweep(self.nodes[r0 : r0 + NODE_BLOCK], rows))
+        for r0 in range(0, self.n_nodes, size):
+            rows = block[: min(size, self.n_nodes - r0)]
+            kernels.append(self._sweep(self.nodes[r0 : r0 + size], rows))
             yield rows
         self._kernel = np.concatenate(kernels)
 

@@ -8,14 +8,15 @@ needlet coefficient matrix as raw 64-bit floats, psi row by row. The only
 basis family code is 0 (Jacobi).
 
 Both directions stream one level at a time, and a level's psi one block of
-frame.NODE_BLOCK rows at a time, in the file's row order, which is the
-node-major order frame holds psi in: write_levels writes each row block a
-level's rows() gives (a build's sweep, or views of a held psi) and then
-its weights, which a build knows only once the level is checked on the
-bytes it stored: psi read back from the temporary file, which is open for
-reading too, once per group of Gram panels. open_frame yields each stored
-level with its nodes and weights read, and its rows() reads psi's row
-blocks into one buffer, once per group for the invariant suite.
+rows at a time, in the file's row order, which is the node-major order
+frame holds psi in: write_levels writes each row block a level's rows()
+gives (a build's sweep of frame.SWEEP_BLOCKS node blocks, or views of a
+held psi, one node block each) and then its weights, which a build knows
+only once the level is checked on the bytes it stored: psi read back from
+the temporary file, which is open for reading too, once per group of Gram
+panels. Every read takes frame.NODE_BLOCK rows. open_frame yields each
+stored level with its nodes and weights read, and its rows() reads psi's
+node blocks into one buffer, once per group for the invariant suite.
 save_frame is write_levels over a held frame; load_frame copies each
 stored level's row blocks into a psi of its own.
 
@@ -31,10 +32,12 @@ a level -1 other than node 0, weight 1 and psi 1, and any non-finite psi
 entry, node outside (-1, 1) or non-positive weight, raises ValueError
 naming the value rather than returning a partially read or corrupt frame.
 Nodes and weights are checked as they are read; psi is tested for
-finiteness one row block at a time, and a level with a bad entry yields no
-block from that one on: its first bad entry is named once the rest of the
-level has been counted. A level that passes is read-only, as a built one
-is.
+finiteness one node block at a time on a level's first complete pass, and
+a level with a bad entry yields no block from that one on: its first bad
+entry is named once the rest of the level has been counted. Later passes
+over a level are not tested again: an entry that turns non-finite between
+passes gives the Gram check an infinite defect. A level that passes is
+read-only, as a built one is.
 """
 
 from __future__ import annotations
@@ -171,6 +174,17 @@ def _read_blocks(fh, at: int, n: int, m: int) -> Iterator[np.ndarray]:
         yield rows
 
 
+def _non_finite(rows: np.ndarray) -> np.ndarray | None:
+    """rows' mask of non-finite entries, or None if every entry is finite.
+
+    A NaN is the block's min and max, an infinity one of them, so only a bad
+    block is given a mask.
+    """
+    if np.isfinite(rows.min()) and np.isfinite(rows.max()):
+        return None
+    return ~np.isfinite(rows)
+
+
 def _decode(codes: dict, value: int, what: str) -> str:
     for name, code in codes.items():
         if code == value:
@@ -181,10 +195,11 @@ def _decode(codes: dict, value: int, what: str) -> str:
 class StoredLevel:
     """Level j of an open container: shape, nodes and weights read and checked, psi not yet.
 
-    rows() reads psi NODE_BLOCK rows at a time into one buffer,
-    valid until the next block is asked for, from psi's start at each call;
-    load() reads the whole level into a FrameLevel. Either must be done
-    before the next level is asked for, or not at all.
+    rows() reads psi frame.NODE_BLOCK rows at a time into one buffer,
+    valid until the next block is asked for, from psi's start at each call,
+    and tests each block for non-finite entries until one call has yielded
+    the last block; load() reads the whole level into a FrameLevel. Either
+    must be done before the next level is asked for, or not at all.
     """
 
     def __init__(
@@ -192,6 +207,7 @@ class StoredLevel:
     ):
         self.j, self.nodes, self.weights, self.freq_lo, self.n_freq = j, nodes, weights, freq_lo, n_freq
         self._fh, self._at = fh, fh.tell()  # psi starts here
+        self._scanned = False  # every block has passed the finiteness test
 
     @property
     def n_nodes(self) -> int:
@@ -201,10 +217,8 @@ class StoredLevel:
         n, m = self.n_nodes, self.n_freq
         first_bad, n_bad = None, 0
         for r0, rows in zip(range(0, n, _frame.NODE_BLOCK), _read_blocks(self._fh, self._at, n, m)):
-            # a NaN is the block's min and max, an infinity one of them; only
-            # a bad block is given a mask
-            if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
-                bad = ~np.isfinite(rows)
+            bad = None if self._scanned else _non_finite(rows)
+            if bad is not None:
                 if first_bad is None:
                     r, c = np.argwhere(bad)[0]
                     first_bad = ((r0 + int(r), int(c)), rows[r, c])
@@ -215,6 +229,10 @@ class StoredLevel:
                         f"level -1 must be node 0, weight 1, psi 1, got node {self.nodes[0]}, "
                         f"weight {self.weights[0]}, psi {rows[0, 0]}"
                     )
+                # set before the last block is yielded: a caller that pairs
+                # blocks with their offsets does not resume the pass after it
+                if r0 + rows.shape[0] == n:
+                    self._scanned = True
                 yield rows
         if first_bad is not None:
             raise entry_error(f"level {self.j} psi", *first_bad, "finite", n_bad, n * m)

@@ -32,14 +32,15 @@ def frame8(filt):
 
 @pytest.fixture(scope="session")
 def frame10(filt):
-    # level 10 has 2048 nodes, two node blocks of frame.NODE_BLOCK
+    # level 10 has 2048 nodes: four node blocks of frame.NODE_BLOCK, two sweeps
     return build_frame(jacobi_basis(0.0, 1.0), filt, j_max=10)
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
     """16-node blocks and 8-column Gram panels, which split level 6 (128
-    nodes, 95 frequencies) into 8 node blocks and 12 panels in 4 groups."""
+    nodes, 95 frequencies) into 8 node blocks (4 sweeps of 32 nodes) and 12
+    panels in 4 groups."""
     monkeypatch.setattr(needlets.frame, "NODE_BLOCK", 16)
     monkeypatch.setattr(needlets.frame, "BLOCK", 8)
     assert [len(g) for g in needlets.frame._groups(95, 128)] == [2, 2, 3, 5]

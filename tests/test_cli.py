@@ -181,6 +181,34 @@ def test_frame_build_checks_the_bytes_it_writes(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_frame_check_fails_on_a_nan_stored_after_the_first_pass(
+    tmp_path, capsys, monkeypatch, small_blocks
+):
+    # level 6 is read once per Gram group (4 with small blocks) and tested
+    # for non-finite entries on the first pass alone; a NaN written into
+    # the file before the second pass still fails the check, as an
+    # infinite Gram defect
+    path = tmp_path / "f.ndlt"
+    assert run_cli("frame", "build", "--jmax", "6", "--out", str(path)) == 0
+    read, passes = needlets.frameio._read_blocks, []
+
+    def reading(fh, at, n, m):
+        if (n, m) == (128, 95):
+            passes.append(at)
+            if len(passes) == 2:
+                with open(path, "r+b") as out:  # entry (100, 90), in the 7th node block
+                    out.seek(at + 8 * (100 * m + 90))
+                    out.write(np.array([np.nan], dtype="<f8").tobytes())
+        return read(fh, at, n, m)
+
+    monkeypatch.setattr(needlets.frameio, "_read_blocks", reading)
+    capsys.readouterr()
+    assert run_cli("frame", "check", str(path)) == 2
+    gram = next(ln for ln in capsys.readouterr().out.splitlines() if "gram-diagonal" in ln)
+    assert gram.split()[1:2] == ["inf"] and gram.endswith("FAIL")
+    assert len(passes) == 4
+
+
 def test_frame_build_refuses_jmax_above_max(tmp_path, capsys, monkeypatch):
     # the refusal comes before any level is built or written
     def never(*args, **kwargs):

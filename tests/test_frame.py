@@ -36,7 +36,9 @@ from needlets import (
 )
 import needlets.frame
 import needlets.jacobi
-from needlets.frame import BLOCK, NODE_BLOCK, _gram_defect, _level_window, _row_blocks
+from needlets.frame import (
+    BLOCK, NODE_BLOCK, SWEEP_BLOCKS, _gram_defect, _groups, _level_window, _row_blocks,
+)
 
 
 def _random_supported(frame, rng):
@@ -312,7 +314,7 @@ def level9(frame10, filt):
 
 @pytest.fixture(scope="module")
 def level10(frame10, filt):
-    # 2048 nodes, two node blocks; 1535 frequencies, five full column blocks
+    # 2048 nodes, four node blocks; 1535 frequencies, five full column blocks
     # and a partial one
     return _level_and_window(frame10, filt, 10)
 
@@ -342,10 +344,10 @@ def test_gram_defect_matches_dense(level9, width):
 
 
 @pytest.mark.parametrize("width", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
-@pytest.mark.parametrize("rows", [NODE_BLOCK - 1, NODE_BLOCK, NODE_BLOCK + 1, None])
+@pytest.mark.parametrize("rows", [2 * NODE_BLOCK - 1, 2 * NODE_BLOCK, 2 * NODE_BLOCK + 1, None])
 def test_gram_defect_matches_dense_across_node_blocks(level10, rows, width):
-    # the cases straddle the second node block's edge and the last column
-    # panel's
+    # the cases straddle the second node block's end (2 * NODE_BLOCK + 1
+    # rows end in a one-row block) and the last column panel's edge
     psi, a = level10
     _assert_gram_defect_is_dense(psi[:rows, :width], a[:width])
 
@@ -417,27 +419,45 @@ def test_top_level_above_max_jmax_is_refused(filt):
 
 
 def test_frame_levels_are_build_frame_levels(frame10, filt):
-    # a streamed level yields the held level's rows block by block, and
-    # finish() sets its weights and defect from the defect of the rows
-    # kept; level 10 has two blocks
+    # a streamed level yields the held level's rows sweep by sweep, two
+    # node blocks each, and finish() sets its weights and defect from the
+    # defect of the rows kept; level 10 has two sweeps and four node blocks
     defects = []
     for sweep, held in zip(frame_levels(jacobi_basis(0.0, 1.0), filt, 10), frame10.levels):
         np.testing.assert_array_equal(sweep.nodes, held.nodes)
         assert sweep.weights is None and sweep.defect is None
         blocks = [rows.copy() for rows in sweep.rows()]
-        assert len(blocks) == -(-held.n_nodes // NODE_BLOCK)
+        assert len(blocks) == -(-held.n_nodes // (SWEEP_BLOCKS * NODE_BLOCK))
         assert all(rows.flags.c_contiguous for rows in blocks)
         np.testing.assert_array_equal(np.concatenate(blocks), held.psi)
         assert sweep.weights is None and sweep.defect is None
         sweep.finish(_held_defect(np.concatenate(blocks), sweep.a))
         np.testing.assert_array_equal(sweep.weights, held.weights)
-        # a held level's blocks are read-only views of its psi, not copies
+        # a held level's node blocks are read-only views of its psi, not copies
         views = list(held.rows())
-        assert len(views) == len(blocks)
+        assert len(views) == -(-held.n_nodes // NODE_BLOCK)
         assert all(np.shares_memory(v, held.psi) and not v.flags.writeable for v in views)
         np.testing.assert_array_equal(np.concatenate(views), held.psi)
         defects.append(sweep.defect)
     assert max(defects) == frame10.exactness_defect
+
+
+@pytest.mark.parametrize("mode", ["exact", "paper"])
+def test_no_sweep_block_or_gram_group_outgrows_a_gram_pass(filt, mode):
+    # sizes alone, in floats, at every level a frame may hold: the block a
+    # streamed build sweeps is no larger than the Gram pass that reads the
+    # level back (one node block, the largest group of panels and one
+    # BLOCK-row product buffer), so the sweep does not set a build's peak;
+    # and no group is larger than one node block unless one panel alone is
+    for j in range(-1, MAX_JMAX + 1):
+        n_nodes, _, a = _level_window(filt, j, mode)
+        n = a.shape[0]
+        block = min(NODE_BLOCK, n_nodes) * n
+        groups = _groups(n, n_nodes)
+        sizes = [sum(min(BLOCK, n - c0) * (n - c0) for c0 in g) for g in groups]
+        sweep = min(SWEEP_BLOCKS * NODE_BLOCK, n_nodes) * n
+        assert sweep <= block + max(sizes) + min(BLOCK, n) * n, j
+        assert all(size <= block or len(g) == 1 for size, g in zip(sizes, groups)), j
 
 
 @pytest.mark.parametrize("mode", ["exact", "paper"])

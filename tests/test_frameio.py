@@ -81,7 +81,8 @@ def _streamed_bound(n_nodes: int, n_freq: int) -> int:
     """Bytes a streamed level holds at once: the upper triangle of Psi^T Psi
     (3/8 of psi), half a panel more (the lower halves of the panels'
     diagonal squares), one panel (the product buffer), one node block, and
-    one tile of the block's rows."""
+    one tile of the block's rows. At levels 10 and 11 it also bounds the
+    sweep, which holds two node blocks and one tile of their rows."""
     panel = min(BLOCK, n_freq) * n_freq
     rows = min(NODE_BLOCK, n_nodes)
     return 8 * (n_freq * (n_freq + 1) // 2 + panel // 2 + panel + rows * n_freq + rows * TILE)
@@ -374,16 +375,17 @@ def test_reject_non_finite_psi_in_any_row_block(frame8, tmp_path, entry):
     ids=["second-block", "both-blocks"],
 )
 def test_reject_non_finite_psi_in_either_node_block(frame10, tmp_path, entries):
-    # level 10 is read in two node blocks: a bad entry in the second is
-    # named, and of two bad entries, one in each block, the first in row
-    # order is named
+    # level 10 is read in four node blocks: a bad entry in the second is
+    # named, and of two bad entries, one in the first block and one in the
+    # last, the first in row order is named
     _assert_non_finite_psi_is_named(frame10, tmp_path / "frame.ndlt", 10, entries)
 
 
 def test_streamed_levels_match_the_held_frame(frame10, filt, tmp_path):
     # write_levels over frame_levels writes save_frame's bytes, header
-    # defect included, though level 10 is swept in two node blocks; and the
-    # invariant suite reads the same rows from a file as from a held frame
+    # defect included, though level 10 is swept in two blocks of two node
+    # blocks; and the invariant suite reads the same rows from a file as
+    # from a held frame
     held, streamed = tmp_path / "held.ndlt", tmp_path / "streamed.ndlt"
     save_frame(frame10, held)
     basis = jacobi_basis(0.0, 1.0)
@@ -399,6 +401,25 @@ def test_streamed_levels_match_the_held_frame(frame10, filt, tmp_path):
             np.testing.assert_array_equal(loaded.psi, built.psi)
             assert loaded.psi.flags.c_contiguous
     assert sorted(p.name for p in tmp_path.iterdir()) == ["held.ndlt", "streamed.ndlt"]
+
+
+def test_the_node_block_moves_only_the_header_defect(filt, tmp_path, monkeypatch):
+    # the node block sets the order in which the Gram check sums a panel's
+    # products and nothing else: jmax-10 frames streamed in node blocks of
+    # 1024, 512 and 16 rows store the same bytes but for the header's
+    # defect, and their defects agree within 1e-15
+    basis = jacobi_basis(0.0, 1.0)
+    at = _HEADER.size - 12  # the defect, then the level count
+    stored, defects = [], []
+    for rows in (1024, 512, 16):
+        monkeypatch.setattr(needlets.frame, "NODE_BLOCK", rows)
+        path = tmp_path / f"{rows}.ndlt"
+        defects.append(write_levels(path, basis, filt, 10, "exact", frame_levels(basis, filt, 10)))
+        blob = path.read_bytes()
+        assert np.frombuffer(blob[at : at + 8], dtype="<f8")[0] == defects[-1]
+        stored.append(blob[:at] + blob[at + 8 :])
+    assert stored[0] == stored[1] == stored[2]
+    assert max(defects) - min(defects) <= 1e-15
 
 
 def _level6_defects(filt, tmp_path) -> list[float]:
@@ -431,15 +452,36 @@ def test_gram_groups_keep_the_one_group_defect(filt, tmp_path, small_blocks, mon
     assert one[0] <= 1e-9
 
 
+def test_a_stored_level_scans_each_block_once(filt, tmp_path, small_blocks, monkeypatch):
+    # level 6 is 8 node blocks in 4 Gram groups, so the invariant suite
+    # reads it 4 times; each block is tested for non-finite entries on the
+    # first pass alone
+    path = tmp_path / "frame.ndlt"
+    save_frame(build_frame(jacobi_basis(0.0, 1.0), filt, 6), path)
+    passes, scanned = [], []
+    read, scan = needlets.frameio._read_blocks, needlets.frameio._non_finite
+    monkeypatch.setattr(needlets.frameio, "_read_blocks", lambda *a: passes.append(a) or read(*a))
+    monkeypatch.setattr(needlets.frameio, "_non_finite", lambda r: scanned.append(r.shape) or scan(r))
+    with open_frame(path) as (head, levels):
+        for lev in levels:  # the last is level 6
+            passes.clear()
+            scanned.clear()
+            gram = _level_invariants(lev, _level_window(filt, lev.j, "exact")[2])[0]
+    assert len(passes) == 4 and gram <= 1e-9
+    assert scanned == [(16, 95)] * 8
+
+
 def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, monkeypatch, traced_peak):
-    # at jmax 10 the top level (2048 x 1535, 25.2 MB of psi) is built and
-    # checked two node blocks apiece. Its mappings peak at the Gram
-    # triangle, one product panel, one node block and one tile (27.2 MB),
-    # under the 28.3 MB its whole psi and one Gram product buffer took when
-    # the level was held, and every level's mappings are released before
-    # the next level is mapped. The traced heap holds no temporary the size
-    # of a block's mask (1.6 MB): it stays under 1 MB, of which the
-    # partition-of-unity check's 4001-point grid takes 0.5 MB
+    # at jmax 10 the top level (2048 x 1535, 25.2 MB of psi) is swept in two
+    # blocks of 1024 rows and read back and checked in four node blocks. Its
+    # mappings peak under the Gram triangle, one product panel, one node
+    # block and one tile (20.7 MB), which is also more than a sweep's block
+    # and tile (13.1 MB), and under the 28.3 MB its whole psi and one Gram
+    # product buffer took when the level was held, and every level's
+    # mappings are released before the next level is mapped. The traced
+    # heap holds no temporary the size of a node block's mask (0.79 MB): it
+    # stays under 0.75 MB, of which the partition-of-unity check's
+    # 4001-point grid takes 0.5 MB
     path = tmp_path / "frame.ndlt"
     basis = jacobi_basis(0.0, 1.0)
 
@@ -455,7 +497,7 @@ def test_streamed_build_and_check_hold_one_level_plus_a_block(filt, tmp_path, mo
     bound = _streamed_bound(2048, 1535)
     assert build_mapped <= bound and check_mapped <= bound
     assert bound < 8 * 2048 * 1535 + 8 * BLOCK * 1535
-    assert max(build_heap, check_heap) <= 2**20
+    assert max(build_heap, check_heap) <= 3 * 2**18
     assert rows == frame_invariants(load_frame(path))
 
 
@@ -488,7 +530,7 @@ _STATUS = """
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_build_and_check_in_one_process_peak_at_one_level_plus_a_block(tmp_path):
     # frame build and frame check at jmax 11 in one process raise its peak
-    # RSS by at most what a streamed level 11 holds (_streamed_bound: 72.9
+    # RSS by at most what a streamed level 11 holds (_streamed_bound: 60.0
     # MB, where the held level took 100.6 MB of psi and 5.8 MB of Gram
     # buffer): a dropped level's mappings are unmapped, so level 10's do not
     # stay resident beside level 11's. A build and check at jmax 8 first
@@ -509,12 +551,14 @@ def test_build_and_check_in_one_process_peak_at_one_level_plus_a_block(tmp_path)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_build_and_check_in_one_process_peak_at_one_block_plus_a_gram_group(tmp_path):
-    # level 11's Gram triangle (40.9 MB) is summed in two groups of panels,
-    # each of at most one node block's floats (22.0 and 18.9 MB), so frame
-    # build and frame check at jmax 11 raise the peak RSS by at most one
-    # node block, the larger group, one product buffer and one tile (54.0
-    # MB); the build reads level 11 back from its file once per group, as
-    # the check reads it
+    # level 11's Gram triangle (40.9 MB) is summed in four groups of
+    # panels, each of at most one node block's floats (12.1, 10.0, 11.0 and
+    # 7.9 MB, where a node block is 12.6 MB), so frame build and frame check
+    # at jmax 11 raise the peak RSS by at most one node block, the largest
+    # group, one product buffer and one tile (31.2 MB); the build reads
+    # level 11 back from its file once per group, as the check reads it,
+    # and its sweep's block of two node blocks (25.2 MB) stays under that
+    # (test_frame.py::test_no_sweep_block_or_gram_group_outgrows_a_gram_pass)
     out = _run_in_a_process(tmp_path, """
         run("frame", "build", "--jmax", "8", "--out", sys.argv[1] + "/j8.ndlt")
         run("frame", "check", sys.argv[1] + "/j8.ndlt")
@@ -525,7 +569,7 @@ def test_build_and_check_in_one_process_peak_at_one_block_plus_a_gram_group(tmp_
     """)
     n_nodes, n_freq = 2**12, 2**12 - 2**10 - 1  # level 11 of an "exact" frame
     groups = [sum(min(BLOCK, n_freq - c0) * (n_freq - c0) for c0 in g) for g in _groups(n_freq, n_nodes)]
-    assert len(groups) == 2 and max(groups) <= NODE_BLOCK * n_freq
+    assert len(groups) == 4 and max(groups) <= NODE_BLOCK * n_freq
     assert int(out[-1]) <= 8 * (NODE_BLOCK * n_freq + max(groups) + BLOCK * n_freq + NODE_BLOCK * TILE)
 
 
